@@ -123,7 +123,7 @@ def classify_oracle(d) -> Classification:
     p, q = _as_pair(d)
     odd_odd = abs(p) % 2 == 1 and abs(q) % 2 == 1
     start = _seed_start(p, q)
-    traj = trace3d(start, (p, q), max_crossings=_budget(p, q))
+    traj = trace3d(start, (p, q), max_crossings=_budget(p, q), record_vertices=False)
     if traj.stop_reason == "closed":
         if odd_odd:
             raise ClassificationError(f"odd/odd direction {(p, q)} closed in 3D")
@@ -173,14 +173,14 @@ def classify_x(d) -> Classification:
         start = SurfacePoint(0, Fraction(1, 2), Fraction(1, 3))
     else:
         start = SurfacePoint(0, Fraction(1, 2), Fraction(1, 2))
-    trace = trace_surface(surf, start, (p, q), _budget(p, q), record_segments=True)
+    trace = trace_surface(surf, start, (p, q), _budget(p, q), record_segments=False)
     if not trace.closed:
         raise ClassificationError(
             f"projected orbit of {(p, q)} stopped with {trace.stop_reason}"
         )
     disp = trace.displacement
     verdict = PERIODIC if disp == (0, 0, 0) else DRIFT
-    cert = {"displacement": disp, "crossings": len(trace.crossings) + 1}
+    cert = {"displacement": disp, "crossings": len(trace.scaled_crossings) + 1}
     if verdict == DRIFT:
         cert["drift_vector"] = disp
     return Classification((p, q), verdict, "x", cert)
@@ -193,7 +193,7 @@ def classify_y(d) -> Classification:
     surf = build_y()
     deco = cylinder_decomposition(surf, (p, q))
     single = len(deco.cylinders) == 1
-    inter = gamma0_intersection(surf, deco.cylinders[0].core_chain) if single else None
+    inter = gamma0_intersection(surf, deco.cylinders[0]) if single else None
     verdict = PERIODIC if single and inter == 0 else DRIFT
     return Classification(
         (p, q),
@@ -226,7 +226,7 @@ def verify_certificate(c: Classification) -> bool:
     """Replay a classification certificate against a fresh trace."""
     p, q = c.direction
     start = c.certificate.get("start") or _seed_start(p, q)
-    traj = trace3d(start, (p, q), max_crossings=_budget(p, q))
+    traj = trace3d(start, (p, q), max_crossings=_budget(p, q), record_vertices=False)
     if c.verdict == PERIODIC:
         if traj.stop_reason != "closed" or traj.s_total != 4:
             return False

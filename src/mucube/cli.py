@@ -28,7 +28,12 @@ from .classify import (
     classify_x,
     classify_y,
 )
-from .flow import FlowBudgetError, SIDE_NAMES, cylinder_decomposition
+from .flow import (
+    DegenerateIntersection,
+    FlowBudgetError,
+    SIDE_NAMES,
+    cylinder_decomposition,
+)
 from .grouptheory import (
     ContinuedFraction,
     GroupWord,
@@ -41,8 +46,11 @@ from .grouptheory import (
     recurrence_classify,
     rho,
 )
+from .homology import HomologyError
 from .mucube3d import (
+    ConePointStart,
     InternalGeometryError,
+    PeriodicDirectionError,
     Point3,
     SEED_CHART,
     SEED_FACE,
@@ -300,7 +308,11 @@ def cmd_trace(args) -> int:
         print(f"error: bad start point: {exc}", file=sys.stderr)
         return USAGE_ERROR
     max_s = Fraction(args.max_s) if args.max_s else None
-    traj = trace3d(start, (p, q), max_arc_s=max_s, max_crossings=args.max_crossings)
+    try:
+        traj = trace3d(start, (p, q), max_arc_s=max_s, max_crossings=args.max_crossings)
+    except ConePointStart as exc:
+        print(f"error: bad start point: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     payload = {
         "direction": [p, q],
         "closed": traj.closed,
@@ -525,7 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", required=True, help="CSV output path")
     s.add_argument("--svg", help="optional SVG output path")
     s.add_argument("--jobs", type=int, default=0, help="parallel workers (default: all cores)")
-    s.add_argument("--method", choices=sorted(_CLASSIFIERS), default="oracle")
+    # Y decides the verdict without a drift vector, so it cannot fill a row.
+    s.add_argument("--method", choices=("all", "oracle", "x"), default="oracle")
     s.set_defaults(func=cmd_scan)
 
     t = sub.add_parser("trace", help="trace the flow in the 3D embedding")
@@ -576,8 +589,11 @@ def main(argv=None) -> int:
         return INTERNAL_ERROR
     except (
         ClassificationError,
+        DegenerateIntersection,
         FlowBudgetError,
+        HomologyError,
         InternalGeometryError,
+        PeriodicDirectionError,
         SurfaceConstructionError,
     ) as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Optional, Sequence
 
@@ -52,16 +53,27 @@ class SurfacePoint:
 Segment = tuple[int, Fraction, Fraction, Fraction, Fraction]  # sq, x0, y0, x1, y1
 
 
+def _fraction_segments(scaled, sc: int) -> list[Segment]:
+    """Exact segments from integer ones in units of 1/sc."""
+    return [
+        (sq, Fraction(x0, sc), Fraction(y0, sc), Fraction(x1, sc), Fraction(y1, sc))
+        for sq, x0, y0, x1, y1 in scaled
+    ]
+
+
 @dataclass
 class SurfaceTrace:
     direction: tuple[int, int]
     closed: bool
     stop_reason: str  # closed | cone_point | crossing_budget
     s_total: Fraction
-    crossings: list[tuple[Fraction, int, int]]  # (s, square, side) exited, one period if closed
-    segments: list[Segment]
     displacement: tuple[int, int, int]
-    weights: list[tuple[Fraction, tuple[int, int, int]]]  # cocycle weight per crossing
+    # Arc parameters and chart coordinates of the lists below are integers in
+    # units of 1/scale; each list covers one period if closed.
+    scale: int
+    scaled_crossings: list[tuple[int, int, int]]  # (s, square, side) exited
+    scaled_weights: list[tuple[int, tuple[int, int, int]]]  # cocycle weight per crossing
+    scaled_segments: list[tuple[int, int, int, int, int]]
     cone_point: Optional[SurfacePoint] = None
     center_visits: list[SurfacePoint] = field(default_factory=list)
 
@@ -69,6 +81,20 @@ class SurfaceTrace:
     def arc_length(self) -> SqrtLength:
         p, q = self.direction
         return SqrtLength.of(self.s_total, p * p + q * q)
+
+    @cached_property
+    def crossings(self) -> list[tuple[Fraction, int, int]]:
+        sc = self.scale
+        return [(Fraction(s, sc), sq, side) for s, sq, side in self.scaled_crossings]
+
+    @cached_property
+    def weights(self) -> list[tuple[Fraction, tuple[int, int, int]]]:
+        sc = self.scale
+        return [(Fraction(s, sc), w) for s, w in self.scaled_weights]
+
+    @cached_property
+    def segments(self) -> list[Segment]:
+        return _fraction_segments(self.scaled_segments, self.scale)
 
 
 def _transfer(pos_x: int, pos_y: int, side: int, glue_entry, sc: int):
@@ -143,9 +169,6 @@ def _run_trace(surface, pos, d0, sc, max_crossings, *, record_segments, cocycle)
     centers: list[tuple[int, int, int]] = []
     start_state = (sq, x, y)
     glue = surface.glue
-
-    def frac(v):
-        return Fraction(v, sc)
 
     while True:
         best_axis = None
@@ -244,26 +267,13 @@ def _finish_surface_trace(
     if closed:
         # Trim everything to one period [0, s_total): crossings 1 .. n-1 and
         # the segments from the start point back to itself.
-        period = s_scaled
-        kept = crossings[: n_cross - 1]
-        kept_w = weights[: n_cross - 1] if weights else []
-        segs = segments[: n_cross - 1] if segments else []
+        crossings = crossings[: n_cross - 1]
+        weights = weights[: n_cross - 1]
         if segments:
             last = segments[n_cross - 1]
-            segs = segs + [(last[0], last[1], last[2], start_state[1], start_state[2])]
-        out_cross = [(fr(s), sq, side) for s, sq, side in kept]
-        out_w = [(fr(s), w) for s, w in kept_w]
-        out_segs = [
-            (sq, fr(x0), fr(y0), fr(x1), fr(y1)) for sq, x0, y0, x1, y1 in segs
-        ]
-        s_total = fr(period)
-    else:
-        out_cross = [(fr(s), sq, side) for s, sq, side in crossings]
-        out_w = [(fr(s), w) for s, w in weights]
-        out_segs = [
-            (sq, fr(x0), fr(y0), fr(x1), fr(y1)) for sq, x0, y0, x1, y1 in segments
-        ]
-        s_total = fr(s_scaled)
+            segments = segments[: n_cross - 1] + [
+                (last[0], last[1], last[2], start_state[1], start_state[2])
+            ]
 
     seen = set()
     visits = []
@@ -276,11 +286,12 @@ def _finish_surface_trace(
         direction=d0,
         closed=closed,
         stop_reason=reason,
-        s_total=s_total,
-        crossings=out_cross,
-        segments=out_segs,
+        s_total=fr(s_scaled),
         displacement=tuple(acc),
-        weights=out_w,
+        scale=sc,
+        scaled_crossings=crossings,
+        scaled_weights=weights,
+        scaled_segments=segments,
         cone_point=SurfacePoint(cone[0], fr(cone[1]), fr(cone[2])) if cone else None,
         center_visits=visits,
     )
@@ -296,15 +307,29 @@ class Cylinder:
     circumference_multiplier: int  # circumference = multiplier * sqrt(p^2+q^2)
     width: SqrtLength
     area: Fraction
-    intervals: list[tuple[tuple[int, int], Fraction, Fraction]]  # (edge, lo, hi)
     squares: list[int]
     core_visits: list[SurfacePoint]
-    core_chain: list[Segment]
+    # Edge parameters and chart coordinates below are integers in units of
+    # 1/scale, an even integer.
+    scale: int
+    scaled_intervals: list[tuple[tuple[int, int], int, int]]  # (edge, lo, hi)
+    core_segments: list[tuple[int, int, int, int, int]]  # one period of the core leaf
 
     @property
     def circumference(self) -> SqrtLength:
         p, q = self.direction
         return SqrtLength.of(self.circumference_multiplier, p * p + q * q)
+
+    @cached_property
+    def intervals(self) -> list[tuple[tuple[int, int], Fraction, Fraction]]:
+        sc = self.scale
+        return [
+            (edge, Fraction(lo, sc), Fraction(hi, sc)) for edge, lo, hi in self.scaled_intervals
+        ]
+
+    @cached_property
+    def core_chain(self) -> list[Segment]:
+        return _fraction_segments(self.core_segments, self.scale)
 
 
 @dataclass
@@ -449,7 +474,7 @@ def cylinder_decomposition(surface, direction: tuple[int, int]) -> Decomposition
         sq, x, y, dx, dy = state0
         group = []
         squares = []
-        core_chain = []
+        core_segments = []
         core_visits = []
         steps = 0
         half = sc2 // 2
@@ -488,9 +513,7 @@ def cylinder_decomposition(surface, direction: tuple[int, int]) -> Decomposition
             nx, ny = x + dx * best_delta, y + dy * best_delta
             if nx in (0, sc2) and ny in (0, sc2):
                 raise FlowBudgetError("core leaf hit a cone point")
-            core_chain.append(
-                (sq, Fraction(x, sc2), Fraction(y, sc2), Fraction(nx, sc2), Fraction(ny, sc2))
-            )
+            core_segments.append((sq, x, y, nx, ny))
             side = _exit_side((dx, dy), best_axis)
             if side in transversal:
                 tpar = ny if side in VERTICAL_SIDES else nx
@@ -514,7 +537,7 @@ def cylinder_decomposition(surface, direction: tuple[int, int]) -> Decomposition
 
         length0 = Fraction(iv0[2] - iv0[1], sc2)
         for iv in group:
-            if Fraction(iv[2] - iv[1], sc2) != length0:
+            if iv[2] - iv[1] != iv0[2] - iv0[1]:
                 raise FlowBudgetError("return map is not measure-preserving")
         mult, rem = divmod(steps, step_div)
         if rem:
@@ -528,12 +551,11 @@ def cylinder_decomposition(surface, direction: tuple[int, int]) -> Decomposition
                 circumference_multiplier=mult,
                 width=width,
                 area=area,
-                intervals=[
-                    (iv[0], Fraction(iv[1], sc2), Fraction(iv[2], sc2)) for iv in group
-                ],
                 squares=squares,
                 core_visits=core_visits,
-                core_chain=core_chain,
+                scale=sc2,
+                scaled_intervals=group,
+                core_segments=core_segments,
             )
         )
 
@@ -594,38 +616,6 @@ def reverse_chain(chain: Sequence[Segment]) -> list[Segment]:
 # ---------------------------------------------------------------------------
 # Quarter-period displacement symmetry on the 12-square quotient
 # ---------------------------------------------------------------------------
-
-def lift_at(surface, trace: SurfaceTrace, s: Fraction):
-    """Ambient position of the lift of a traced orbit at arc parameter s.
-
-    The lift starts on the representative face of the starting square and
-    jumps by twice the cocycle weight at each crossing.  If s falls exactly
-    on a crossing, the position on the earlier segment (before the jump) is
-    used.
-    """
-    from .mucube3d import Point3
-
-    if surface.reps is None or surface.cocycle is None:
-        raise ValueError("lifting needs a surface built from the 3D model")
-    p, q = trace.direction
-    acc = (0, 0, 0)
-    widx = 0
-    s_seg = Fraction(0)
-    for k, (sq, x0, y0, x1, y1) in enumerate(trace.segments):
-        ds = abs(x1 - x0) / abs(p) if p else abs(y1 - y0) / abs(q)
-        if s <= s_seg + ds or k == len(trace.segments) - 1:
-            t = (s - s_seg) / ds
-            x = x0 + t * (x1 - x0)
-            y = y0 + t * (y1 - y0)
-            pt = Point3(surface.reps[sq], surface.charts[sq], x, y).ambient()
-            return tuple(pt[m] + 2 * acc[m] for m in range(3))
-        s_seg += ds
-        if widx < len(trace.weights) and trace.weights[widx][0] <= s_seg:
-            w = trace.weights[widx][1]
-            acc = (acc[0] + w[0], acc[1] + w[1], acc[2] + w[2])
-            widx += 1
-    raise ValueError("parameter beyond the trace")
-
 
 def _cell(point) -> tuple[int, int, int]:
     """Net count of odd-integer walls up to each coordinate."""

@@ -5,13 +5,19 @@ horizontal mid-height curve, eta the class of the core of the area-1
 cylinder in the (1,1) direction, oriented so that their algebraic
 intersection is +1.  Coordinates of a traced closed curve c are
 
-    alpha = i(c, eta),    beta = -i(c, sigma),
+    alpha = i(c, eta),    beta = -i(c, sigma).
 
-computed by exact signed crossing counts against fixed representative
-leaves.  Representatives are pushed off the special leaves (which pass
-through square centers and edge midpoints) so that crossings stay
-transverse; on a degenerate configuration the computation retries with a
-different pushoff.
+beta is the signed count of the curve's passes of height 1/2, where the
+marked curve gamma0 runs, and it is exact with no degenerate case.  Every
+gluing preserves the height 1/2 (a flip maps y to 1 - y), so a pass through
+an edge at mid-height shows on both sides of the edge and is counted once,
+on the segment that leaves it.  Every corner of the quotient is a cone
+point, which a closed leaf never meets.
+
+alpha is a signed crossing count against a fixed leaf representing eta.
+That representative is pushed off the special leaves (which pass through
+square centers and edge midpoints) so that crossings stay transverse; on a
+degenerate configuration the computation retries with a different pushoff.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from typing import Sequence, Union
 
 from .flow import (
     B,
+    Cylinder,
     DegenerateIntersection,
     L,
     R,
@@ -168,26 +175,28 @@ def _as_chain(surface, c) -> list[Segment]:
     return list(c)
 
 
-def _is_parallel(chain: Sequence[Segment], d: tuple[int, int]) -> bool:
-    p, q = d
-    for _, x0, y0, x1, y1 in chain:
-        if (x1 - x0) * q != (y1 - y0) * p:
-            return False
-    return True
-
-
-def gamma0_intersection(surface, c: Union[SurfaceTrace, Sequence[Segment]]) -> int:
+def gamma0_intersection(surface, c: Union[Cylinder, SurfaceTrace, Sequence[Segment]]) -> int:
     """Signed crossing number of a closed curve with the marked horizontal
-    curve (upward crossings minus downward crossings)."""
-    chain = _as_chain(surface, c)
-    if _is_parallel(chain, (1, 0)):
-        return 0
-    for attempt in range(len(_PUSHOFFS)):
-        try:
-            return signed_crossings(chain, _sigma_rep(surface, attempt))
-        except DegenerateIntersection:
-            continue
-    raise HomologyError("all pushoffs degenerate against the curve")
+    curve (upward crossings minus downward crossings).
+
+    The marked curve runs at height 1/2 in every square, with x-direction
+    ``eps[sq]``.  A pass of ``y = 1/2`` counts ``+eps[sq]`` upward and
+    ``-eps[sq]`` downward; a pass at a segment endpoint is counted once, on
+    the segment that leaves the endpoint.  A cylinder is counted on the
+    integer form of its core.
+    """
+    if isinstance(c, Cylinder):
+        chain, half = c.core_segments, c.scale // 2
+    else:
+        chain, half = _as_chain(surface, c), Fraction(1, 2)
+    eps = {sq: 1 if x1 > x0 else -1 for sq, x0, _, x1, _ in surface.marked_curves["gamma0"]}
+    total = 0
+    for sq, _, y0, _, y1 in chain:
+        if y0 <= half < y1:
+            total += eps[sq]
+        elif y1 < half <= y0:
+            total -= eps[sq]
+    return total
 
 
 def homology_coordinates(surface, c: Union[SurfaceTrace, Sequence[Segment]]) -> tuple[int, int]:

@@ -314,19 +314,6 @@ def _axis_vec(axis: int) -> IntTriple:
     return tuple(v)  # type: ignore[return-value]
 
 
-def apply_motion(g: RigidMotion, obj):
-    """Apply a rigid motion to a Face or a Point3."""
-    if isinstance(obj, Face):
-        return g.apply_face(obj)
-    if isinstance(obj, Point3):
-        amb = g.apply_point(obj.ambient())
-        u_img = mat_vec(g.rotation, obj.chart[0])
-        v_img = mat_vec(g.rotation, obj.chart[1])
-        face = g.apply_face(obj.face)
-        return Point3.from_ambient(face, (tuple(u_img), tuple(v_img)), amb)
-    raise TypeError(f"cannot apply motion to {type(obj).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # Charts and points on faces
 # ---------------------------------------------------------------------------

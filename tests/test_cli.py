@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from mucube import cli
 from mucube.cli import (
     CSV_HEADER,
     main,
@@ -16,6 +17,9 @@ from mucube.cli import (
     scan_pairs,
     scan_records,
 )
+from mucube.flow import DegenerateIntersection
+from mucube.homology import HomologyError
+from mucube.mucube3d import PeriodicDirectionError
 
 
 def run_cli(capsys, *argv):
@@ -104,6 +108,16 @@ def test_scan_unwritable_path(capsys):
     assert "cannot write" in err
 
 
+def test_scan_rejects_method_y(tmp_path, capsys):
+    # Y decides without a drift vector, so it cannot fill the drift columns.
+    out = tmp_path / "y.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--max", "1", "--out", str(out), "--method", "y", "--jobs", "1"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_scan_svg_self_contained(tmp_path, capsys):
     svg = tmp_path / "disk.svg"
     out = tmp_path / "scan.csv"
@@ -148,6 +162,27 @@ def test_trace_csv(tmp_path, capsys):
     lines = path.read_text().splitlines()
     assert lines[0] == "x,y,z"
     assert len(lines) == len(json.loads(out)["vertices"]) + 1
+
+
+def test_trace_edge_start_usage_error(capsys):
+    code, out, err = run_cli(capsys, "trace", "--p", "1", "--q", "2", "--u", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad start point")
+
+
+@pytest.mark.parametrize(
+    "error", [HomologyError, DegenerateIntersection, PeriodicDirectionError]
+)
+def test_invariant_errors_exit_3(capsys, monkeypatch, error):
+    def fail(direction):
+        raise error("forced")
+
+    monkeypatch.setitem(cli._CLASSIFIERS, "all", fail)
+    code, out, err = run_cli(capsys, "classify", "--p", "1", "--q", "0")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: forced\n"
 
 
 def test_cylinders_json(capsys):
