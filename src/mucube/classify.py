@@ -22,9 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Optional
 
-from . import mucube3d
 from .flow import SurfacePoint, cylinder_decomposition, trace_surface
 from .homology import gamma0_intersection
 from .mucube3d import (

@@ -36,7 +36,6 @@ from .flow import (
 )
 from .grouptheory import (
     ContinuedFraction,
-    GroupWord,
     convergents,
     eval_word,
     find_witness,
@@ -166,40 +165,41 @@ def _verdict_record(pair_method):
     return (p, q, DRIFT, 0, drift)
 
 
-def scan_records(max_n: int, method: str = "oracle", jobs: int = 1):
-    """Classification records for all scan pairs, deterministic order.
-
-    The verdict of (p, q) is invariant under swapping and sign flips, so each
-    symmetry class is classified once and the result is replayed onto all its
-    representatives.
-    """
-    pairs = scan_pairs(max_n)
-    canon: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for p, q in pairs:
-        key = (max(abs(p), abs(q)), min(abs(p), abs(q)))
-        canon.setdefault(key, []).append((p, q))
-    tasks = sorted(canon)
+def _verdict_records(pairs, method: str, jobs: int):
+    tasks = [(pair, method) for pair in pairs]
     if jobs > 1:
         import multiprocessing
 
         with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(
-                _verdict_record, [(t, method) for t in tasks], chunksize=64
-            )
-    else:
-        results = [_verdict_record((t, method)) for t in tasks]
-    by_canon = {(r[0], r[1]): r for r in results}
+            return pool.map(_verdict_record, tasks, chunksize=64)
+    return [_verdict_record(t) for t in tasks]
+
+
+def scan_records(max_n: int, method: str = "oracle", jobs: int = 1):
+    """Classification records for all scan pairs, deterministic order.
+
+    The verdict of (p, q) is invariant under swapping and sign flips, so each
+    symmetry class is classified once and its verdict is replayed onto all
+    its representatives.  Drift vectors are not invariant: both (a, b) and
+    (b, a) are classified, and the row (a, -b) carries the vector (x, -y, -z)
+    of (a, b).  That is the composite of two symmetries which fix the start
+    point: p -> -p reflects the seed face and maps (x, y, z) to (-x, y, z),
+    and (p, q) -> (-p, -q) reverses time and negates the vector.
+    """
+    pairs = scan_pairs(max_n)
+    canon = sorted({(max(abs(p), abs(q)), min(abs(p), abs(q))) for p, q in pairs})
+    results = _verdict_records(canon, method, jobs)
+    swaps = [(b, a) for a, b, verdict, _, _ in results if verdict == DRIFT and a != b]
+    results += _verdict_records(swaps, method, jobs)
+    by_pair = {(r[0], r[1]): r for r in results}
 
     records = []
     for p, q in pairs:
-        key = (max(abs(p), abs(q)), min(abs(p), abs(q)))
-        base = by_canon[key]
-        if base[2] == PERIODIC:
+        if by_pair[(max(abs(p), abs(q)), min(abs(p), abs(q)))][2] == PERIODIC:
             records.append((p, q, PERIODIC, 4, (0, 0, 0)))
         else:
-            # Drift vectors are reported for the canonical representative;
-            # symmetry images carry the same verdict.
-            records.append((p, q, DRIFT, 0, base[4]))
+            x, y, z = by_pair[(p, abs(q))][4]
+            records.append((p, q, DRIFT, 0, (x, y, z) if q >= 0 else (x, -y, -z)))
     return records
 
 

@@ -97,27 +97,56 @@ class SurfaceTrace:
         return _fraction_segments(self.scaled_segments, self.scale)
 
 
-def _transfer(pos_x: int, pos_y: int, side: int, glue_entry, sc: int):
-    """Coordinates and direction sign after crossing out through ``side``."""
-    sq2, side2, flip = glue_entry
-    t = pos_y if side in VERTICAL_SIDES else pos_x
-    if flip:
-        t = sc - t
-    if side2 == L:
-        new = (0, t)
-    elif side2 == R:
-        new = (sc, t)
-    elif side2 == B:
-        new = (t, 0)
+def _leaf(glue, sc: int, sq: int, x: int, y: int, dx: int, dy: int):
+    """Wall-to-wall segments of the leaf from ``(x, y)`` in square ``sq``.
+
+    Coordinates are integers in units of ``1/sc``.  Yields
+    ``(sq, x, y, dx, dy, t, nx, ny, side)`` per segment: its square, start
+    point and direction, its length ``t`` in steps of ``(dx, dy)``, its end
+    point, and the side it exits through, after which the leaf continues
+    across the glued edge.  The last segment yielded ends at a corner, with
+    ``side`` None.
+    """
+    while True:
+        t = None
+        if dx:
+            t, rem = divmod(sc - x if dx > 0 else x, abs(dx))
+            side = R if dx > 0 else L
+            if rem:
+                raise FlowBudgetError("non-integral step; scaling invariant broken")
+        if dy:
+            ty, rem = divmod(sc - y if dy > 0 else y, abs(dy))
+            if rem:
+                raise FlowBudgetError("non-integral step; scaling invariant broken")
+            if t is None or ty < t:
+                t, side = ty, (T if dy > 0 else B)
+        if t is None:
+            raise ValueError("zero direction")
+        nx, ny = x + dx * t, y + dy * t
+        if nx in (0, sc) and ny in (0, sc):
+            yield sq, x, y, dx, dy, t, nx, ny, None
+            return
+        yield sq, x, y, dx, dy, t, nx, ny, side
+        sq, side2, flip = glue[(sq, side)]
+        u = ny if side in VERTICAL_SIDES else nx
+        if flip:
+            u, dx, dy = sc - u, -dx, -dy
+        if side2 in VERTICAL_SIDES:
+            x, y = (0 if side2 == L else sc), u
+        else:
+            x, y = u, (0 if side2 == B else sc)
+
+
+def _passes_center(x: int, y: int, dx: int, dy: int, t: int, half: int) -> bool:
+    """Whether the segment of ``t`` steps from ``(x, y)``, end excluded,
+    passes the square center ``(half, half)``."""
+    if dx:
+        k, rem = divmod(half - x, dx)
+        hit = not rem and half - y == dy * k
     else:
-        new = (t, sc)
-    return sq2, new[0], new[1], (-1 if flip else 1)
-
-
-def _exit_side(d: tuple[int, int], wall_axis: int) -> int:
-    if wall_axis == 0:
-        return R if d[0] > 0 else L
-    return T if d[1] > 0 else B
+        k, rem = divmod(half - y, dy)
+        hit = not rem and x == half
+    return hit and 0 <= k < t
 
 
 def trace_surface(
@@ -143,158 +172,72 @@ def trace_surface(
     den_x, den_y = start.x.denominator, start.y.denominator
     den = den_x * den_y // gcd(den_x, den_y)
     sc = 2 * den * max(abs(p), 1) * max(abs(q), 1)
-    pos = (start.square, int(start.x * sc), int(start.y * sc))
-
+    x0, y0 = int(start.x * sc), int(start.y * sc)
     cocycle = getattr(surface, "cocycle", None)
-    return _run_trace(
-        surface, pos, (p, q), sc, max_crossings,
-        record_segments=record_segments, cocycle=cocycle,
-    )
-
-
-def _run_trace(surface, pos, d0, sc, max_crossings, *, record_segments, cocycle):
-    p, q = d0
-    sq, x, y = pos
-    dx, dy = p, q
+    half = sc // 2
     s_scaled = 0
-    acc = (0, 0, 0)
+    acc = anchor_acc = (0, 0, 0)
     anchor = None
     anchor_s = 0
-    anchor_acc = (0, 0, 0)
-    anchor_idx = 0
     n_cross = 0
     crossings: list[tuple[int, int, int]] = []  # (s_scaled, sq, side)
     weights: list[tuple[int, tuple[int, int, int]]] = []
     segments: list[tuple[int, int, int, int, int]] = []
-    centers: list[tuple[int, int, int]] = []
-    start_state = (sq, x, y)
-    glue = surface.glue
+    centers: list[int] = []
 
-    while True:
-        best_axis = None
-        best_delta = None
-        for axis, dd, coord in ((0, dx, x), (1, dy, y)):
-            if dd == 0:
-                continue
-            dist = (sc - coord) if dd > 0 else coord
-            delta = dist // abs(dd)
-            if dist % abs(dd):
-                raise FlowBudgetError("non-integral step; scaling invariant broken")
-            if best_delta is None or delta < best_delta:
-                best_axis, best_delta = axis, delta
-        if best_delta is None:
-            raise ValueError("zero direction")
+    def finish(reason, s, disp, cone_point=None):
+        nonlocal crossings, weights, segments
+        closed = reason == "closed"
+        if closed:
+            # Trim everything to one period [0, s_total): crossings 1 .. n-1
+            # and the segments from the start point back to itself.
+            crossings = crossings[: n_cross - 1]
+            weights = weights[: n_cross - 1]
+            if segments:
+                last = segments[n_cross - 1]
+                segments = segments[: n_cross - 1] + [(*last[:3], x0, y0)]
+        center = Fraction(1, 2)
+        return SurfaceTrace(
+            direction=(p, q),
+            closed=closed,
+            stop_reason=reason,
+            s_total=Fraction(s, sc),
+            displacement=disp,
+            scale=sc,
+            scaled_crossings=crossings,
+            scaled_weights=weights,
+            scaled_segments=segments,
+            cone_point=cone_point,
+            center_visits=[SurfacePoint(sq, center, center) for sq in dict.fromkeys(centers)],
+        )
 
-        # Center pass within this segment.
-        half = sc // 2
-        t_hit = None
-        ok = True
-        for dd, coord in ((dx, x), (dy, y)):
-            if dd == 0:
-                if coord != half:
-                    ok = False
-                    break
-            else:
-                num = half - coord
-                if num % dd:
-                    ok = False
-                    break
-                t = num // dd
-                if t_hit is None:
-                    t_hit = t
-                elif t != t_hit:
-                    ok = False
-                    break
-        if ok and t_hit is not None and 0 <= t_hit < best_delta:
-            centers.append((sq, half, half))
-
-        nx, ny = x + dx * best_delta, y + dy * best_delta
-        s_scaled += best_delta
+    for sq, x, y, dx, dy, t, nx, ny, side in _leaf(surface.glue, sc, start.square, x0, y0, p, q):
+        if n_cross:
+            # (sq, x, y, dx, dy) is the state just after the last crossing.
+            state = (sq, x, y, dx, dy)
+            if anchor is None:
+                anchor, anchor_s, anchor_acc = state, s_scaled, acc
+            elif state == anchor:
+                return finish(
+                    "closed", s_scaled - anchor_s,
+                    tuple(a - b for a, b in zip(acc, anchor_acc)),
+                )
+            if n_cross >= max_crossings:
+                return finish("crossing_budget", s_scaled, acc)
+        if _passes_center(x, y, dx, dy, t, half):
+            centers.append(sq)
+        s_scaled += t
         if record_segments:
             segments.append((sq, x, y, nx, ny))
-
-        if nx in (0, sc) and ny in (0, sc):
-            return _finish_surface_trace(
-                d0, sc, "cone_point", s_scaled, crossings, weights, segments,
-                centers, acc, cone=(sq, nx, ny), n_cross=n_cross,
-                anchor_idx=anchor_idx, anchor_s=anchor_s, anchor_acc=anchor_acc,
-                start_state=start_state,
-            )
-
-        side = _exit_side((dx, dy), best_axis)
+        if side is None:
+            cone = SurfacePoint(sq, Fraction(nx, sc), Fraction(ny, sc))
+            return finish("cone_point", s_scaled, acc, cone)
         n_cross += 1
         crossings.append((s_scaled, sq, side))
         if cocycle is not None:
             w = cocycle[(sq, side)]
             acc = (acc[0] + w[0], acc[1] + w[1], acc[2] + w[2])
             weights.append((s_scaled, w))
-        sq, x, y, sign = _transfer(nx, ny, side, glue[(sq, side)], sc)
-        if sign < 0:
-            dx, dy = -dx, -dy
-
-        state = (sq, x, y, dx, dy)
-        if anchor is None:
-            anchor = state
-            anchor_s = s_scaled
-            anchor_acc = acc
-            anchor_idx = n_cross
-        elif state == anchor:
-            return _finish_surface_trace(
-                d0, sc, "closed", s_scaled - anchor_s, crossings, weights,
-                segments, centers,
-                tuple(a - b for a, b in zip(acc, anchor_acc)),
-                n_cross=n_cross, anchor_idx=anchor_idx, anchor_s=anchor_s,
-                anchor_acc=anchor_acc, start_state=start_state,
-            )
-        if n_cross >= max_crossings:
-            return _finish_surface_trace(
-                d0, sc, "crossing_budget", s_scaled, crossings, weights,
-                segments, centers, acc, n_cross=n_cross,
-                anchor_idx=anchor_idx, anchor_s=anchor_s, anchor_acc=anchor_acc,
-                start_state=start_state,
-            )
-
-
-def _finish_surface_trace(
-    d0, sc, reason, s_scaled, crossings, weights, segments, centers, acc,
-    *, cone=None, n_cross, anchor_idx, anchor_s, anchor_acc, start_state,
-):
-    closed = reason == "closed"
-
-    def fr(v):
-        return Fraction(v, sc)
-
-    if closed:
-        # Trim everything to one period [0, s_total): crossings 1 .. n-1 and
-        # the segments from the start point back to itself.
-        crossings = crossings[: n_cross - 1]
-        weights = weights[: n_cross - 1]
-        if segments:
-            last = segments[n_cross - 1]
-            segments = segments[: n_cross - 1] + [
-                (last[0], last[1], last[2], start_state[1], start_state[2])
-            ]
-
-    seen = set()
-    visits = []
-    for sq, cx, cy in centers:
-        if (sq, cx, cy) not in seen:
-            seen.add((sq, cx, cy))
-            visits.append(SurfacePoint(sq, fr(cx), fr(cy)))
-
-    return SurfaceTrace(
-        direction=d0,
-        closed=closed,
-        stop_reason=reason,
-        s_total=fr(s_scaled),
-        displacement=tuple(acc),
-        scale=sc,
-        scaled_crossings=crossings,
-        scaled_weights=weights,
-        scaled_segments=segments,
-        cone_point=SurfacePoint(cone[0], fr(cone[1]), fr(cone[2])) if cone else None,
-        center_visits=visits,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -356,34 +299,6 @@ def _canonical_param(surface, sq, side, t, sc):
     return (sq2, side2), (sc - t if flip else t)
 
 
-def _ray_until_corner(surface, sq, x, y, d, sc, budget, record_cuts):
-    """Trace a separatrix ray until it reaches a corner; record transversal cuts."""
-    dx, dy = d
-    glue = surface.glue
-    steps = 0
-    while True:
-        best_axis = None
-        best_delta = None
-        for axis, dd, coord in ((0, dx, x), (1, dy, y)):
-            if dd == 0:
-                continue
-            dist = (sc - coord) if dd > 0 else coord
-            delta = dist // abs(dd)
-            if best_delta is None or delta < best_delta:
-                best_axis, best_delta = axis, delta
-        x, y = x + dx * best_delta, y + dy * best_delta
-        if x in (0, sc) and y in (0, sc):
-            return
-        side = _exit_side((dx, dy), best_axis)
-        record_cuts(sq, side, x, y)
-        sq, x, y, sign = _transfer(x, y, side, glue[(sq, side)], sc)
-        if sign < 0:
-            dx, dy = -dx, -dy
-        steps += 1
-        if steps > budget:
-            raise FlowBudgetError("separatrix failed to reach a cone point in budget")
-
-
 def cylinder_decomposition(surface, direction: tuple[int, int]) -> Decomposition:
     """Decompose the surface into maximal cylinders in a primitive direction.
 
@@ -408,22 +323,28 @@ def cylinder_decomposition(surface, direction: tuple[int, int]) -> Decomposition
         for side in transversal:
             cuts.setdefault(_canonical_edge(surface, sq, side), set())
 
-    def record(sq, side, xx, yy):
-        if side not in transversal:
-            return
-        t = yy if side in VERTICAL_SIDES else xx
-        key, tc = _canonical_param(surface, sq, side, t, sc)
-        if 0 < tc < sc:
-            cuts[key].add(tc)
-
-    for d in ((p, q), (-p, -q)):
-        dx, dy = d
+    glue = surface.glue
+    for dx, dy in ((p, q), (-p, -q)):
         xs = [0] if dx > 0 else [sc] if dx < 0 else [0, sc]
         ys = [0] if dy > 0 else [sc] if dy < 0 else [0, sc]
-        for sq in range(n):
+        for sq0 in range(n):
             for cx in xs:
                 for cy in ys:
-                    _ray_until_corner(surface, sq, cx, cy, d, sc, budget, record)
+                    # A separatrix ray: cut the transversal until a corner.
+                    for steps, (sq, _, _, _, _, _, nx, ny, side) in enumerate(
+                        _leaf(glue, sc, sq0, cx, cy, dx, dy)
+                    ):
+                        if side is None:
+                            break
+                        if steps >= budget:
+                            raise FlowBudgetError(
+                                "separatrix failed to reach a cone point in budget"
+                            )
+                        if side in transversal:
+                            t = ny if side in VERTICAL_SIDES else nx
+                            key, tc = _canonical_param(surface, sq, side, t, sc)
+                            if 0 < tc < sc:
+                                cuts[key].add(tc)
 
     # Interval lists per canonical edge, in doubled scale so midpoints stay
     # integral.
@@ -461,7 +382,7 @@ def cylinder_decomposition(surface, direction: tuple[int, int]) -> Decomposition
         d_in = (p, q) if q < 0 else (-p, -q)
         return (sq_c, t2, sc2, d_in[0], d_in[1])
 
-    glue = surface.glue
+    core_budget = 16 * n * (abs(p) + abs(q)) + 64
     visited: set[int] = set()
     cylinders: list[Cylinder] = []
 
@@ -471,50 +392,21 @@ def cylinder_decomposition(surface, direction: tuple[int, int]) -> Decomposition
         key0 = iv0[0]
         mid = (iv0[1] + iv0[2]) // 2
         state0 = entry_state(key0, mid)
-        sq, x, y, dx, dy = state0
         group = []
         squares = []
         core_segments = []
         core_visits = []
         steps = 0
-        half = sc2 // 2
-        while True:
-            # advance to next wall
-            best_axis = None
-            best_delta = None
-            for axis, dd, coord in ((0, dx, x), (1, dy, y)):
-                if dd == 0:
-                    continue
-                dist = (sc2 - coord) if dd > 0 else coord
-                delta = dist // abs(dd)
-                if best_delta is None or delta < best_delta:
-                    best_axis, best_delta = axis, delta
-            # center pass
-            t_hit = None
-            ok = True
-            for dd, coord in ((dx, x), (dy, y)):
-                if dd == 0:
-                    if coord != half:
-                        ok = False
-                        break
-                else:
-                    num = half - coord
-                    if num % dd:
-                        ok = False
-                        break
-                    t = num // dd
-                    if t_hit is None:
-                        t_hit = t
-                    elif t != t_hit:
-                        ok = False
-                        break
-            if ok and t_hit is not None and 0 <= t_hit < best_delta:
+        for sq, x, y, dx, dy, t, nx, ny, side in _leaf(glue, sc2, *state0):
+            if steps and (sq, x, y, dx, dy) == state0:
+                break
+            if steps > core_budget:
+                raise FlowBudgetError("core leaf failed to close in budget")
+            if _passes_center(x, y, dx, dy, t, sc):
                 core_visits.append(SurfacePoint(sq, Fraction(1, 2), Fraction(1, 2)))
-            nx, ny = x + dx * best_delta, y + dy * best_delta
-            if nx in (0, sc2) and ny in (0, sc2):
+            if side is None:
                 raise FlowBudgetError("core leaf hit a cone point")
             core_segments.append((sq, x, y, nx, ny))
-            side = _exit_side((dx, dy), best_axis)
             if side in transversal:
                 tpar = ny if side in VERTICAL_SIDES else nx
                 key, tc = _canonical_param(surface, sq, side, tpar // 2, sc)
@@ -526,14 +418,6 @@ def cylinder_decomposition(surface, direction: tuple[int, int]) -> Decomposition
                 group.append(iv)
                 squares.append(sq)
                 steps += 1
-            sq, nx2, ny2, sign = _transfer(nx, ny, side, glue[(sq, side)], sc2)
-            x, y = nx2, ny2
-            if sign < 0:
-                dx, dy = -dx, -dy
-            if side in transversal and (sq, x, y, dx, dy) == state0:
-                break
-            if steps > 16 * n * (abs(p) + abs(q)) + 64:
-                raise FlowBudgetError("core leaf failed to close in budget")
 
         length0 = Fraction(iv0[2] - iv0[1], sc2)
         for iv in group:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 Mat2 = tuple[int, int, int, int]  # row-major (a, b, c, d)
@@ -189,54 +189,39 @@ _BFS_GENS: tuple[tuple[str, int, Mat2, Mat2], ...] = tuple(
 )
 
 
-def _column_matches(m: Mat2, p: int, q: int) -> bool:
-    return (m[0], m[2]) in ((p, q), (-p, -q))
+def _witness_bfs(visited: dict[Mat2, tuple[Optional[Mat2], int]], max_depth: int, cap: int):
+    """Breadth-first walk over words of length at most ``max_depth``.
 
-
-def find_witness(d, max_depth: int = 14, entry_cap: Optional[int] = None) -> Optional[GroupWord]:
-    """Breadth-first search for a periodicity witness word for (p, q).
-
-    Searches right multiplications by the six generator letters, deduplicating
-    on the matrix modulo sign and aborting branches whose entries exceed the
-    cap (default 16 * max(|p|, |q|)).  Returns the witness word, whose matrix
-    has first column +-(p, q) and whose representation image is upper
-    unipotent, or None when no word exists within the depth (inconclusive).
+    Words are extended by right multiplication with the six generator letters,
+    deduplicated on the matrix modulo sign, and dropped once an entry exceeds
+    ``cap``.  Yields ``(matrix, rho image)`` for every newly reached word, the
+    empty word first, after recording it in ``visited`` for ``_reconstruct``.
     """
-    p, q = (d.p, d.q) if hasattr(d, "p") else d
-    if gcd(abs(p), abs(q)) != 1:
-        raise ValueError("direction must be primitive")
-    cap = entry_cap if entry_cap is not None else 16 * max(abs(p), abs(q), 1)
-
     start = proj_canonical(IDENTITY)
-    if _column_matches(start, p, q):
-        return GroupWord()
-    visited: dict[Mat2, tuple[Optional[Mat2], int, Mat2]] = {
-        start: (None, -1, IDENTITY)
-    }
+    visited[start] = (None, -1)
+    yield start, IDENTITY
     frontier = deque([(start, IDENTITY, 0)])
     while frontier:
         m_canon, rho_m, depth = frontier.popleft()
         if depth >= max_depth:
             continue
-        for gidx, (letter, exp, gmat, grho) in enumerate(_BFS_GENS):
+        for gidx, (_, _, gmat, grho) in enumerate(_BFS_GENS):
             nxt = mat_mul(m_canon, gmat)
-            if max(abs(v) for v in nxt) > cap:
+            if max(map(abs, nxt)) > cap:
                 continue
             nxt_c = proj_canonical(nxt)
             if nxt_c in visited:
                 continue
             nrho = mat_mul(rho_m, grho)
-            visited[nxt_c] = (m_canon, gidx, nrho)
-            if _column_matches(nxt_c, p, q) and is_upper_unipotent(proj_canonical(nrho)):
-                return _reconstruct(visited, nxt_c)
+            visited[nxt_c] = (m_canon, gidx)
+            yield nxt_c, nrho
             frontier.append((nxt_c, nrho, depth + 1))
-    return None
 
 
 def _reconstruct(visited, key) -> GroupWord:
     parts = []
     while True:
-        parent, gidx, _ = visited[key]
+        parent, gidx = visited[key]
         if parent is None:
             break
         letter, exp, _, _ = _BFS_GENS[gidx]
@@ -245,46 +230,45 @@ def _reconstruct(visited, key) -> GroupWord:
     return GroupWord(_reduce(tuple(reversed(parts))))
 
 
+def find_witness(d, max_depth: int = 14, entry_cap: Optional[int] = None) -> Optional[GroupWord]:
+    """Breadth-first search for a periodicity witness word for (p, q).
+
+    Stops the walk of ``_witness_bfs`` at the first word whose matrix has
+    first column +-(p, q) and whose representation image is upper unipotent;
+    the entry cap defaults to 16 * max(|p|, |q|).  Returns that witness word,
+    or None when no word exists within the depth (inconclusive).
+    """
+    p, q = (d.p, d.q) if hasattr(d, "p") else d
+    if gcd(abs(p), abs(q)) != 1:
+        raise ValueError("direction must be primitive")
+    cap = entry_cap if entry_cap is not None else 16 * max(abs(p), abs(q), 1)
+    columns = ((p, q), (-p, -q))
+    visited: dict = {}
+    for m, rho_m in _witness_bfs(visited, max_depth, cap):
+        if (m[0], m[2]) in columns and is_upper_unipotent(proj_canonical(rho_m)):
+            return _reconstruct(visited, m)
+    return None
+
+
 def witness_table(max_norm: int, max_depth: int, entry_cap: Optional[int] = None):
-    """One shared BFS answering all witness queries with max(|p|,|q|) bounded.
+    """All witness queries with max(|p|,|q|) bounded, from one walk of
+    ``_witness_bfs``.
 
     Returns a dict mapping the sign-normalized first column (p, q) of every
     reachable word with upper-unipotent representation image to a shortest
     witness word.
     """
     cap = entry_cap if entry_cap is not None else 16 * max_norm
-    start = proj_canonical(IDENTITY)
-    visited: dict[Mat2, tuple[Optional[Mat2], int, Mat2]] = {
-        start: (None, -1, IDENTITY)
-    }
+    visited: dict = {}
     table: dict[tuple[int, int], GroupWord] = {}
-
-    def try_record(m: Mat2, rho_m: Mat2):
+    for m, rho_m in _witness_bfs(visited, max_depth, cap):
         if not is_upper_unipotent(proj_canonical(rho_m)):
-            return
+            continue
         col = (m[0], m[2])
         if col[0] < 0 or (col[0] == 0 and col[1] < 0):
             col = (-col[0], -col[1])
         if max(abs(col[0]), abs(col[1])) <= max_norm and col not in table:
             table[col] = _reconstruct(visited, m)
-
-    try_record(start, IDENTITY)
-    frontier = deque([(start, IDENTITY, 0)])
-    while frontier:
-        m_canon, rho_m, depth = frontier.popleft()
-        if depth >= max_depth:
-            continue
-        for gidx, (letter, exp, gmat, grho) in enumerate(_BFS_GENS):
-            nxt = mat_mul(m_canon, gmat)
-            if max(abs(v) for v in nxt) > cap:
-                continue
-            nxt_c = proj_canonical(nxt)
-            if nxt_c in visited:
-                continue
-            nrho = mat_mul(rho_m, grho)
-            visited[nxt_c] = (m_canon, gidx, nrho)
-            try_record(nxt_c, nrho)
-            frontier.append((nxt_c, nrho, depth + 1))
     return table
 
 

@@ -34,10 +34,8 @@ from .flow import (
     R,
     Segment,
     SurfaceTrace,
-    T,
-    VERTICAL_SIDES,
-    _exit_side,
-    _transfer,
+    _fraction_segments,
+    _leaf,
     cylinder_decomposition,
     reverse_chain,
     signed_crossings,
@@ -65,50 +63,29 @@ def trace_leaf(surface, sq: int, x: Fraction, y: Fraction, d: tuple[int, int],
     p, q = d
     den = x.denominator * y.denominator // gcd(x.denominator, y.denominator)
     sc = 2 * den * max(abs(p), 1) * max(abs(q), 1)
-    sq_i, xi, yi = sq, int(x * sc), int(y * sc)
-    start = (sq_i, xi, yi)
-    dx, dy = p, q
+    x0, y0 = int(x * sc), int(y * sc)
     chain: list[tuple[int, int, int, int, int]] = []
-    glue = surface.glue
-    steps = 0
     anchor = None
-    anchor_step = 0
-    while True:
-        best_axis = None
-        best_delta = None
-        for axis, dd, coord in ((0, dx, xi), (1, dy, yi)):
-            if dd == 0:
-                continue
-            dist = (sc - coord) if dd > 0 else coord
-            delta = dist // abs(dd)
-            if best_delta is None or delta < best_delta:
-                best_axis, best_delta = axis, delta
-        nx, ny = xi + dx * best_delta, yi + dy * best_delta
-        if nx in (0, sc) and ny in (0, sc):
+    for steps, (sq_i, xi, yi, dx, dy, _, nx, ny, side) in enumerate(
+        _leaf(surface.glue, sc, sq, x0, y0, p, q)
+    ):
+        if steps:
+            # (sq_i, xi, yi, dx, dy) is the state just after the last crossing.
+            state = (sq_i, xi, yi, dx, dy)
+            if anchor is None:
+                anchor = state
+            elif state == anchor:
+                # One full period: segments from the start point back to
+                # itself.  (For an edge start the final segment degenerates to
+                # a point and is dropped.)
+                last = chain[steps - 1]
+                segs = chain[: steps - 1] + [(*last[:3], x0, y0)]
+                return _fraction_segments([s for s in segs if s[1:3] != s[3:]], sc)
+            if steps > budget:
+                raise HomologyError("leaf failed to close")
+        if side is None:
             raise HomologyError("leaf hit a cone point")
         chain.append((sq_i, xi, yi, nx, ny))
-        side = _exit_side((dx, dy), best_axis)
-        sq_i, xi, yi, sign = _transfer(nx, ny, side, glue[(sq_i, side)], sc)
-        if sign < 0:
-            dx, dy = -dx, -dy
-        steps += 1
-        state = (sq_i, xi, yi, dx, dy)
-        if anchor is None:
-            anchor = state
-            anchor_step = steps
-        elif state == anchor:
-            # One full period: segments from the start point back to itself.
-            # (For an edge start the final segment degenerates to a point and
-            # is dropped.)
-            last = chain[steps - 1]
-            segs = chain[: steps - 1] + [(last[0], last[1], last[2], start[1], start[2])]
-            return [
-                (s, Fraction(x0, sc), Fraction(y0, sc), Fraction(x1, sc), Fraction(y1, sc))
-                for s, x0, y0, x1, y1 in segs
-                if (x0, y0) != (x1, y1)
-            ]
-        if steps > budget:
-            raise HomologyError("leaf failed to close")
 
 
 def _sigma_rep(surface, attempt: int) -> list[Segment]:

@@ -31,11 +31,8 @@ from .mucube3d import (
     ROT3_XYZ,
     SEED_CHART,
     SEED_FACE,
-    _axis_vec,
     _next_face,
     chart_is_valid,
-    is_face,
-    mat_mul,
     mat_transpose,
     mat_vec,
 )

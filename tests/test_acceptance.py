@@ -376,8 +376,9 @@ def slow_trace_verdict(p, q):
 
 
 def slow_row(p, q):
-    cp, cq = max(abs(p), abs(q)), min(abs(p), abs(q))
-    verdict, period, drift = slow_trace_verdict(cp, cq)
+    # Re-derived from the row's own direction: drift vectors are not
+    # invariant under the symmetries that preserve the verdict.
+    verdict, period, drift = slow_trace_verdict(p, q)
     assert verdict in ("periodic", "drift")
     if verdict == "periodic":
         assert period == 4

@@ -19,7 +19,7 @@ from mucube.cli import (
 )
 from mucube.flow import DegenerateIntersection
 from mucube.homology import HomologyError
-from mucube.mucube3d import PeriodicDirectionError
+from mucube.mucube3d import PeriodicDirectionError, drift_vector
 
 
 def run_cli(capsys, *argv):
@@ -98,6 +98,18 @@ def test_scan_small_known_verdicts(tmp_path, capsys):
     assert rows[(0, 1)] == "periodic"
     assert rows[(1, 1)] == "drift"
     assert rows[(1, -1)] == "drift"
+
+
+def test_scan_drift_columns_are_the_rows_own(tmp_path, capsys):
+    # Swapped and sign-flipped rows carry their own drift vector, not the one
+    # of the canonical pair: (5, 2) drifts by (4, 0, 0), (2, 5) by (0, -4, 0).
+    out = tmp_path / "scan6.csv"
+    code, _, _ = run_cli(capsys, "scan", "--max", "6", "--out", str(out), "--jobs", "1")
+    assert code == 0
+    rows = {tuple(map(int, ln.split(",")[:2])): ln for ln in out.read_text().splitlines()[1:]}
+    for p, q in ((2, 5), (2, -5), (3, 4), (4, 3)):
+        x, y, z = drift_vector((p, q))
+        assert rows[(p, q)] == f"{p},{q},drift,0,{x},{y},{z}"
 
 
 def test_scan_unwritable_path(capsys):

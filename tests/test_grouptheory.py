@@ -33,6 +33,7 @@ from mucube.grouptheory import (
     proj_equal,
     recurrence_classify,
     rho,
+    witness_table,
 )
 
 LETTERS = ("T", "A", "B")
@@ -146,6 +147,25 @@ def test_witness_success_implies_periodic():
             continue
         found += 1
         assert classify_oracle((p, q)).verdict == "periodic", (p, q, str(w))
+
+
+def test_find_witness_is_an_early_exit_of_witness_table():
+    # Both read one BFS walk; find_witness stops at its first match, so it
+    # returns the table's word, or None exactly where the table has no entry.
+    from math import gcd
+
+    n, depth, cap = 8, 7, 128
+    table = witness_table(n, depth, cap)
+    found = missing = 0
+    for p in range(0, n + 1):
+        for q in range(-n, n + 1):
+            if gcd(p, abs(q)) != 1 or (p == 0 and q < 0):
+                continue
+            w = find_witness((p, q), depth, cap)
+            assert w == table.get((p, q)), (p, q)
+            found += w is not None
+            missing += w is None
+    assert found == len(table) >= 10 and missing > 10
 
 
 def test_gamma_action_preserves_classes():

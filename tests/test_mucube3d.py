@@ -326,6 +326,28 @@ def test_drift_vector_function():
         drift_vector((1, 0))
 
 
+def test_drift_vector_symmetry_laws():
+    # p -> -p is the reflection x -> -x of the seed face and (p, q) -> (-p, -q)
+    # reverses time; both fix the start point, so they act on drift vectors
+    # by (x, y, z) -> (-x, y, z) and by negation.
+    from math import gcd
+
+    rng = random.Random(60)
+    count = 0
+    while count < 80:
+        p, q = rng.randint(-60, 60), rng.randint(-60, 60)
+        if gcd(p, q) != 1:
+            continue
+        try:
+            x, y, z = drift_vector((p, q))
+        except PeriodicDirectionError:
+            continue
+        count += 1
+        assert drift_vector((-p, q)) == (-x, y, z), (p, q)
+        assert drift_vector((-p, -q)) == (-x, -y, -z), (p, q)
+        assert drift_vector((p, -q)) == (x, -y, -z), (p, q)
+
+
 # ---------------------------------------------------------------------------
 # Diameter and twists
 # ---------------------------------------------------------------------------
