@@ -26,11 +26,10 @@ from math import gcd
 from .flow import SurfacePoint, cylinder_decomposition, trace_surface
 from .homology import gamma0_intersection
 from .mucube3d import (
-    Point3,
     RigidMotion,
-    SEED_CHART,
-    SEED_FACE,
+    crossing_budget,
     find_quarter_symmetry,
+    seed_start,
     trace3d,
 )
 from .surfaces import build_x, build_y
@@ -104,24 +103,12 @@ def _as_pair(d) -> tuple[int, int]:
     return (p, q)
 
 
-def _seed_start(p: int, q: int) -> Point3:
-    # Lines of odd/odd slope through a square center run into corners; for
-    # those we move the start to an exactly safe interior point.
-    if abs(p) % 2 == 1 and abs(q) % 2 == 1:
-        return Point3(SEED_FACE, SEED_CHART, Fraction(1, 2), Fraction(1, 3))
-    return Point3.face_center(SEED_FACE, SEED_CHART)
-
-
-def _budget(p: int, q: int) -> int:
-    return 400 * (abs(p) + abs(q)) + 800
-
-
 def classify_oracle(d) -> Classification:
     """Decide periodicity by exact tracing in the 3D embedding."""
     p, q = _as_pair(d)
     odd_odd = abs(p) % 2 == 1 and abs(q) % 2 == 1
-    start = _seed_start(p, q)
-    traj = trace3d(start, (p, q), max_crossings=_budget(p, q), record_vertices=False)
+    start = seed_start(p, q)
+    traj = trace3d(start, (p, q), max_crossings=crossing_budget(p, q), record_vertices=False)
     if traj.stop_reason == "closed":
         if odd_odd:
             raise ClassificationError(f"odd/odd direction {(p, q)} closed in 3D")
@@ -171,7 +158,7 @@ def classify_x(d) -> Classification:
         start = SurfacePoint(0, Fraction(1, 2), Fraction(1, 3))
     else:
         start = SurfacePoint(0, Fraction(1, 2), Fraction(1, 2))
-    trace = trace_surface(surf, start, (p, q), _budget(p, q), record_segments=False)
+    trace = trace_surface(surf, start, (p, q), crossing_budget(p, q), record_segments=False)
     if not trace.closed:
         raise ClassificationError(
             f"projected orbit of {(p, q)} stopped with {trace.stop_reason}"
@@ -223,8 +210,8 @@ def classify_all(d) -> Classification:
 def verify_certificate(c: Classification) -> bool:
     """Replay a classification certificate against a fresh trace."""
     p, q = c.direction
-    start = c.certificate.get("start") or _seed_start(p, q)
-    traj = trace3d(start, (p, q), max_crossings=_budget(p, q), record_vertices=False)
+    start = c.certificate.get("start") or seed_start(p, q)
+    traj = trace3d(start, (p, q), max_crossings=crossing_budget(p, q), record_vertices=False)
     if c.verdict == PERIODIC:
         if traj.stop_reason != "closed" or traj.s_total != 4:
             return False

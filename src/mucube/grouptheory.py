@@ -19,7 +19,6 @@ recurrence trichotomy for eventually periodic coefficient sequences.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -182,40 +181,74 @@ def is_in_gamma(w: GroupWord) -> bool:
 # Witness search
 # ---------------------------------------------------------------------------
 
-_BFS_GENS: tuple[tuple[str, int, Mat2, Mat2], ...] = tuple(
-    (letter, exp, mat_pow(GENS[letter], exp), mat_pow(RHO[letter], exp))
-    for letter in ("A", "T", "B")
-    for exp in (1, -1)
+# Letters of the walk, by the index ``visited`` records.  T^-1 never reaches a
+# new word: M T^-1 = -(M T), which the T step has already tried.
+_BFS_LETTERS: tuple[tuple[str, int], ...] = (
+    ("A", 1), ("A", -1), ("T", 1), ("T", -1), ("B", 1), ("B", -1),
 )
 
 
 def _witness_bfs(visited: dict[Mat2, tuple[Optional[Mat2], int]], max_depth: int, cap: int):
     """Breadth-first walk over words of length at most ``max_depth``.
 
-    Words are extended by right multiplication with the six generator letters,
-    deduplicated on the matrix modulo sign, and dropped once an entry exceeds
-    ``cap``.  Yields ``(matrix, rho image)`` for every newly reached word, the
-    empty word first, after recording it in ``visited`` for ``_reconstruct``.
+    Words are extended by right multiplication with the generator letters in
+    the order of ``_BFS_LETTERS``, deduplicated on the matrix modulo sign (the
+    ``proj_canonical`` representative), and dropped once an entry exceeds
+    ``cap``.  Yields the canonical matrix of every newly reached word, the
+    empty word first, after recording ``(parent, letter index)`` in
+    ``visited``; ``_reconstruct`` reads the word back from there.
+
+    No representation image is carried: rho is a homomorphism, so callers
+    evaluate it on the reconstructed word, and only for the few words whose
+    first column they want.  Mod 2, A and B are the identity and T swaps the
+    basis vectors, so every first column reached is (1, 0) or (0, 1) mod 2
+    and never odd/odd.
     """
-    start = proj_canonical(IDENTITY)
-    visited[start] = (None, -1)
-    yield start, IDENTITY
-    frontier = deque([(start, IDENTITY, 0)])
-    while frontier:
-        m_canon, rho_m, depth = frontier.popleft()
-        if depth >= max_depth:
-            continue
-        for gidx, (_, _, gmat, grho) in enumerate(_BFS_GENS):
-            nxt = mat_mul(m_canon, gmat)
-            if max(map(abs, nxt)) > cap:
-                continue
-            nxt_c = proj_canonical(nxt)
-            if nxt_c in visited:
-                continue
-            nrho = mat_mul(rho_m, grho)
-            visited[nxt_c] = (m_canon, gidx)
-            yield nxt_c, nrho
-            frontier.append((nxt_c, nrho, depth + 1))
+    visited[IDENTITY] = (None, -1)
+    yield IDENTITY
+    frontier = [IDENTITY]
+    ncap = -cap
+    for _ in range(max_depth):
+        level: list[Mat2] = []
+        push = level.append
+        for m in frontier:
+            a, b, c, d = m
+            # m A and m A^-1 keep the first column, which is within the cap.
+            x, z = 4 * a + b, 4 * c + d
+            if ncap <= x <= cap and ncap <= z <= cap:
+                n = (a, x, c, z) if a > 0 or (a == 0 and x > 0) else (-a, -x, -c, -z)
+                if n not in visited:
+                    visited[n] = (m, 0)
+                    yield n
+                    push(n)
+            x, z = b - 4 * a, d - 4 * c
+            if ncap <= x <= cap and ncap <= z <= cap:
+                n = (a, x, c, z) if a > 0 or (a == 0 and x > 0) else (-a, -x, -c, -z)
+                if n not in visited:
+                    visited[n] = (m, 1)
+                    yield n
+                    push(n)
+            # m T permutes the entries of m up to sign, so it is within the cap.
+            n = (b, -a, d, -c) if b > 0 or (b == 0 and a < 0) else (-b, a, -d, c)
+            if n not in visited:
+                visited[n] = (m, 2)
+                yield n
+                push(n)
+            w, x, y, z = 5 * a + 2 * b, -8 * a - 3 * b, 5 * c + 2 * d, -8 * c - 3 * d
+            if ncap <= w <= cap and ncap <= x <= cap and ncap <= y <= cap and ncap <= z <= cap:
+                n = (w, x, y, z) if w > 0 or (w == 0 and x > 0) else (-w, -x, -y, -z)
+                if n not in visited:
+                    visited[n] = (m, 4)
+                    yield n
+                    push(n)
+            w, x, y, z = -3 * a - 2 * b, 8 * a + 5 * b, -3 * c - 2 * d, 8 * c + 5 * d
+            if ncap <= w <= cap and ncap <= x <= cap and ncap <= y <= cap and ncap <= z <= cap:
+                n = (w, x, y, z) if w > 0 or (w == 0 and x > 0) else (-w, -x, -y, -z)
+                if n not in visited:
+                    visited[n] = (m, 5)
+                    yield n
+                    push(n)
+        frontier = level
 
 
 def _reconstruct(visited, key) -> GroupWord:
@@ -224,8 +257,7 @@ def _reconstruct(visited, key) -> GroupWord:
         parent, gidx = visited[key]
         if parent is None:
             break
-        letter, exp, _, _ = _BFS_GENS[gidx]
-        parts.append((letter, exp))
+        parts.append(_BFS_LETTERS[gidx])
         key = parent
     return GroupWord(_reduce(tuple(reversed(parts))))
 
@@ -237,16 +269,24 @@ def find_witness(d, max_depth: int = 14, entry_cap: Optional[int] = None) -> Opt
     first column +-(p, q) and whose representation image is upper unipotent;
     the entry cap defaults to 16 * max(|p|, |q|).  Returns that witness word,
     or None when no word exists within the depth (inconclusive).
+
+    Odd/odd directions return None without walking, for every depth and cap:
+    every word's first column is (1, 0) or (0, 1) mod 2 (see
+    ``_witness_bfs``).  Rho is evaluated only on words with the right column.
     """
     p, q = (d.p, d.q) if hasattr(d, "p") else d
     if gcd(abs(p), abs(q)) != 1:
         raise ValueError("direction must be primitive")
+    if p % 2 and q % 2:
+        return None
     cap = entry_cap if entry_cap is not None else 16 * max(abs(p), abs(q), 1)
     columns = ((p, q), (-p, -q))
     visited: dict = {}
-    for m, rho_m in _witness_bfs(visited, max_depth, cap):
-        if (m[0], m[2]) in columns and is_upper_unipotent(proj_canonical(rho_m)):
-            return _reconstruct(visited, m)
+    for m in _witness_bfs(visited, max_depth, cap):
+        if (m[0], m[2]) in columns:
+            word = _reconstruct(visited, m)
+            if is_in_gamma(word):
+                return word
     return None
 
 
@@ -256,19 +296,21 @@ def witness_table(max_norm: int, max_depth: int, entry_cap: Optional[int] = None
 
     Returns a dict mapping the sign-normalized first column (p, q) of every
     reachable word with upper-unipotent representation image to a shortest
-    witness word.
+    witness word.  Rho is evaluated only on words whose column is within the
+    bound and not yet in the table.
     """
     cap = entry_cap if entry_cap is not None else 16 * max_norm
     visited: dict = {}
     table: dict[tuple[int, int], GroupWord] = {}
-    for m, rho_m in _witness_bfs(visited, max_depth, cap):
-        if not is_upper_unipotent(proj_canonical(rho_m)):
+    for m in _witness_bfs(visited, max_depth, cap):
+        a, c = m[0], m[2]  # a >= 0 in the canonical representative
+        if a > max_norm or not -max_norm <= c <= max_norm:
             continue
-        col = (m[0], m[2])
-        if col[0] < 0 or (col[0] == 0 and col[1] < 0):
-            col = (-col[0], -col[1])
-        if max(abs(col[0]), abs(col[1])) <= max_norm and col not in table:
-            table[col] = _reconstruct(visited, m)
+        col = (a, c) if a > 0 or c > 0 else (0, -c)
+        if col not in table:
+            word = _reconstruct(visited, m)
+            if is_in_gamma(word):
+                table[col] = word
     return table
 
 

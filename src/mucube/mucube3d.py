@@ -689,18 +689,28 @@ def polyline_diameter(vertices: Sequence[Sequence[Fraction]]) -> Fraction:
     )
 
 
+def seed_start(p: int, q: int) -> Point3:
+    """Start point of the oracle's trace in direction (p, q) on the seed face."""
+    # Lines of odd/odd slope through a square center run into corners; for
+    # those we move the start to an exactly safe interior point.
+    if abs(p) % 2 == 1 and abs(q) % 2 == 1:
+        return Point3(SEED_FACE, SEED_CHART, Fraction(1, 2), Fraction(1, 3))
+    return Point3.face_center(SEED_FACE, SEED_CHART)
+
+
+def crossing_budget(p: int, q: int) -> int:
+    """Crossing budget of a trace in direction (p, q)."""
+    return 400 * (abs(p) + abs(q)) + 800
+
+
 def drift_vector(direction: tuple[int, int]) -> IntTriple:
     """The half-translation (in Z^3) that shifts the maximal strip of a
     drift-periodic direction onto itself.  Errors on periodic directions."""
     p, q = direction
     if gcd(abs(p), abs(q)) != 1:
         raise ValueError("direction must be primitive")
-    if abs(p) % 2 == 1 and abs(q) % 2 == 1:
-        start = Point3(SEED_FACE, SEED_CHART, Fraction(1, 2), Fraction(1, 3))
-    else:
-        start = Point3.face_center(SEED_FACE, SEED_CHART)
-    budget = 400 * (abs(p) + abs(q)) + 800
-    traj = trace3d(start, direction, max_crossings=budget, record_vertices=False)
+    traj = trace3d(seed_start(p, q), direction, max_crossings=crossing_budget(p, q),
+                   record_vertices=False)
     if traj.stop_reason == "closed":
         raise PeriodicDirectionError(f"direction {direction} is periodic")
     if traj.stop_reason != "drift":

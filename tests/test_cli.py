@@ -247,6 +247,20 @@ def test_witness_not_found(capsys):
     assert json.loads(out)["found"] is False
 
 
+def test_witness_odd_odd_not_found(capsys):
+    # Odd/odd directions have no witness at any depth; the payload is the
+    # usual not-found one.
+    code, out, _ = run_cli(capsys, "witness", "--p", "3", "--q", "5")
+    assert code == 0
+    assert json.loads(out) == {
+        "p": 3,
+        "q": 5,
+        "found": False,
+        "max_depth": 14,
+        "note": "no witness within depth; inconclusive by itself",
+    }
+
+
 def test_twist_command(capsys):
     code, out, _ = run_cli(
         capsys, "twist", "--slope", "0", "--axis", "vertical", "--k", "2"

@@ -1,17 +1,21 @@
 """Matrix words, the homology representation, witnesses, continued fractions."""
 
 import random
+from collections import deque
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mucube import grouptheory
 from mucube.classify import classify_all, classify_oracle
 from mucube.grouptheory import (
     A_MAT,
     B_MAT,
     ContinuedFraction,
+    GENS,
     GroupWord,
     IDENTITY,
     INCONCLUSIVE,
@@ -31,6 +35,7 @@ from mucube.grouptheory import (
     mat_pow,
     proj_canonical,
     proj_equal,
+    RHO,
     recurrence_classify,
     rho,
     witness_table,
@@ -166,6 +171,148 @@ def test_find_witness_is_an_early_exit_of_witness_table():
             found += w is not None
             missing += w is None
     assert found == len(table) >= 10 and missing > 10
+
+
+def test_parity_lemma():
+    # Mod 2, A and B are the identity and T swaps the basis vectors, so no
+    # word has an odd/odd first column.
+    visited = {}
+    nodes = 0
+    for m in grouptheory._witness_bfs(visited, 10, 200):
+        nodes += 1
+        assert m[0] % 2 == 0 or m[2] % 2 == 0, m
+    assert nodes == len(visited) > 10000
+
+
+def test_odd_odd_witness_search_does_not_walk(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("walked the BFS for an odd/odd direction")
+
+    monkeypatch.setattr(grouptheory, "_witness_bfs", no_walk)
+    for d in ((3, 5), (-7, 1), (1, 1), (9, -11)):
+        assert find_witness(d) is None
+        assert find_witness(d, max_depth=30, entry_cap=10**6) is None
+
+
+# The walk as it was before rho became lazy: every node carries its rho image,
+# and the representation is tested on every word.  Kept as the reference for
+# the lean walk of grouptheory._witness_bfs.
+_REF_GENS = tuple(
+    (letter, exp, mat_pow(GENS[letter], exp), mat_pow(RHO[letter], exp))
+    for letter in ("A", "T", "B")
+    for exp in (1, -1)
+)
+
+
+def _ref_bfs(visited, max_depth, cap):
+    start = proj_canonical(IDENTITY)
+    visited[start] = (None, -1)
+    yield start, IDENTITY
+    frontier = deque([(start, IDENTITY, 0)])
+    while frontier:
+        m_canon, rho_m, depth = frontier.popleft()
+        if depth >= max_depth:
+            continue
+        for gidx, (_, _, gmat, grho) in enumerate(_REF_GENS):
+            nxt = mat_mul(m_canon, gmat)
+            if max(map(abs, nxt)) > cap:
+                continue
+            nxt_c = proj_canonical(nxt)
+            if nxt_c in visited:
+                continue
+            nrho = mat_mul(rho_m, grho)
+            visited[nxt_c] = (m_canon, gidx)
+            yield nxt_c, nrho
+            frontier.append((nxt_c, nrho, depth + 1))
+
+
+def _ref_reconstruct(visited, key):
+    parts = []
+    while True:
+        parent, gidx = visited[key]
+        if parent is None:
+            break
+        letter, exp, _, _ = _REF_GENS[gidx]
+        parts.append((letter, exp))
+        key = parent
+    return GroupWord.of(*reversed(parts))
+
+
+def _ref_find_witness(d, max_depth=14, entry_cap=None):
+    p, q = d
+    cap = entry_cap if entry_cap is not None else 16 * max(abs(p), abs(q), 1)
+    columns = ((p, q), (-p, -q))
+    visited = {}
+    for m, rho_m in _ref_bfs(visited, max_depth, cap):
+        if (m[0], m[2]) in columns and is_upper_unipotent(proj_canonical(rho_m)):
+            return _ref_reconstruct(visited, m)
+    return None
+
+
+def _ref_witness_table(max_norm, max_depth, entry_cap=None):
+    cap = entry_cap if entry_cap is not None else 16 * max_norm
+    visited = {}
+    table = {}
+    for m, rho_m in _ref_bfs(visited, max_depth, cap):
+        if not is_upper_unipotent(proj_canonical(rho_m)):
+            continue
+        col = (m[0], m[2])
+        if col[0] < 0 or (col[0] == 0 and col[1] < 0):
+            col = (-col[0], -col[1])
+        if max(abs(col[0]), abs(col[1])) <= max_norm and col not in table:
+            table[col] = _ref_reconstruct(visited, m)
+    return table
+
+
+def _normalized(p, q):
+    return (p, q) if p > 0 or (p == 0 and q > 0) else (-p, -q)
+
+
+@pytest.mark.parametrize("cap", [16, 100, 224])
+def test_lean_walk_matches_reference(cap):
+    visited, ref_visited = {}, {}
+    nodes = list(grouptheory._witness_bfs(visited, 9, cap))
+    ref_nodes = [m for m, _ in _ref_bfs(ref_visited, 9, cap)]
+    assert nodes == ref_nodes
+    assert list(visited.items()) == list(ref_visited.items())
+
+
+@pytest.mark.parametrize("depth", [6, 9])
+@pytest.mark.parametrize("entry_cap", [None, 8])
+def test_find_witness_matches_reference(depth, entry_cap):
+    # The reference find_witness(d, depth, cap) is the first word of the
+    # reference walk with column +-d and upper-unipotent rho, which is the
+    # reference table's entry for d at the same cap; one walk per cap serves
+    # every direction with that cap.
+    by_cap = {}
+    for p in range(-12, 13):
+        for q in range(-12, 13):
+            if gcd(abs(p), abs(q)) == 1:
+                n = max(abs(p), abs(q))
+                cap = entry_cap if entry_cap is not None else 16 * n
+                by_cap.setdefault(cap, []).append((p, q))
+    found = 0
+    for cap, dirs in by_cap.items():
+        ref = _ref_witness_table(12, depth, cap)
+        for p, q in dirs:
+            w = find_witness((p, q), depth, entry_cap)
+            assert w == ref.get(_normalized(p, q)), (p, q, depth, cap)
+            found += w is not None
+    assert found >= 20
+
+
+@pytest.mark.parametrize("args", [(8, 7, 128), (20, 10, None)])
+def test_witness_table_matches_reference(args):
+    table = witness_table(*args)
+    assert list(table.items()) == list(_ref_witness_table(*args).items())
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(-40, 40), st.integers(-40, 40), st.integers(0, 8))
+def test_find_witness_matches_reference_random(p, q, depth):
+    if (p, q) == (0, 0) or gcd(abs(p), abs(q)) != 1:
+        return
+    assert find_witness((p, q), depth) == _ref_find_witness((p, q), depth)
 
 
 def test_gamma_action_preserves_classes():

@@ -348,6 +348,27 @@ def test_drift_vector_symmetry_laws():
         assert drift_vector((p, -q)) == (x, -y, -z), (p, q)
 
 
+def test_drift_vector_swap_law():
+    # The diagonal reflection of the seed face fixes its center, the start
+    # point of every direction that is not odd/odd, and swaps (p, q) with
+    # (q, p); drift vectors there have z = 0 and swap as (x, y) -> (-y, -x).
+    from math import gcd
+
+    pairs = 0
+    for p in range(1, 41):
+        for q in range(p + 1, 41):
+            if gcd(p, q) != 1 or p % 2 and q % 2:
+                continue
+            try:
+                x, y, z = drift_vector((p, q))
+            except PeriodicDirectionError:
+                continue
+            pairs += 1
+            assert z == 0, (p, q)
+            assert drift_vector((q, p)) == (-y, -x, 0), (p, q)
+    assert pairs == 312  # 624 ordered drift pairs
+
+
 # ---------------------------------------------------------------------------
 # Diameter and twists
 # ---------------------------------------------------------------------------
