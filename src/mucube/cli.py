@@ -261,6 +261,9 @@ def cmd_scan(args) -> int:
     if args.max < 1:
         print("error: --max must be at least 1", file=sys.stderr)
         return USAGE_ERROR
+    if args.jobs < 0:
+        print("error: --jobs must not be negative", file=sys.stderr)
+        return USAGE_ERROR
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
     records = scan_records(args.max, method=args.method, jobs=jobs)
     out = _out_path(args.out)
@@ -307,7 +310,14 @@ def cmd_trace(args) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: bad start point: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    max_s = Fraction(args.max_s) if args.max_s else None
+    try:
+        max_s = Fraction(args.max_s) if args.max_s else None
+    except (ValueError, ZeroDivisionError) as exc:
+        print(f"error: bad --max-s: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    if args.max_crossings < 0:
+        print("error: --max-crossings must not be negative", file=sys.stderr)
+        return USAGE_ERROR
     try:
         traj = trace3d(start, (p, q), max_arc_s=max_s, max_crossings=args.max_crossings)
     except ConePointStart as exc:
@@ -425,6 +435,9 @@ def cmd_witness(args) -> int:
         return USAGE_ERROR
     if reduced:
         print(f"warning: reduced direction to ({p}, {q})", file=sys.stderr)
+    if args.max_depth < 0:
+        print("error: --max-depth must not be negative", file=sys.stderr)
+        return USAGE_ERROR
     word = find_witness((p, q), max_depth=args.max_depth)
     if word is None:
         _emit(

@@ -299,42 +299,40 @@ def _canonical_param(surface, sq, side, t, sc):
     return (sq2, side2), (sc - t if flip else t)
 
 
-def cylinder_decomposition(surface, direction: tuple[int, int]) -> Decomposition:
-    """Decompose the surface into maximal cylinders in a primitive direction.
+def _separatrix_cuts(surface, direction, sc, transversal) -> dict[tuple[int, int], set[int]]:
+    """Points where the separatrices cut the transversal sides.
 
-    Separatrices traced from every cone point cut a transversal (all vertical
-    edges, or all horizontal edges when the direction is closer to vertical)
-    into intervals; grouping the intervals along the first-return map yields
-    the cylinders with exact widths and integer circumference multipliers.
+    Keys are the canonical edges of ``transversal``; values are edge
+    parameters in units of ``1/sc``, the ends 0 and ``sc`` excluded.  The
+    separatrices are traced as rays from the corners of the squares in both
+    directions, and each saddle connection once: a ray that starts where an
+    earlier ray ended would retrace it backwards, cutting the same points in
+    the same number of steps, so it is skipped.
     """
     p, q = direction
-    if (p, q) == (0, 0) or gcd(abs(p), abs(q)) != 1:
-        raise ValueError("direction must be primitive")
     n = surface.n
-    vertical_transversal = abs(p) >= abs(q)
-    transversal = VERTICAL_SIDES if vertical_transversal else HORIZONTAL_SIDES
-    step_div = abs(p) if vertical_transversal else abs(q)
-
-    sc = 2 * max(abs(p), 1) * max(abs(q), 1)
+    glue = surface.glue
     budget = 4 * n * (abs(p) + abs(q)) + 16
-
     cuts: dict[tuple[int, int], set[int]] = {}
     for sq in range(n):
         for side in transversal:
             cuts.setdefault(_canonical_edge(surface, sq, side), set())
 
-    glue = surface.glue
+    traced_ends: set[tuple[int, int, int, int, int]] = set()
     for dx, dy in ((p, q), (-p, -q)):
         xs = [0] if dx > 0 else [sc] if dx < 0 else [0, sc]
         ys = [0] if dy > 0 else [sc] if dy < 0 else [0, sc]
         for sq0 in range(n):
             for cx in xs:
                 for cy in ys:
-                    # A separatrix ray: cut the transversal until a corner.
-                    for steps, (sq, _, _, _, _, _, nx, ny, side) in enumerate(
+                    if (sq0, cx, cy, dx, dy) in traced_ends:
+                        continue
+                    for steps, (sq, _, _, ex, ey, _, nx, ny, side) in enumerate(
                         _leaf(glue, sc, sq0, cx, cy, dx, dy)
                     ):
                         if side is None:
+                            # The reversed ray would start here.
+                            traced_ends.add((sq, nx, ny, -ex, -ey))
                             break
                         if steps >= budget:
                             raise FlowBudgetError(
@@ -345,6 +343,28 @@ def cylinder_decomposition(surface, direction: tuple[int, int]) -> Decomposition
                             key, tc = _canonical_param(surface, sq, side, t, sc)
                             if 0 < tc < sc:
                                 cuts[key].add(tc)
+    return cuts
+
+
+def cylinder_decomposition(surface, direction: tuple[int, int]) -> Decomposition:
+    """Decompose the surface into maximal cylinders in a primitive direction.
+
+    Separatrices cut a transversal (all vertical edges, or all horizontal
+    edges when the direction is closer to vertical) into intervals; each
+    saddle connection is traced once (see ``_separatrix_cuts``).  Grouping
+    the intervals along the first-return map yields the cylinders with exact
+    widths and integer circumference multipliers.
+    """
+    p, q = direction
+    if (p, q) == (0, 0) or gcd(abs(p), abs(q)) != 1:
+        raise ValueError("direction must be primitive")
+    n = surface.n
+    vertical_transversal = abs(p) >= abs(q)
+    transversal = VERTICAL_SIDES if vertical_transversal else HORIZONTAL_SIDES
+    step_div = abs(p) if vertical_transversal else abs(q)
+
+    sc = 2 * max(abs(p), 1) * max(abs(q), 1)
+    cuts = _separatrix_cuts(surface, (p, q), sc, transversal)
 
     # Interval lists per canonical edge, in doubled scale so midpoints stay
     # integral.
@@ -397,7 +417,7 @@ def cylinder_decomposition(surface, direction: tuple[int, int]) -> Decomposition
         core_segments = []
         core_visits = []
         steps = 0
-        for sq, x, y, dx, dy, t, nx, ny, side in _leaf(glue, sc2, *state0):
+        for sq, x, y, dx, dy, t, nx, ny, side in _leaf(surface.glue, sc2, *state0):
             if steps and (sq, x, y, dx, dy) == state0:
                 break
             if steps > core_budget:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 from typing import Optional, Sequence
 
 from .exact import SqrtLength
@@ -462,6 +462,23 @@ def _next_face(face_c2x: IntTriple, axis: int, wall_axis: int, wall2x: int) -> t
     )
 
 
+# Turns at edges, filled from ``_next_face`` on first use.  The turn ``da`` is
+# the step of the face center along the old normal axis when the flow crosses
+# a wall on axis ``w``; ``is_face`` reads only the parities of ``c // 2``, so
+# it depends on the face center mod 4 and the axis pair alone (24 entries).
+_TURNS: dict[tuple[int, int, int, int], int] = {}
+
+
+def _turn(c2x: Sequence[int], axis: int, w: int, wall2x: int) -> int:
+    """The memoised turn at the wall ``wall2x`` on axis ``w`` of a face."""
+    key = (axis, w, c2x[axis] & 3, c2x[3 - axis - w] & 3)
+    da = _TURNS.get(key)
+    if da is None:
+        new_face, _ = _next_face(tuple(c2x), axis, w, wall2x)  # type: ignore[arg-type]
+        da = _TURNS[key] = new_face[axis] - c2x[axis]
+    return da
+
+
 def trace3d(
     start: Point3,
     direction: tuple[int, int],
@@ -479,6 +496,11 @@ def trace3d(
     Stops at closure (same point, same direction), at a drift revisit (same
     point up to a translation in (2Z)^3, same direction), at a cone point, or
     when a budget runs out.
+
+    The step loop is integer arithmetic on the doubled face center ``c``, the
+    position ``r`` relative to that center and the direction ``d``, each
+    indexed by axis, in units of ``1/sc``.  The turn at an edge is read from a
+    memo keyed by the face center mod 4 and the axis pair (see ``_turn``).
     """
     p, q = direction
     if gcd(abs(p), abs(q)) != 1:
@@ -490,112 +512,99 @@ def trace3d(
         start.u.denominator, start.v.denominator
     )
     sc = 2 * den * max(abs(p), 1) * max(abs(q), 1)
+    half = sc // 2
     two_sc = 2 * sc
 
     cu, cv = start.chart
-    d_amb = tuple(p * cu[k] + q * cv[k] for k in AXES)
     amb0 = start.ambient()
-    pos = [int(c * sc) for c in amb0]
-    assert all(Fraction(pos[k], sc) == amb0[k] for k in AXES)
+    start_pos = tuple(int(x * sc) for x in amb0)
+    assert all(Fraction(start_pos[k], sc) == amb0[k] for k in AXES)
 
-    face_c2x, axis = start.face.center2x, start.face.axis
-    d = list(d_amb)
+    c = list(start.face.center2x)
+    axis = start.face.axis
+    r = [start_pos[k] - c[k] * half for k in AXES]
+    d = [p * cu[k] + q * cv[k] for k in AXES]
+    i, j = IN_PLANE[axis]
+    if not (d[i] or d[j]):
+        raise InternalGeometryError("direction is normal to the face")
+
     s_scaled = 0
-    bound_scaled = None if max_arc_s is None else Fraction(max_arc_s) * sc
+    # s_scaled > max_arc_s * sc exactly when s_scaled > its floor.
+    bound = None if max_arc_s is None else floor(Fraction(max_arc_s) * sc)
     margin_left = margin_crossings
-
-    start_pos = tuple(pos)
-    anchor = None
+    anchor = anchor_d = None
     anchor_s = 0
     n_crossings = 0
+    turns = _TURNS
 
     vertices: list[tuple[int, ...]] = [start_pos]
-    face_path = [Face(face_c2x, axis)]
-    center_visits: list[tuple[tuple[int, ...], IntTriple]] = []
-
-    def record_centers(seg_start, dvec, delta):
-        # Register exact passes through the face center of the current face.
-        ci = [face_c2x[k] * (sc // 2) for k in AXES]
-        t_hit = None
-        for k in AXES:
-            if dvec[k] == 0:
-                if seg_start[k] != ci[k]:
-                    return
-            else:
-                num = ci[k] - seg_start[k]
-                if num % dvec[k]:
-                    return
-                t = num // dvec[k]
-                if t_hit is None:
-                    t_hit = t
-                elif t != t_hit:
-                    return
-        if t_hit is None or not (0 <= t_hit < delta):
-            return
-        center_visits.append((tuple(ci), tuple(dvec)))
+    face_path = [Face(start.face.center2x, axis)]
+    center_visits: list[tuple[IntTriple, IntTriple]] = []
 
     while True:
         i, j = IN_PLANE[axis]
-        best_axis = None
-        best_delta = None
-        tie = False
-        for w in (i, j):
-            dw = d[w]
-            if dw == 0:
-                continue
-            half = sc // 2
-            wall = (face_c2x[w] + (1 if dw > 0 else -1)) * half
-            dist = (wall - pos[w]) if dw > 0 else (pos[w] - wall)
-            delta, rem = divmod(dist, abs(dw))
+        di, dj, ri, rj = d[i], d[j], r[i], r[j]
+        # Steps to the wall ahead on each in-plane axis; ties go to i.
+        w = None
+        if di:
+            delta, rem = divmod(half - ri if di > 0 else half + ri, abs(di))
             if rem:
                 raise InternalGeometryError("non-integral step; scaling invariant broken")
-            if best_delta is None or delta < best_delta:
-                best_axis, best_delta, tie = w, delta, False
-            elif delta == best_delta:
-                tie = True
-        if best_delta is None:
-            raise InternalGeometryError("direction is normal to the face")
+            w, o = i, j
+        if dj:
+            tj, rem = divmod(half - rj if dj > 0 else half + rj, abs(dj))
+            if rem:
+                raise InternalGeometryError("non-integral step; scaling invariant broken")
+            if w is None or tj < delta:
+                w, o, delta = j, i, tj
 
-        record_centers(pos, d, best_delta)
+        # A pass of the face center (r = 0 in the plane), end excluded.
+        if ri * dj == rj * di:
+            k, rem = divmod(-ri, di) if di else divmod(-rj, dj)
+            if not rem and 0 <= k < delta:
+                center_visits.append(
+                    (tuple(ck * half for ck in c), tuple(d))  # type: ignore[arg-type]
+                )
 
-        new_pos = [pos[k] + d[k] * best_delta for k in AXES]
-        s_scaled += best_delta
-
-        # A corner is reached when both in-plane coordinates sit on walls.
-        at_wall = [
-            new_pos[w] % sc == sc // 2 and abs(new_pos[w] - face_c2x[w] * (sc // 2)) == sc // 2
-            for w in (i, j)
-        ]
-        if tie or all(at_wall):
-            vertices.append(tuple(new_pos))
+        s_scaled += delta
+        ro = r[o] + d[o] * delta
+        if ro == half or ro == -half:
+            # The other in-plane coordinate is on a wall too: a corner.
+            cone = tuple(c[k] * half + r[k] + d[k] * delta for k in AXES)
+            vertices.append(cone)
             return _finish(
                 "cone_point", direction, vertices, sc, s_scaled, face_path,
-                center_visits, n_crossings, cone=tuple(new_pos),
+                center_visits, n_crossings, cone=cone,
                 record_vertices=record_vertices,
             )
 
-        w = best_axis
-        wall2x = (2 * new_pos[w]) // sc
-        new_face, new_axis = _next_face(face_c2x, axis, w, wall2x)
-        sign_a = new_face[axis] - face_c2x[axis]
-        new_d = [0, 0, 0]
-        new_d[i], new_d[j] = d[i], d[j]
-        new_d[axis] = sign_a * abs(d[w])
-        new_d[w] = 0
-
-        pos = new_pos
-        face_c2x, axis = new_face, new_axis
-        d = new_d
+        dw = d[w]
+        side = 1 if dw > 0 else -1
+        da = turns.get((axis, w, c[axis] & 3, c[o] & 3))
+        if da is None:
+            da = _turn(c, axis, w, c[w] + side)
+        c[w] += side
+        c[axis] += da
+        r[w] = 0
+        r[o] = ro
+        r[axis] = -da * half
+        d[axis] = da * abs(dw)
+        d[w] = 0
+        axis = w
         n_crossings += 1
         if record_vertices:
-            vertices.append(tuple(pos))
-            face_path.append(Face(face_c2x, axis))
+            vertices.append(tuple(c[k] * half + r[k] for k in AXES))
+            face_path.append(Face(tuple(c), axis))  # type: ignore[arg-type]
 
-        state = (face_c2x, tuple(pos), tuple(d))
+        # The state after the first crossing is the anchor.  Closure and a
+        # drift revisit both need the anchor's direction, so the flat state
+        # tuple is built only when the direction matches.
         if anchor is None:
-            anchor = state
+            anchor = (*c, *r, *d)
+            anchor_d = d[:]
             anchor_s = s_scaled
-        else:
+        elif d == anchor_d:
+            state = (*c, *r, *d)
             if state == anchor:
                 return _finish(
                     "closed", direction, vertices, sc,
@@ -603,18 +612,16 @@ def trace3d(
                     closed=True, start_pos=start_pos,
                     record_vertices=record_vertices,
                 )
-            if state[2] == anchor[2]:
-                diff = [pos[k] - anchor[1][k] for k in AXES]
-                if all(v % two_sc == 0 for v in diff) and any(diff):
-                    t = tuple(v // two_sc for v in diff)
-                    return _finish(
-                        "drift", direction, vertices, sc,
-                        s_scaled - anchor_s, face_path, center_visits, n_crossings,
-                        drift=t, start_pos=start_pos,
-                        record_vertices=record_vertices,
-                    )
+            diff = [(c[k] - anchor[k]) * half + r[k] - anchor[3 + k] for k in AXES]
+            if all(v % two_sc == 0 for v in diff) and any(diff):
+                return _finish(
+                    "drift", direction, vertices, sc,
+                    s_scaled - anchor_s, face_path, center_visits, n_crossings,
+                    drift=tuple(v // two_sc for v in diff), start_pos=start_pos,
+                    record_vertices=record_vertices,
+                )
 
-        if bound_scaled is not None and s_scaled > bound_scaled:
+        if bound is not None and s_scaled > bound:
             if margin_left == 0:
                 return _finish(
                     "arc_bound", direction, vertices, sc, s_scaled,

@@ -183,6 +183,32 @@ def test_trace_edge_start_usage_error(capsys):
     assert err.startswith("error: bad start point")
 
 
+@pytest.mark.parametrize("max_s", ["x", "1/0"])
+def test_trace_bad_max_s_usage_error(capsys, max_s):
+    code, out, err = run_cli(capsys, "trace", "--p", "1", "--q", "2", "--max-s", max_s)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad --max-s: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("trace", "--p", "1", "--q", "2", "--max-crossings", "-1"), "--max-crossings"),
+        (("witness", "--p", "4", "--q", "1", "--max-depth", "-1"), "--max-depth"),
+        (("scan", "--max", "3", "--out", "never.csv", "--jobs", "-1"), "--jobs"),
+    ],
+)
+def test_negative_counts_usage_error(tmp_path, capsys, monkeypatch, argv, option):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {option} must not be negative\n"
+    assert not (tmp_path / "never.csv").exists()
+
+
 @pytest.mark.parametrize(
     "error", [HomologyError, DegenerateIntersection, PeriodicDirectionError]
 )
@@ -287,10 +313,15 @@ def test_twist_parallel_axis_usage_error(capsys):
 
 
 def test_console_script_entry():
+    # The child process imports the same package as this suite, also when
+    # pytest put src/ on sys.path itself (pyproject's pythonpath setting).
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "mucube.cli", "classify", "--p", "1", "--q", "0"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "periodic"

@@ -6,9 +6,11 @@ from math import gcd
 
 import pytest
 
+from mucube import flow
 from mucube.exact import SqrtLength
 from mucube.flow import (
     DegenerateIntersection,
+    FlowBudgetError,
     SurfacePoint,
     cylinder_decomposition,
     quarter_displacement_check,
@@ -157,6 +159,91 @@ def test_return_map_measure_preserving(X, Y):
                 Fraction(0),
             )
             assert total == surf.n
+
+
+
+# The separatrix loop as it was before each saddle connection was traced once:
+# one ray from every corner in each of +d and -d, so every connection is
+# walked from both ends.  Kept as the reference for flow._separatrix_cuts.
+def _ref_separatrix_cuts(surface, direction, sc, transversal):
+    p, q = direction
+    n = surface.n
+    budget = 4 * n * (abs(p) + abs(q)) + 16
+    cuts = {}
+    for sq in range(n):
+        for side in transversal:
+            cuts.setdefault(flow._canonical_edge(surface, sq, side), set())
+    for dx, dy in ((p, q), (-p, -q)):
+        xs = [0] if dx > 0 else [sc] if dx < 0 else [0, sc]
+        ys = [0] if dy > 0 else [sc] if dy < 0 else [0, sc]
+        for sq0 in range(n):
+            for cx in xs:
+                for cy in ys:
+                    for steps, (sq, _, _, _, _, _, nx, ny, side) in enumerate(
+                        flow._leaf(surface.glue, sc, sq0, cx, cy, dx, dy)
+                    ):
+                        if side is None:
+                            break
+                        if steps >= budget:
+                            raise FlowBudgetError(
+                                "separatrix failed to reach a cone point in budget"
+                            )
+                        if side in transversal:
+                            t = ny if side in flow.VERTICAL_SIDES else nx
+                            key, tc = flow._canonical_param(surface, sq, side, t, sc)
+                            if 0 < tc < sc:
+                                cuts[key].add(tc)
+    return cuts
+
+
+def _primitive(bound):
+    return [
+        (p, q)
+        for p in range(-bound, bound + 1)
+        for q in range(-bound, bound + 1)
+        if gcd(abs(p), abs(q)) == 1
+    ]
+
+
+def test_decomposition_matches_two_way_reference(X, Y, monkeypatch):
+    dirs = _primitive(25)
+    got = {
+        (name, d): cylinder_decomposition(S, d) for name, S in (("x", X), ("y", Y)) for d in dirs
+    }
+    monkeypatch.setattr(flow, "_separatrix_cuts", _ref_separatrix_cuts)
+    for (name, d), deco in got.items():
+        ref = cylinder_decomposition(X if name == "x" else Y, d)
+        # Dataclass equality covers every field, core_visits included.
+        assert deco == ref, (name, d)
+        if max(map(abs, d)) <= 12:
+            # The Fraction views derive from the fields compared above; they
+            # are compared where they are cheap to build.
+            for c, rc in zip(deco.cylinders, ref.cylinders):
+                assert c.intervals == rc.intervals, (name, d)
+                assert c.core_chain == rc.core_chain, (name, d)
+    assert len(got) == 2 * 1600
+
+
+def test_each_saddle_connection_traced_once(X, Y, monkeypatch):
+    # Corner rays start at a corner of a square; core leaves start inside an
+    # edge.  n squares have n corner rays in each of +d and -d off the axes
+    # (2n on an axis, where two corners of each square face the flow), and
+    # the two ends of each saddle connection are two of them.
+    starts = []
+
+    def counting_leaf(glue, sc, sq, x, y, dx, dy):
+        if x in (0, sc) and y in (0, sc):
+            starts.append((sq, x, y, dx, dy))
+        return leaf(glue, sc, sq, x, y, dx, dy)
+
+    leaf = flow._leaf
+    monkeypatch.setattr(flow, "_leaf", counting_leaf)
+    for S in (X, Y):
+        for p, q in _primitive(12):
+            starts.clear()
+            cylinder_decomposition(S, (p, q))
+            assert len(starts) == (S.n if p * q else 2 * S.n), (S.n, p, q)
+            assert len(set(starts)) == len(starts)
 
 
 def test_closure_implies_rational_slope_contrapositive(X):

@@ -3,8 +3,11 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mucube.exact import SqrtLength
 from mucube.mucube3d import (
@@ -22,7 +25,13 @@ from mucube.mucube3d import (
     ROT3_XYZ,
     SEED_CHART,
     SEED_FACE,
+    InternalGeometryError,
+    _TURNS,
+    _finish,
+    _next_face,
+    _turn,
     cone_points_in_box,
+    crossing_budget,
     default_chart,
     drift_vector,
     face_patch_in_surface,
@@ -35,6 +44,7 @@ from mucube.mucube3d import (
     point_in_surface,
     polyline_diameter,
     rotation_group,
+    seed_start,
     trace3d,
     trajectory_diameter,
     twist_length_prediction,
@@ -238,6 +248,220 @@ def test_odd_odd_center_start_hits_cone_point():
     assert t.stop_reason == "cone_point"
     assert t.cone_point is not None
     assert all(2 * c % 2 == 1 for c in t.cone_point)
+
+
+# The step loop as it was before the turn memo: a ``record_centers`` closure,
+# list positions and a face lookup through ``_next_face`` at every crossing.
+# Kept as the reference for trace3d's lean loop.
+def _ref_trace3d(
+    start, direction, max_arc_s=None, *, margin_crossings=0, max_crossings=1_000_000,
+    record_vertices=True,
+):
+    p, q = direction
+    if gcd(abs(p), abs(q)) != 1:
+        raise ValueError("direction must be primitive")
+    if not (0 < start.u < 1 and 0 < start.v < 1):
+        raise ConePointStart("start must lie in the open face (edges are rejected)")
+
+    den = (start.u.denominator * start.v.denominator) // gcd(
+        start.u.denominator, start.v.denominator
+    )
+    sc = 2 * den * max(abs(p), 1) * max(abs(q), 1)
+    two_sc = 2 * sc
+
+    cu, cv = start.chart
+    d_amb = tuple(p * cu[k] + q * cv[k] for k in AXES)
+    amb0 = start.ambient()
+    pos = [int(c * sc) for c in amb0]
+
+    face_c2x, axis = start.face.center2x, start.face.axis
+    d = list(d_amb)
+    s_scaled = 0
+    bound_scaled = None if max_arc_s is None else Fraction(max_arc_s) * sc
+    margin_left = margin_crossings
+
+    start_pos = tuple(pos)
+    anchor = None
+    anchor_s = 0
+    n_crossings = 0
+
+    vertices = [start_pos]
+    face_path = [Face(face_c2x, axis)]
+    center_visits = []
+
+    def record_centers(seg_start, dvec, delta):
+        ci = [face_c2x[k] * (sc // 2) for k in AXES]
+        t_hit = None
+        for k in AXES:
+            if dvec[k] == 0:
+                if seg_start[k] != ci[k]:
+                    return
+            else:
+                num = ci[k] - seg_start[k]
+                if num % dvec[k]:
+                    return
+                t = num // dvec[k]
+                if t_hit is None:
+                    t_hit = t
+                elif t != t_hit:
+                    return
+        if t_hit is None or not (0 <= t_hit < delta):
+            return
+        center_visits.append((tuple(ci), tuple(dvec)))
+
+    def finish(reason, s, **kw):
+        return _finish(
+            reason, direction, vertices, sc, s, face_path, center_visits,
+            n_crossings, record_vertices=record_vertices, **kw,
+        )
+
+    while True:
+        i, j = IN_PLANE[axis]
+        best_axis = None
+        best_delta = None
+        tie = False
+        for w in (i, j):
+            dw = d[w]
+            if dw == 0:
+                continue
+            half = sc // 2
+            wall = (face_c2x[w] + (1 if dw > 0 else -1)) * half
+            dist = (wall - pos[w]) if dw > 0 else (pos[w] - wall)
+            delta, rem = divmod(dist, abs(dw))
+            if rem:
+                raise InternalGeometryError("non-integral step; scaling invariant broken")
+            if best_delta is None or delta < best_delta:
+                best_axis, best_delta, tie = w, delta, False
+            elif delta == best_delta:
+                tie = True
+        if best_delta is None:
+            raise InternalGeometryError("direction is normal to the face")
+
+        record_centers(pos, d, best_delta)
+
+        new_pos = [pos[k] + d[k] * best_delta for k in AXES]
+        s_scaled += best_delta
+
+        at_wall = [
+            new_pos[w] % sc == sc // 2 and abs(new_pos[w] - face_c2x[w] * (sc // 2)) == sc // 2
+            for w in (i, j)
+        ]
+        if tie or all(at_wall):
+            vertices.append(tuple(new_pos))
+            return finish("cone_point", s_scaled, cone=tuple(new_pos))
+
+        w = best_axis
+        wall2x = (2 * new_pos[w]) // sc
+        new_face, new_axis = _next_face(face_c2x, axis, w, wall2x)
+        sign_a = new_face[axis] - face_c2x[axis]
+        new_d = [0, 0, 0]
+        new_d[i], new_d[j] = d[i], d[j]
+        new_d[axis] = sign_a * abs(d[w])
+        new_d[w] = 0
+
+        pos = new_pos
+        face_c2x, axis = new_face, new_axis
+        d = new_d
+        n_crossings += 1
+        if record_vertices:
+            vertices.append(tuple(pos))
+            face_path.append(Face(face_c2x, axis))
+
+        state = (face_c2x, tuple(pos), tuple(d))
+        if anchor is None:
+            anchor = state
+            anchor_s = s_scaled
+        else:
+            if state == anchor:
+                return finish("closed", s_scaled - anchor_s, closed=True, start_pos=start_pos)
+            if state[2] == anchor[2]:
+                diff = [pos[k] - anchor[1][k] for k in AXES]
+                if all(v % two_sc == 0 for v in diff) and any(diff):
+                    t = tuple(v // two_sc for v in diff)
+                    return finish(
+                        "drift", s_scaled - anchor_s, drift=t, start_pos=start_pos
+                    )
+
+        if bound_scaled is not None and s_scaled > bound_scaled:
+            if margin_left == 0:
+                return finish("arc_bound", s_scaled)
+            margin_left -= 1
+        if n_crossings >= max_crossings:
+            return finish("crossing_budget", s_scaled)
+
+
+def _outcome(tracer, *args, **kwargs):
+    """The trajectory, or the type of the exception raised instead."""
+    try:
+        return tracer(*args, **kwargs)
+    except Exception as exc:  # compared by type against the reference
+        return type(exc)
+
+
+_GRID_BUDGETS = {
+    "crossing_budget": lambda p, q: {"max_crossings": crossing_budget(p, q)},
+    "max_crossings_37": lambda p, q: {"max_crossings": 37},
+    "arc_bound_3": lambda p, q: {"max_arc_s": Fraction(3), "margin_crossings": 2},
+}
+
+
+@pytest.mark.parametrize("budget", sorted(_GRID_BUDGETS))
+@pytest.mark.parametrize("start", ["seed_start", "third_two_sevenths"])
+def test_trace3d_matches_reference_grid(start, budget):
+    # Every primitive |p|, |q| <= 30, with and without vertices: the lean
+    # loop returns an equal Trajectory3D (vertices, face path, center visits,
+    # stop reason) or raises the same exception type.
+    other = Point3(SEED_FACE, SEED_CHART, Fraction(1, 3), Fraction(2, 7))
+    stops = set()
+    for p in range(-30, 31):
+        for q in range(-30, 31):
+            if gcd(abs(p), abs(q)) != 1:
+                continue
+            pt = seed_start(p, q) if start == "seed_start" else other
+            kwargs = _GRID_BUDGETS[budget](p, q)
+            for record in (True, False):
+                got = _outcome(trace3d, pt, (p, q), record_vertices=record, **kwargs)
+                want = _outcome(_ref_trace3d, pt, (p, q), record_vertices=record, **kwargs)
+                assert got == want, (p, q, record)
+                stops.add(getattr(got, "stop_reason", got))
+    assert len(stops) >= 2
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.tuples(st.integers(-2000, 2000), st.integers(-2000, 2000)).filter(
+        lambda d: gcd(abs(d[0]), abs(d[1])) == 1
+    )
+)
+def test_trace3d_matches_reference_on_long_orbits(d):
+    p, q = d
+    kwargs = {"max_crossings": crossing_budget(p, q), "record_vertices": False}
+    got = _outcome(trace3d, seed_start(p, q), d, **kwargs)
+    assert got == _outcome(_ref_trace3d, seed_start(p, q), d, **kwargs)
+
+
+def test_turn_memo_matches_next_face():
+    # Every face center of a window that covers all residues mod 4, negative
+    # coordinates included, each wall axis and both wall sides: the memoised
+    # turn is the step _next_face takes along the old normal axis.
+    faces = 0
+    for c, axis in iter_candidates(-4, 4):
+        if not is_face(c, axis):
+            continue
+        faces += 1
+        for w in IN_PLANE[axis]:
+            for side in (1, -1):
+                wall2x = c[w] + side
+                new_face, new_axis = _next_face(c, axis, w, wall2x)
+                assert new_axis == w
+                assert _turn(c, axis, w, wall2x) == new_face[axis] - c[axis], (c, axis, w)
+    assert faces > 100
+    # Six axis pairs, two residues of the normal coordinate, two of the other.
+    assert len(_TURNS) == 24
+    for (axis, w, ra, ro), da in _TURNS.items():
+        c = [0, 0, 0]
+        c[axis], c[w], c[3 - axis - w] = ra, 2 - ro, ro
+        assert _next_face(tuple(c), axis, w, 1)[0][axis] - ra == da
 
 
 def _chart_direction(face, traj, k):
