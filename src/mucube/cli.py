@@ -28,12 +28,7 @@ from .classify import (
     classify_x,
     classify_y,
 )
-from .flow import (
-    DegenerateIntersection,
-    FlowBudgetError,
-    SIDE_NAMES,
-    cylinder_decomposition,
-)
+from .flow import FlowBudgetError, SIDE_NAMES, cylinder_decomposition
 from .grouptheory import (
     ContinuedFraction,
     convergents,
@@ -333,13 +328,17 @@ def cmd_trace(args) -> int:
     }
     if traj.cone_point is not None:
         payload["cone_point"] = [frac_str(c) for c in traj.cone_point]
-    _emit(payload)
     if args.csv:
         path = _out_path(args.csv)
-        with open(path, "w") as fh:
-            fh.write("x,y,z\n")
-            for pt in traj.vertices:
-                fh.write(",".join(frac_str(c) for c in pt) + "\n")
+        try:
+            with open(path, "w") as fh:
+                fh.write("x,y,z\n")
+                for pt in traj.vertices:
+                    fh.write(",".join(frac_str(c) for c in pt) + "\n")
+        except OSError as exc:
+            print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+            return USAGE_ERROR
+    _emit(payload)
     return 0
 
 
@@ -602,7 +601,6 @@ def main(argv=None) -> int:
         return INTERNAL_ERROR
     except (
         ClassificationError,
-        DegenerateIntersection,
         FlowBudgetError,
         HomologyError,
         InternalGeometryError,

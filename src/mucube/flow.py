@@ -471,48 +471,6 @@ def cylinder_decomposition(surface, direction: tuple[int, int]) -> Decomposition
     return deco
 
 
-# ---------------------------------------------------------------------------
-# Signed crossing counts between polygonal chains
-# ---------------------------------------------------------------------------
-
-def signed_crossings(moving: Sequence[Segment], rep: Sequence[Segment]) -> int:
-    """Algebraic crossing number of ``moving`` over ``rep``.
-
-    A crossing is +1 when the moving curve passes from the right-hand side of
-    the representative to its left-hand side.  Crossings at segment endpoints
-    or collinear overlaps raise DegenerateIntersection; callers retry with a
-    perturbed representative.
-    """
-    by_square: dict[int, list[Segment]] = {}
-    for seg in rep:
-        by_square.setdefault(seg[0], []).append(seg)
-    total = 0
-    for sq, ax0, ay0, ax1, ay1 in moving:
-        ux, uy = ax1 - ax0, ay1 - ay0
-        if ux == 0 and uy == 0:
-            continue
-        for _, bx0, by0, bx1, by1 in by_square.get(sq, ()):
-            vx, vy = bx1 - bx0, by1 - by0
-            if vx == 0 and vy == 0:
-                continue
-            denom = ux * vy - uy * vx
-            wx, wy = bx0 - ax0, by0 - ay0
-            if denom == 0:
-                if wx * uy - wy * ux == 0:
-                    # Collinear: overlapping portions are degenerate.
-                    raise DegenerateIntersection("collinear segments")
-                continue
-            t = (wx * vy - wy * vx) / denom
-            s = (wx * uy - wy * ux) / denom
-            if 0 < t < 1 and 0 < s < 1:
-                total += 1 if (vx * uy - vy * ux) > 0 else -1
-            elif (t == 0 or t == 1) and 0 <= s <= 1:
-                raise DegenerateIntersection("crossing at a segment endpoint")
-            elif (s == 0 or s == 1) and 0 <= t <= 1:
-                raise DegenerateIntersection("crossing at a segment endpoint")
-    return total
-
-
 def reverse_chain(chain: Sequence[Segment]) -> list[Segment]:
     return [(sq, x1, y1, x0, y0) for sq, x0, y0, x1, y1 in reversed(chain)]
 

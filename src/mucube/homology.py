@@ -14,16 +14,20 @@ an edge at mid-height shows on both sides of the edge and is counted once,
 on the segment that leaves it.  Every corner of the quotient is a cone
 point, which a closed leaf never meets.
 
-alpha is a signed crossing count against a fixed leaf representing eta.
-That representative is pushed off the special leaves (which pass through
-square centers and edge midpoints) so that crossings stay transverse; on a
-degenerate configuration the computation retries with a different pushoff.
+alpha is an integer edge cochain summed over the edges the curve exits.
+Since every corner is a cone point, the quotient minus its corners retracts
+onto the dual graph (square centers joined across glued edges), so a class
+in H^1 is one integer weight per glued edge, negated across the gluing and
+summing to zero around every corner fan.  alpha is the class that is 1 on
+sigma and 0 on eta; its weights are found on first use, among weights in
+{-1, 0, 1}, and cached on the surface.  The same mechanism carries the Z^3
+displacement cocycle of the 12-square quotient.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from itertools import product
 from typing import Sequence, Union
 
 from .flow import (
@@ -34,114 +38,14 @@ from .flow import (
     R,
     Segment,
     SurfaceTrace,
-    _fraction_segments,
-    _leaf,
+    T,
     cylinder_decomposition,
-    reverse_chain,
-    signed_crossings,
 )
-
-# Denominators here are even multiples of primes that rarely divide trace
-# coordinates; collisions are caught and retried anyway.  The two lists are
-# kept disjoint so the sigma and eta representatives never degenerate against
-# each other.
-_PUSHOFFS = tuple(Fraction(1, 2) + Fraction(1, 2 * p) for p in (7, 11, 13, 17, 19, 23, 29, 31))
-_PUSHOFFS_ETA = tuple(Fraction(1, 2) + Fraction(1, 2 * p) for p in (37, 41, 43, 47, 53, 59, 61, 67))
+from .surfaces import _FAN_SIDE
 
 
 class HomologyError(RuntimeError):
     pass
-
-
-def trace_leaf(surface, sq: int, x: Fraction, y: Fraction, d: tuple[int, int],
-               budget: int = 100_000) -> list[Segment]:
-    """Trace the closed leaf through an edge or interior point, exactly.
-
-    The starting state may sit on an edge (just after a crossing); closure is
-    detected when the post-crossing state repeats.
-    """
-    p, q = d
-    den = x.denominator * y.denominator // gcd(x.denominator, y.denominator)
-    sc = 2 * den * max(abs(p), 1) * max(abs(q), 1)
-    x0, y0 = int(x * sc), int(y * sc)
-    chain: list[tuple[int, int, int, int, int]] = []
-    anchor = None
-    for steps, (sq_i, xi, yi, dx, dy, _, nx, ny, side) in enumerate(
-        _leaf(surface.glue, sc, sq, x0, y0, p, q)
-    ):
-        if steps:
-            # (sq_i, xi, yi, dx, dy) is the state just after the last crossing.
-            state = (sq_i, xi, yi, dx, dy)
-            if anchor is None:
-                anchor = state
-            elif state == anchor:
-                # One full period: segments from the start point back to
-                # itself.  (For an edge start the final segment degenerates to
-                # a point and is dropped.)
-                last = chain[steps - 1]
-                segs = chain[: steps - 1] + [(*last[:3], x0, y0)]
-                return _fraction_segments([s for s in segs if s[1:3] != s[3:]], sc)
-            if steps > budget:
-                raise HomologyError("leaf failed to close")
-        if side is None:
-            raise HomologyError("leaf hit a cone point")
-        chain.append((sq_i, xi, yi, nx, ny))
-
-
-def _sigma_rep(surface, attempt: int) -> list[Segment]:
-    key = ("sigma_rep", attempt)
-    if key in surface._cache:
-        return surface._cache[key]
-    gamma0 = surface.marked_curves["gamma0"]
-    sq0, x0, y0, x1, y1 = gamma0[0]
-    eps = 1 if x1 > x0 else -1
-    h = _PUSHOFFS[attempt]
-    chain = trace_leaf(surface, sq0, (x0 + x1) / 2, h, (eps, 0))
-    surface._cache[key] = chain
-    return chain
-
-
-def _eta_rep(surface, attempt: int) -> list[Segment]:
-    key = ("eta_rep", attempt)
-    if key in surface._cache:
-        return surface._cache[key]
-    deco = surface._cache.get("eta_deco")
-    if deco is None:
-        deco = cylinder_decomposition(surface, (1, 1))
-        surface._cache["eta_deco"] = deco
-    lam = _PUSHOFFS_ETA[attempt]
-    last_error = None
-    for cyl in deco.cylinders:
-        if cyl.area != 1:
-            continue
-        (edge, lo, hi) = cyl.intervals[0]
-        par = lo + lam * (hi - lo)
-        sq_c, side_c = edge
-        if side_c == L:
-            start = (sq_c, Fraction(0), par, (1, 1))
-        elif side_c == R:
-            start = (sq_c, Fraction(1), par, (-1, -1))
-        elif side_c == B:
-            start = (sq_c, par, Fraction(0), (1, 1))
-        else:
-            start = (sq_c, par, Fraction(1), (-1, -1))
-        chain = trace_leaf(surface, start[0], start[1], start[2], start[3])
-        try:
-            # Standard intersection form: i_a(sigma, eta) = +1.
-            pairing = signed_crossings(chain, _sigma_rep(surface, attempt))
-        except DegenerateIntersection as exc:
-            last_error = exc
-            continue
-        if pairing == 1:
-            surface._cache[key] = chain
-            return chain
-        if pairing == -1:
-            chain = reverse_chain(chain)
-            surface._cache[key] = chain
-            return chain
-    if last_error is not None:
-        raise last_error
-    raise HomologyError("no area-1 cylinder pairs with sigma")
 
 
 def _as_chain(surface, c) -> list[Segment]:
@@ -150,6 +54,65 @@ def _as_chain(surface, c) -> list[Segment]:
             raise ValueError("homology needs a closed curve")
         return c.segments
     return list(c)
+
+
+def _exits(c: Union[SurfaceTrace, Sequence[Segment]]) -> list[tuple[int, int]]:
+    """The edges ``(square, side)`` a closed curve exits, one per crossing:
+    the crossings of a trace, or the segment ends of a chain that lie on a
+    wall."""
+    if isinstance(c, SurfaceTrace):
+        if not c.closed:
+            raise ValueError("homology needs a closed curve")
+        return [(sq, side) for _, sq, side in c.scaled_crossings]
+    exits = []
+    for sq, _, _, x, y in c:
+        if x in (0, 1) and y in (0, 1):
+            raise ValueError("chain passes through a corner")
+        if x in (0, 1):
+            exits.append((sq, R if x else L))
+        elif y in (0, 1):
+            exits.append((sq, T if y else B))
+    return exits
+
+
+def _eta_weights(surface) -> dict[tuple[int, int], int]:
+    """Weight per glued edge ``(square, side)`` of the cochain that is 1 on
+    sigma and 0 on eta, derived on first use."""
+    weights = surface._cache.get("eta_weights")
+    if weights is None:
+        cores = [
+            cyl for cyl in cylinder_decomposition(surface, (1, 1)).cylinders
+            if cyl.area == 1 and abs(gamma0_intersection(surface, cyl)) == 1
+        ]
+        if not cores:
+            raise HomologyError("no area-1 cylinder pairs with sigma")
+        fans = [[(sq, _FAN_SIDE[c]) for sq, c in corners] for corners, _ in surface._vertex_fans()]
+        sigma = _exits(surface.marked_curves["gamma0"])
+        weights = _cocycle(surface.glue, fans, sigma, _exits(cores[0].core_chain))
+        surface._cache["eta_weights"] = weights
+    return weights
+
+
+def _cocycle(glue, fans, one, zero) -> dict[tuple[int, int], int]:
+    """The first weights in {-1, 0, 1} per glued edge pair, in a fixed order,
+    that are negated across each gluing, sum to zero around every corner fan
+    (lists of crossed edges), and sum to 1 over the exits ``one`` and to 0
+    over the exits ``zero``.  Solutions differ by coboundaries, which vanish
+    on closed curves."""
+    pairs = sorted({min(edge, glue[edge][:2]) for edge in glue})
+    for values in product((-1, 0, 1), repeat=len(pairs)):
+        w = {}
+        for edge, v in zip(pairs, values):
+            w[edge] = v
+            w[glue[edge][:2]] = -v
+        if (
+            all(w[edge] == -w[glue[edge][:2]] for edge in glue)
+            and all(sum(w[edge] for edge in fan) == 0 for fan in fans)
+            and sum(w[edge] for edge in one) == 1
+            and sum(w[edge] for edge in zero) == 0
+        ):
+            return w
+    raise HomologyError("no edge cocycle in {-1, 0, 1} is 1 on sigma and 0 on eta")
 
 
 def gamma0_intersection(surface, c: Union[Cylinder, SurfaceTrace, Sequence[Segment]]) -> int:
@@ -180,16 +143,49 @@ def homology_coordinates(surface, c: Union[SurfaceTrace, Sequence[Segment]]) -> 
     """Coordinates (alpha, beta) of a closed curve in the {sigma, eta} basis.
 
     alpha = i_a(c, eta) and beta = -i_a(c, sigma) for the standard
-    intersection form normalized by i_a(sigma, eta) = +1.  With the
-    marked-curve orientation the beta coordinate coincides with the signed
-    crossing count over the horizontal curve.
+    intersection form normalized by i_a(sigma, eta) = +1.  alpha is the sum
+    of the edge weights over the edges the curve exits; beta is the signed
+    crossing count over the marked horizontal curve.
     """
-    chain = _as_chain(surface, c)
-    beta = gamma0_intersection(surface, chain)
-    for attempt in range(len(_PUSHOFFS)):
-        try:
-            alpha = -signed_crossings(chain, _eta_rep(surface, attempt))
-            return alpha, beta
-        except DegenerateIntersection:
+    exits = _exits(c)
+    weights = _eta_weights(surface)
+    return sum(weights[edge] for edge in exits), gamma0_intersection(surface, c)
+
+
+def signed_crossings(moving: Sequence[Segment], rep: Sequence[Segment]) -> int:
+    """Algebraic crossing number of ``moving`` over ``rep``.
+
+    A crossing is +1 when the moving curve passes from the right-hand side of
+    the representative to its left-hand side.  Crossings at segment endpoints
+    or collinear overlaps raise DegenerateIntersection; a caller retries with
+    a perturbed representative.  This geometric count is independent of the
+    edge cochain above, which makes it a reference for it.
+    """
+    by_square: dict[int, list[Segment]] = {}
+    for seg in rep:
+        by_square.setdefault(seg[0], []).append(seg)
+    total = 0
+    for sq, ax0, ay0, ax1, ay1 in moving:
+        ux, uy = ax1 - ax0, ay1 - ay0
+        if ux == 0 and uy == 0:
             continue
-    raise HomologyError("all pushoffs degenerate against the curve")
+        for _, bx0, by0, bx1, by1 in by_square.get(sq, ()):
+            vx, vy = bx1 - bx0, by1 - by0
+            if vx == 0 and vy == 0:
+                continue
+            denom = ux * vy - uy * vx
+            wx, wy = bx0 - ax0, by0 - ay0
+            if denom == 0:
+                if wx * uy - wy * ux == 0:
+                    # Collinear: overlapping portions are degenerate.
+                    raise DegenerateIntersection("collinear segments")
+                continue
+            t = (wx * vy - wy * vx) / denom
+            s = (wx * uy - wy * ux) / denom
+            if 0 < t < 1 and 0 < s < 1:
+                total += 1 if (vx * uy - vy * ux) > 0 else -1
+            elif (t == 0 or t == 1) and 0 <= s <= 1:
+                raise DegenerateIntersection("crossing at a segment endpoint")
+            elif (s == 0 or s == 1) and 0 <= t <= 1:
+                raise DegenerateIntersection("crossing at a segment endpoint")
+    return total

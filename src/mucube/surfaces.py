@@ -459,9 +459,6 @@ def build_y() -> Surface:
             from .flow import reverse_chain
 
             surf.marked_curves["gamma0"] = reverse_chain(surf.marked_curves["gamma0"])
-            for key in list(surf._cache):
-                if key[0] in ("sigma_rep", "eta_rep"):
-                    del surf._cache[key]
         break
     else:
         raise SurfaceConstructionError("no usable calibration probe")

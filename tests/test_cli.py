@@ -17,7 +17,6 @@ from mucube.cli import (
     scan_pairs,
     scan_records,
 )
-from mucube.flow import DegenerateIntersection
 from mucube.homology import HomologyError
 from mucube.mucube3d import PeriodicDirectionError, drift_vector
 
@@ -176,6 +175,21 @@ def test_trace_csv(tmp_path, capsys):
     assert len(lines) == len(json.loads(out)["vertices"]) + 1
 
 
+@pytest.mark.parametrize("via_outdir", [False, True], ids=["absolute", "outdir"])
+def test_trace_csv_unwritable_path(tmp_path, capsys, monkeypatch, via_outdir):
+    missing = tmp_path / "missing"
+    if via_outdir:
+        monkeypatch.setenv("MUCUBE_OUTDIR", str(missing))
+        csv, path = "x.csv", missing / "x.csv"
+    else:
+        csv = path = missing / "x.csv"
+    code, out, err = run_cli(capsys, "trace", "--p", "1", "--q", "0", "--csv", str(csv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in err
+
+
 def test_trace_edge_start_usage_error(capsys):
     code, out, err = run_cli(capsys, "trace", "--p", "1", "--q", "2", "--u", "0")
     assert code == 2
@@ -209,9 +223,7 @@ def test_negative_counts_usage_error(tmp_path, capsys, monkeypatch, argv, option
     assert not (tmp_path / "never.csv").exists()
 
 
-@pytest.mark.parametrize(
-    "error", [HomologyError, DegenerateIntersection, PeriodicDirectionError]
-)
+@pytest.mark.parametrize("error", [HomologyError, PeriodicDirectionError])
 def test_invariant_errors_exit_3(capsys, monkeypatch, error):
     def fail(direction):
         raise error("forced")

@@ -14,9 +14,9 @@ from mucube.flow import (
     SurfacePoint,
     cylinder_decomposition,
     quarter_displacement_check,
-    signed_crossings,
     trace_surface,
 )
+from mucube.homology import signed_crossings
 from mucube.mucube3d import Point3, SEED_CHART, SEED_FACE, trace3d
 
 

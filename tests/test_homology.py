@@ -1,30 +1,134 @@
-"""The exact marked-curve count against the pushoff crossing count."""
+"""Homology coordinates on Y against a geometric pushoff reference.
+
+The reference counts signed crossings against leaves pushed off the special
+leaves, retrying with another pushoff when a crossing lands on a segment
+endpoint; the package computes the same coordinates as an integer edge
+cochain and an exact count of passes of height 1/2.
+"""
 
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mucube.flow import (
+    B,
+    L,
+    R,
+    T,
     DegenerateIntersection,
     SurfacePoint,
+    _fraction_segments,
+    _leaf,
     cylinder_decomposition,
-    signed_crossings,
+    reverse_chain,
     trace_surface,
 )
-from mucube.homology import _PUSHOFFS, _sigma_rep, gamma0_intersection
+from mucube.homology import (
+    HomologyError,
+    _cocycle,
+    _eta_weights,
+    _exits,
+    gamma0_intersection,
+    homology_coordinates,
+    signed_crossings,
+)
+from mucube.surfaces import _FAN_SIDE
+
+# Denominators are even multiples of primes that rarely divide trace
+# coordinates; collisions are caught and retried.  The two lists are disjoint
+# so the sigma and eta representatives never degenerate against each other.
+PUSHOFFS = tuple(Fraction(1, 2) + Fraction(1, 2 * p) for p in (7, 11, 13, 17, 19, 23, 29, 31))
+PUSHOFFS_ETA = tuple(Fraction(1, 2) + Fraction(1, 2 * p) for p in (37, 41, 43, 47, 53, 59, 61, 67))
 
 
-def pushoff_gamma0_count(Y, chain) -> int:
-    """Reference count: signed crossings of the chain over a horizontal leaf
-    pushed off mid-height, retried with another pushoff when the leaf meets
-    the chain at a segment endpoint."""
-    if all(y0 == y1 for _, _, y0, _, y1 in chain):
-        return 0
-    for attempt in range(len(_PUSHOFFS)):
+def trace_leaf(surface, sq, x, y, d, budget=100_000):
+    """The closed leaf through an edge or interior point, exactly; closure is
+    detected when the post-crossing state repeats."""
+    p, q = d
+    den = x.denominator * y.denominator // gcd(x.denominator, y.denominator)
+    sc = 2 * den * max(abs(p), 1) * max(abs(q), 1)
+    x0, y0 = int(x * sc), int(y * sc)
+    chain = []
+    anchor = None
+    for steps, (sq_i, xi, yi, dx, dy, _, nx, ny, side) in enumerate(
+        _leaf(surface.glue, sc, sq, x0, y0, p, q)
+    ):
+        if steps:
+            state = (sq_i, xi, yi, dx, dy)
+            if anchor is None:
+                anchor = state
+            elif state == anchor:
+                # One full period; for an edge start the final segment
+                # degenerates to a point and is dropped.
+                last = chain[steps - 1]
+                segs = chain[: steps - 1] + [(*last[:3], x0, y0)]
+                return _fraction_segments([s for s in segs if s[1:3] != s[3:]], sc)
+            assert steps <= budget, "leaf failed to close"
+        assert side is not None, "leaf hit a cone point"
+        chain.append((sq_i, xi, yi, nx, ny))
+
+
+_REPS = {}
+
+
+def sigma_rep(Y, attempt):
+    """The marked curve pushed off mid-height."""
+    key = ("sigma", attempt)
+    if key not in _REPS:
+        sq0, x0, y0, x1, y1 = Y.marked_curves["gamma0"][0]
+        eps = 1 if x1 > x0 else -1
+        _REPS[key] = trace_leaf(Y, sq0, (x0 + x1) / 2, PUSHOFFS[attempt], (eps, 0))
+    return _REPS[key]
+
+
+def eta_rep(Y, attempt):
+    """A pushed-off core of the area-1 (1,1) cylinder, oriented so that it
+    crosses sigma's representative +1 times."""
+    key = ("eta", attempt)
+    if key in _REPS:
+        return _REPS[key]
+    lam = PUSHOFFS_ETA[attempt]
+    last_error = None
+    for cyl in cylinder_decomposition(Y, (1, 1)).cylinders:
+        if cyl.area != 1:
+            continue
+        (sq_c, side_c), lo, hi = cyl.intervals[0]
+        par = lo + lam * (hi - lo)
+        if side_c == L:
+            start = (sq_c, Fraction(0), par, (1, 1))
+        elif side_c == R:
+            start = (sq_c, Fraction(1), par, (-1, -1))
+        elif side_c == B:
+            start = (sq_c, par, Fraction(0), (1, 1))
+        else:
+            start = (sq_c, par, Fraction(1), (-1, -1))
+        chain = trace_leaf(Y, *start)
         try:
-            return signed_crossings(chain, _sigma_rep(Y, attempt))
+            pairing = signed_crossings(chain, sigma_rep(Y, attempt))
+        except DegenerateIntersection as exc:
+            last_error = exc
+            continue
+        if pairing in (1, -1):
+            _REPS[key] = chain if pairing == 1 else reverse_chain(chain)
+            return _REPS[key]
+    if last_error is not None:
+        raise last_error
+    raise AssertionError("no area-1 cylinder pairs with sigma")
+
+
+def pushoff_coordinates(Y, chain):
+    """Reference (alpha, beta): minus the signed crossings over eta's
+    representative, and the signed crossings over sigma's, retried with
+    another pushoff when a crossing is degenerate."""
+    for attempt in range(len(PUSHOFFS)):
+        try:
+            alpha = -signed_crossings(chain, eta_rep(Y, attempt))
+            if all(y0 == y1 for _, _, y0, _, y1 in chain):
+                return alpha, 0
+            return alpha, signed_crossings(chain, sigma_rep(Y, attempt))
         except DegenerateIntersection:
             continue
     raise AssertionError("all pushoffs degenerate against the chain")
@@ -39,7 +143,39 @@ def primitive(n):
     ]
 
 
-def test_count_matches_pushoffs_up_to_25(Y):
+def fan_exits(Y):
+    return [[(sq, _FAN_SIDE[c]) for sq, c in corners] for corners, _ in Y._vertex_fans()]
+
+
+def test_weights_are_a_cocycle(Y):
+    w = _eta_weights(Y)
+    assert all(w[edge] == -w[Y.glue[edge][:2]] for edge in Y.glue)
+    assert all(sum(w[edge] for edge in fan) == 0 for fan in fan_exits(Y))
+    assert set(w.values()) <= {-1, 0, 1}
+
+
+def test_cocycle_refuses_inconsistent_data(Y):
+    fans = fan_exits(Y)
+    sigma = _exits(Y.marked_curves["gamma0"])
+    # A loop around a corner bounds, so no cocycle is 1 on it.
+    with pytest.raises(HomologyError):
+        _cocycle(Y.glue, fans, fans[0], [])
+    # No cochain is both 1 and 0 on the same curve.
+    with pytest.raises(HomologyError):
+        _cocycle(Y.glue, fans, sigma, sigma)
+    # An edge glued to itself by a flip must carry weight 0.
+    with pytest.raises(HomologyError):
+        _cocycle({(0, T): (0, T, True)}, [], [(0, T)], [])
+
+
+def test_pushoff_representatives_are_the_basis(Y):
+    for attempt in range(len(PUSHOFFS)):
+        for rep, coords in ((sigma_rep(Y, attempt), (1, 0)), (eta_rep(Y, attempt), (0, 1))):
+            assert homology_coordinates(Y, rep) == coords
+            assert pushoff_coordinates(Y, rep) == coords
+
+
+def test_coordinates_match_pushoffs_up_to_25(Y):
     starts = (
         SurfacePoint(0, Fraction(1, 2), Fraction(1, 2)),
         SurfacePoint(0, Fraction(1, 2), Fraction(1, 3)),
@@ -48,15 +184,19 @@ def test_count_matches_pushoffs_up_to_25(Y):
     endpoint_passes = 0
     for d in primitive(25):
         for cyl in cylinder_decomposition(Y, d).cylinders:
-            assert gamma0_intersection(Y, cyl) == pushoff_gamma0_count(Y, cyl.core_chain)
-            assert gamma0_intersection(Y, cyl.core_chain) == gamma0_intersection(Y, cyl)
+            coords = homology_coordinates(Y, cyl.core_chain)
+            assert coords == pushoff_coordinates(Y, cyl.core_chain), d
+            assert gamma0_intersection(Y, cyl) == coords[1]
             chains += 1
         for start in starts:
             t = trace_surface(Y, start, d, 10_000)
             if not t.closed:
                 assert t.stop_reason == "cone_point"
                 continue
-            assert gamma0_intersection(Y, t) == pushoff_gamma0_count(Y, t.segments)
+            # The trace's crossings and its chain's wall endpoints agree.
+            coords = homology_coordinates(Y, t)
+            assert coords == homology_coordinates(Y, t.segments)
+            assert coords == pushoff_coordinates(Y, t.segments), d
             endpoint_passes += sum(
                 x1 in (0, 1) and y1 == Fraction(1, 2) for _, _, _, x1, y1 in t.segments
             )
@@ -75,4 +215,6 @@ def test_count_matches_pushoffs_up_to_25(Y):
 )
 def test_count_matches_pushoffs_on_large_cores(Y, d):
     for cyl in cylinder_decomposition(Y, d).cylinders:
-        assert gamma0_intersection(Y, cyl) == pushoff_gamma0_count(Y, cyl.core_chain)
+        coords = homology_coordinates(Y, cyl.core_chain)
+        assert coords == pushoff_coordinates(Y, cyl.core_chain)
+        assert gamma0_intersection(Y, cyl) == coords[1]

@@ -13,6 +13,7 @@ from mucube.flow import (
     SurfacePoint,
     T,
     cylinder_decomposition,
+    reverse_chain,
     trace_surface,
 )
 from mucube.homology import gamma0_intersection, homology_coordinates
@@ -200,10 +201,15 @@ def test_cover_of_translation_surface_splits():
 # ---------------------------------------------------------------------------
 
 def test_basis_coordinates(Y):
-    from mucube.homology import _eta_rep, _sigma_rep
-
-    assert homology_coordinates(Y, _sigma_rep(Y, 0)) == (1, 0)
-    assert homology_coordinates(Y, _eta_rep(Y, 0)) == (0, 1)
+    # sigma is the marked curve; eta the core of the area-1 (1,1) cylinder,
+    # oriented so that its signed crossing count over sigma is +1.
+    assert homology_coordinates(Y, Y.marked_curves["gamma0"]) == (1, 0)
+    (core,) = [c for c in cylinder_decomposition(Y, (1, 1)).cylinders if c.area == 1]
+    eta = core.core_chain
+    if gamma0_intersection(Y, eta) == -1:
+        eta = reverse_chain(eta)
+    assert homology_coordinates(Y, eta) == (0, 1)
+    assert homology_coordinates(Y, reverse_chain(eta)) == (0, -1)
 
 
 def test_two_one_core_class(Y):
