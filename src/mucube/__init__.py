@@ -46,6 +46,7 @@ from .classify import (
     Direction,
     MethodDisagreement,
     classify_all,
+    classify_group,
     classify_oracle,
     classify_x,
     classify_y,
@@ -55,6 +56,7 @@ from .classify import (
 from .grouptheory import (
     ContinuedFraction,
     GroupWord,
+    column_has_witness,
     convergents,
     eval_word,
     find_witness,

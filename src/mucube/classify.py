@@ -15,6 +15,11 @@ flow is periodic or drift-periodic in that direction:
 
 ``classify_all`` runs all three and raises ``MethodDisagreement`` on any
 mismatch - by the underlying theory that would always indicate a bug here.
+
+``classify_group`` is an opt-in fourth decider that uses no geometry: the
+coset table in PSL(2, Z) of H = <T, A, B>, the group of all words over the
+generators (``grouptheory.column_rho``).  ``classify_all`` does not run it, so it stays
+an independent cross-check for the tests.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from fractions import Fraction
 from math import gcd
 
 from .flow import SurfacePoint, cylinder_decomposition, trace_surface
+from .grouptheory import column_rho, is_upper_unipotent
 from .homology import gamma0_intersection
 from .mucube3d import (
     RigidMotion,
@@ -86,7 +92,7 @@ class Direction:
 class Classification:
     direction: tuple[int, int]
     verdict: str  # "periodic" | "drift"
-    method: str  # "oracle" | "x" | "y" | "all"
+    method: str  # "oracle" | "x" | "y" | "all" | "group"
     certificate: dict = field(default_factory=dict)
 
     @property
@@ -186,6 +192,20 @@ def classify_y(d) -> Classification:
         "y",
         {"cylinders": len(deco.cylinders), "core_intersection": inter},
     )
+
+
+def classify_group(d) -> Classification:
+    """Decide periodicity from the coset table of H = <T, A, B>: periodic iff
+    H has an element with first column +-(p, q) whose rho image is upper
+    unipotent.  The certificate says whether the walk reached H's coset, and
+    gives that rho image when it did."""
+    p, q = _as_pair(d)
+    r = column_rho(p, q)
+    cert: dict = {"reaches_h": r is not None}
+    if r is not None:
+        cert["rho"] = [[r[0], r[1]], [r[2], r[3]]]
+    verdict = PERIODIC if r is not None and is_upper_unipotent(r) else DRIFT
+    return Classification((p, q), verdict, "group", cert)
 
 
 METHODS = {"oracle": classify_oracle, "x": classify_x, "y": classify_y}

@@ -24,6 +24,7 @@ from .classify import (
     ClassificationError,
     MethodDisagreement,
     classify_all,
+    classify_group,
     classify_oracle,
     classify_x,
     classify_y,
@@ -31,6 +32,7 @@ from .classify import (
 from .flow import FlowBudgetError, SIDE_NAMES, cylinder_decomposition
 from .grouptheory import (
     ContinuedFraction,
+    CosetTableError,
     convergents,
     eval_word,
     find_witness,
@@ -61,6 +63,7 @@ CSV_HEADER = "p,q,verdict,core_multiplier,drift_x,drift_y,drift_z"
 
 _CLASSIFIERS = {
     "all": classify_all,
+    "group": classify_group,
     "oracle": classify_oracle,
     "x": classify_x,
     "y": classify_y,
@@ -601,6 +604,7 @@ def main(argv=None) -> int:
         return INTERNAL_ERROR
     except (
         ClassificationError,
+        CosetTableError,
         FlowBudgetError,
         HomologyError,
         InternalGeometryError,

@@ -11,6 +11,18 @@ periodicity group exactly when its image under the representation is upper
 unipotent modulo sign, and a primitive direction (p, q) is periodic exactly
 when some such word has first column +-(p, q).
 
+That criterion is decided exactly, in O(log(|p| + |q|)) steps, by the coset
+table of H = <T, A, B> in PSL(2, Z) = <S, U | S^2, (S U)^3>, with S = T and
+U = [[1,1],[0,1]].  Todd-Coxeter enumeration finds 9 cosets, and
+Reidemeister-Schreier rewriting carries rho to the Schreier generators,
+whose images come from one walk of the witness BFS and are checked against
+the relators and against rho(T), rho(A), rho(B) (Holt, Eick and O'Brien,
+Handbook of Computational Group Theory, 2005).  Euclid's path of (p, q)
+through the table either never reaches H's coset, and then no word of H
+has that column, or gives one that does; all such words differ by powers
+of A and a sign, so one rho image answers for all of them.  The witness
+search uses this to skip columns that have no witness.
+
 Continued fractions whose partial quotients are multiples of four live here
 as well: convergents, the explicit witness words for their slopes, the
 sharpened Hurwitz bound with rigorous rational tail enclosures, and the
@@ -21,8 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 Mat2 = tuple[int, int, int, int]  # row-major (a, b, c, d)
 
@@ -97,14 +110,6 @@ class GroupWord:
 
     @classmethod
     def of(cls, *parts: tuple[str, int]) -> "GroupWord":
-        return cls(_reduce(parts))
-
-    @classmethod
-    def from_gens(cls, gens: Iterable[str]) -> "GroupWord":
-        parts = []
-        for g in gens:
-            exp = -1 if g.islower() else 1
-            parts.append((g.upper(), exp))
         return cls(_reduce(parts))
 
     def __mul__(self, other: "GroupWord") -> "GroupWord":
@@ -262,31 +267,244 @@ def _reconstruct(visited, key) -> GroupWord:
     return GroupWord(_reduce(tuple(reversed(parts))))
 
 
+# ---------------------------------------------------------------------------
+# Coset table of H = <T, A, B> in PSL(2, Z)
+# ---------------------------------------------------------------------------
+
+U_MAT: Mat2 = (1, 1, 0, 1)
+
+
+class CosetTableError(RuntimeError):
+    """The coset table of H failed a check that proves rho well defined."""
+
+
+# PSL(2, Z) = <S, U | S^2, (S U)^3> with S = T.  A word in S and U is the list
+# of U-exponents (e0, e1, ..., en) of U^e0 S U^e1 S ... S U^en, so the two
+# relators are (0, 0, 0) and (0, 1, 1, 1).  Coset table columns are S (an
+# involution), U and U^-1.
+_S, _U, _UI = 0, 1, 2
+_INV = (0, 2, 1)
+_RELATORS = ((0, 0, 0), (0, 1, 1, 1))
+
+
+def _euclid(p: int, q: int) -> list[int]:
+    """Exponents (k1, ..., kn) with U^k1 S U^k2 S ... U^kn S e1 = +-(p, q)."""
+    ks = []
+    while q:
+        k = p // q
+        ks.append(k)
+        p, q = q, k * q - p
+    return ks
+
+
+def _su_matrix(exps) -> Mat2:
+    m = IDENTITY
+    for i, e in enumerate(exps):
+        if i:
+            m = mat_mul(m, THETA)
+        m = mat_mul(m, mat_pow(U_MAT, e))
+    return m
+
+
+def _su_exponents(m: Mat2) -> list[int]:
+    """An S/U word for m up to sign: Euclid on the first column, then the
+    power of U left over, which fixes e1."""
+    exps = _euclid(m[0], m[2]) + [0]
+    a, b, _, _ = mat_mul(mat_inv(_su_matrix(exps)), m)  # +-[[1, j], [0, 1]]
+    exps[-1] = a * b
+    return exps
+
+
+def _enumerate_cosets(subgroup) -> list[list[int]]:
+    """Todd-Coxeter enumeration (HLT) of the right cosets of the subgroup
+    generated by the S/U words ``subgroup``; the rows give the images of each
+    coset under S, U and U^-1, and coset 0 is the subgroup itself.
+
+    Every coset is defined as the image of one already known, and an entry is
+    filled in only when a relator or a subgroup generator forces it, so a
+    complete table is the coset action.  Two names for one coset (a
+    coincidence) would need merging; no enumeration here meets one, so it
+    raises CosetTableError instead, as does passing 1000 cosets.
+    """
+    table: list[list] = [[None, None, None]]
+
+    def define(c, x):
+        if len(table) >= 1000:
+            raise CosetTableError("coset enumeration passed 1000 cosets")
+        table[c][x] = len(table)
+        table.append([None, None, None])
+        table[-1][_INV[x]] = c
+
+    def scan_and_fill(c, word):
+        f, b, i, j = c, c, 0, len(word) - 1
+        while True:
+            while i <= j and table[f][word[i]] is not None:
+                f, i = table[f][word[i]], i + 1
+            while j >= i and table[b][_INV[word[j]]] is not None:
+                b, j = table[b][_INV[word[j]]], j - 1
+            if j < i:
+                if f != b:
+                    raise CosetTableError(f"cosets {f} and {b} coincide")
+                return
+            if i == j:
+                table[f][word[i]], table[b][_INV[word[i]]] = b, f
+                return
+            define(f, word[i])
+
+    def columns(exps):
+        word = []
+        for i, e in enumerate(exps):
+            word += [_S] * (i > 0) + [_U if e > 0 else _UI] * abs(e)
+        return word
+
+    for exps in subgroup:
+        scan_and_fill(0, columns(exps))
+    for c, row in enumerate(table):
+        for relator in _RELATORS:
+            scan_and_fill(c, columns(relator))
+        for x in range(3):
+            if row[x] is None:
+                define(c, x)
+    return table
+
+
+class _Coset(NamedTuple):
+    """One coset c of H, with rho of the Schreier generators t_c X t_{cX}^-1
+    (t the Schreier transversal) that the walk from it passes."""
+
+    s_image: int  # c S
+    s_rho: Mat2
+    u_orbit: tuple[int, ...]  # c U^j for j below the length of c's U-cycle
+    u_rho: tuple[Mat2, ...]  # rho of t_c U^j t_{cU^j}^-1 for j up to the length
+
+
+def _rewrite(cosets, c: int, exps) -> tuple[int, Mat2]:
+    """The coset reached by the S/U word ``exps`` from coset c, and the
+    product of rho over the Schreier generators it passes (Reidemeister-
+    Schreier rewriting).  U^e goes e mod L round c's U-cycle of length L and
+    raises the cycle's loop to the power e div L."""
+    r = IDENTITY
+    for i, e in enumerate(exps):
+        if i:
+            row = cosets[c]
+            c, r = row.s_image, mat_mul(r, row.s_rho)
+        row = cosets[c]
+        loops, j = divmod(e, len(row.u_orbit))
+        if loops:
+            r = mat_mul(r, mat_pow(row.u_rho[-1], loops))
+        c, r = row.u_orbit[j], mat_mul(r, row.u_rho[j])
+    return c, r
+
+
+@cache
+def _coset_table() -> tuple[_Coset, ...]:
+    """The cosets of H = <T, A, B> in PSL(2, Z), H's coset first, with rho on
+    the Schreier generators; built on first use.
+
+    The rho images come from the first T/A/B word of one ``_witness_bfs``
+    walk that reaches each generator's matrix.  Two checks then prove that
+    rho is well defined on H (modulo sign): every relator, rewritten from
+    every coset, maps to +-I, and T, A and B, rewritten from H's coset, map
+    to their images in ``RHO``.  Either failing raises CosetTableError.
+    """
+    words = {name: _su_exponents(m) for name, m in GENS.items()}
+    table = _enumerate_cosets(words.values())
+    steps = ((_S, THETA), (_U, U_MAT))
+    trans: list[Optional[Mat2]] = [IDENTITY] + [None] * (len(table) - 1)
+    queue = [0]
+    for c in queue:
+        for x, xm in steps:
+            d = table[c][x]
+            if trans[d] is None:
+                trans[d] = mat_mul(trans[c], xm)
+                queue.append(d)
+    schreier = {
+        (c, x): proj_canonical(mat_mul(mat_mul(trans[c], xm), mat_inv(trans[table[c][x]])))
+        for c in range(len(table)) for x, xm in steps
+    }
+    rho_of: dict[Mat2, Optional[Mat2]] = dict.fromkeys(schreier.values())
+    visited: dict = {}
+    for m in _witness_bfs(visited, 12, 400):
+        if m in rho_of:
+            rho_of[m] = rho(_reconstruct(visited, m))
+            if None not in rho_of.values():
+                break
+    else:
+        raise CosetTableError("a Schreier generator has no word within the walk")
+    cosets = []
+    for c in range(len(table)):
+        orbit, prefix = [c], [IDENTITY]
+        while True:
+            prefix.append(mat_mul(prefix[-1], rho_of[schreier[orbit[-1], _U]]))
+            d = table[orbit[-1]][_U]
+            if d == c:
+                break
+            orbit.append(d)
+        cosets.append(_Coset(table[c][_S], rho_of[schreier[c, _S]], tuple(orbit), tuple(prefix)))
+    for c in range(len(cosets)):
+        for relator in _RELATORS:
+            d, r = _rewrite(cosets, c, relator)
+            if d != c or not proj_equal(r, IDENTITY):
+                raise CosetTableError(f"relator {relator} from coset {c} maps to {r}")
+    for name, exps in words.items():
+        d, r = _rewrite(cosets, 0, exps)
+        if d != 0 or not proj_equal(r, RHO[name]):
+            raise CosetTableError(f"{name} rewrites to {r}, not {RHO[name]}")
+    return tuple(cosets)
+
+
+def column_rho(p: int, q: int) -> Optional[Mat2]:
+    """rho, modulo sign, of an element of H with first column +-(p, q), or
+    None when H has no such element.
+
+    Euclid writes (p, q) = G e1; the walk of G through the coset table, then
+    of U until it reaches H's coset, gives h = G U^j in H.  Any other element
+    of H with that column differs from h by a power of A (H's coset has a
+    U-cycle of length 4) and a sign, and rho(A) is upper unipotent.  So the
+    cost is O(log(|p| + |q|)) table steps.
+    """
+    if gcd(abs(p), abs(q)) != 1:
+        raise ValueError("direction must be primitive")
+    cosets = _coset_table()
+    c, r = _rewrite(cosets, 0, _euclid(p, q) + [0])
+    orbit = cosets[c].u_orbit
+    if 0 not in orbit:
+        return None
+    return proj_canonical(mat_mul(r, cosets[c].u_rho[orbit.index(0)]))
+
+
+def column_has_witness(p: int, q: int) -> bool:
+    """Whether some word over T, A, B with first column +-(p, q) has an upper
+    unipotent rho image: if one has, every such word has."""
+    r = column_rho(p, q)
+    return r is not None and is_upper_unipotent(r)
+
+
 def find_witness(d, max_depth: int = 14, entry_cap: Optional[int] = None) -> Optional[GroupWord]:
     """Breadth-first search for a periodicity witness word for (p, q).
 
     Stops the walk of ``_witness_bfs`` at the first word whose matrix has
-    first column +-(p, q) and whose representation image is upper unipotent;
-    the entry cap defaults to 16 * max(|p|, |q|).  Returns that witness word,
-    or None when no word exists within the depth (inconclusive).
+    first column +-(p, q); the entry cap defaults to 16 * max(|p|, |q|).
+    Returns that witness word, or None when there is none.
 
-    Odd/odd directions return None without walking, for every depth and cap:
-    every word's first column is (1, 0) or (0, 1) mod 2 (see
-    ``_witness_bfs``).  Rho is evaluated only on words with the right column.
+    ``column_has_witness`` decides first, for every depth and cap, whether
+    any word with that column is a witness, and then every such word is one.
+    So a None without a walk proves that (p, q) has no witness: this holds
+    for every drift direction (for odd/odd ones by parity, see
+    ``_witness_bfs``, before the coset table is built).  A None after a walk
+    only means that the witness lies beyond the depth or the cap.
     """
     p, q = (d.p, d.q) if hasattr(d, "p") else d
     if gcd(abs(p), abs(q)) != 1:
         raise ValueError("direction must be primitive")
-    if p % 2 and q % 2:
+    if p % 2 and q % 2 or not column_has_witness(p, q):
         return None
     cap = entry_cap if entry_cap is not None else 16 * max(abs(p), abs(q), 1)
     columns = ((p, q), (-p, -q))
     visited: dict = {}
     for m in _witness_bfs(visited, max_depth, cap):
         if (m[0], m[2]) in columns:
-            word = _reconstruct(visited, m)
-            if is_in_gamma(word):
-                return word
+            return _checked_witness(visited, m)
     return None
 
 
@@ -296,22 +514,33 @@ def witness_table(max_norm: int, max_depth: int, entry_cap: Optional[int] = None
 
     Returns a dict mapping the sign-normalized first column (p, q) of every
     reachable word with upper-unipotent representation image to a shortest
-    witness word.  Rho is evaluated only on words whose column is within the
-    bound and not yet in the table.
+    witness word.  Each column within the bound is decided once by
+    ``column_has_witness``; a word is read back only for the first word of a
+    column that has a witness.
     """
     cap = entry_cap if entry_cap is not None else 16 * max_norm
     visited: dict = {}
     table: dict[tuple[int, int], GroupWord] = {}
+    no_witness: set[tuple[int, int]] = set()
     for m in _witness_bfs(visited, max_depth, cap):
         a, c = m[0], m[2]  # a >= 0 in the canonical representative
         if a > max_norm or not -max_norm <= c <= max_norm:
             continue
         col = (a, c) if a > 0 or c > 0 else (0, -c)
-        if col not in table:
-            word = _reconstruct(visited, m)
-            if is_in_gamma(word):
-                table[col] = word
+        if col in table or col in no_witness:
+            continue
+        if column_has_witness(*col):
+            table[col] = _checked_witness(visited, m)
+        else:
+            no_witness.add(col)
     return table
+
+
+def _checked_witness(visited, key) -> GroupWord:
+    word = _reconstruct(visited, key)
+    if not is_in_gamma(word):
+        raise CosetTableError(f"{word} is no witness, against the coset table")
+    return word
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from mucube.cli import (
     scan_pairs,
     scan_records,
 )
+from mucube.grouptheory import CosetTableError
 from mucube.homology import HomologyError
 from mucube.mucube3d import PeriodicDirectionError, drift_vector
 
@@ -65,6 +66,18 @@ def test_classify_single_methods(capsys):
         )
         assert code == 0
         assert json.loads(out)["verdict"] == "periodic"
+
+
+def test_classify_method_group(capsys):
+    for (p, q), verdict, reaches_h in (((4, 1), "periodic", True), ((5, 2), "drift", True),
+                                       ((3, 1), "drift", False)):
+        code, out, _ = run_cli(capsys, "classify", "--p", str(p), "--q", str(q),
+                               "--method", "group")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["method"], payload["verdict"]) == ("group", verdict)
+        assert payload["certificate"]["reaches_h"] is reaches_h
+    assert json.loads(out)["certificate"] == {"reaches_h": False}
 
 
 def test_scan_csv_schema_and_determinism(tmp_path, capsys):
@@ -223,7 +236,7 @@ def test_negative_counts_usage_error(tmp_path, capsys, monkeypatch, argv, option
     assert not (tmp_path / "never.csv").exists()
 
 
-@pytest.mark.parametrize("error", [HomologyError, PeriodicDirectionError])
+@pytest.mark.parametrize("error", [CosetTableError, HomologyError, PeriodicDirectionError])
 def test_invariant_errors_exit_3(capsys, monkeypatch, error):
     def fail(direction):
         raise error("forced")

@@ -1,6 +1,10 @@
 """Matrix words, the homology representation, witnesses, continued fractions."""
 
+import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import deque
 from fractions import Fraction
 from math import gcd
@@ -10,11 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mucube import grouptheory
-from mucube.classify import classify_all, classify_oracle
+from mucube.classify import classify_all, classify_group, classify_oracle, classify_x
 from mucube.grouptheory import (
     A_MAT,
     B_MAT,
     ContinuedFraction,
+    CosetTableError,
     GENS,
     GroupWord,
     IDENTITY,
@@ -23,6 +28,8 @@ from mucube.grouptheory import (
     RECURRENT_ALL,
     RECURRENT_FROM_CONE_POINTS,
     THETA,
+    column_has_witness,
+    column_rho,
     convergents,
     eval_word,
     find_witness,
@@ -313,6 +320,178 @@ def test_find_witness_matches_reference_random(p, q, depth):
     if (p, q) == (0, 0) or gcd(abs(p), abs(q)) != 1:
         return
     assert find_witness((p, q), depth) == _ref_find_witness((p, q), depth)
+
+
+# ---------------------------------------------------------------------------
+# Coset table decider
+# ---------------------------------------------------------------------------
+
+def test_coset_table_shape_and_checks():
+    cosets = grouptheory._coset_table()  # raises CosetTableError if a check fails
+    assert len(cosets) == 9
+    assert cosets[0].u_orbit == (0, 1, 2, 3)  # Stab_H(e1) = +-<A>
+    # The cusp widths of H: one U-cycle per cusp.
+    cycles = {frozenset(c.u_orbit) for c in cosets}
+    assert sorted(map(len, cycles)) == [2, 3, 4]
+    assert all(cosets[c.s_image].s_image == i for i, c in enumerate(cosets))
+    for c in range(9):
+        for relator in grouptheory._RELATORS:
+            d, r = grouptheory._rewrite(cosets, c, relator)
+            assert d == c and proj_equal(r, IDENTITY)
+    for name, m in GENS.items():
+        exps = grouptheory._su_exponents(m)
+        assert proj_equal(grouptheory._su_matrix(exps), m)
+        d, r = grouptheory._rewrite(cosets, 0, exps)
+        assert d == 0 and proj_equal(r, RHO[name])
+
+
+@pytest.mark.parametrize(
+    "words, index",
+    [
+        ([[0, 0], [1]], 1),  # PSL(2, Z)
+        ([[0, 0], [2]], 3),  # the theta group <S, U^2>
+        ([[1], [0, 2, 0]], 3),  # Gamma_0(2) = <U, S U^2 S>
+        ([[1], [0, 3, 0]], 4),  # Gamma_0(3)
+        ([[1], [0, 4, 0]], 6),  # Gamma_0(4)
+    ],
+)
+def test_enumerate_cosets_known_indices(words, index):
+    table = grouptheory._enumerate_cosets(words)
+    assert len(table) == index
+    for c, (s, u, ui) in enumerate(table):
+        assert table[s][0] == c and table[u][2] == c and table[ui][1] == c
+
+
+def test_enumerate_cosets_stops_on_infinite_index():
+    with pytest.raises(CosetTableError):
+        grouptheory._enumerate_cosets([[1], [0, 5, 0]])
+
+
+def _without_b(rho_of_word):
+    def bad(w):
+        return IDENTITY if any(letter == "B" for letter, _ in w.letters) else rho_of_word(w)
+    return bad
+
+
+def _conjugated(rho_of_word):
+    def bad(w):
+        return proj_canonical(mat_mul(mat_mul(THETA, rho_of_word(w)), mat_pow(THETA, -1)))
+    return bad
+
+
+@pytest.mark.parametrize(
+    "corrupt, message", [(_without_b, "relator"), (_conjugated, "A rewrites")]
+)
+def test_coset_table_refuses_wrong_schreier_images(monkeypatch, corrupt, message):
+    # rho on the Schreier generators comes from words of the walk.  Images
+    # that are no homomorphism fail the relator check; those of another
+    # homomorphism (rho conjugated) fail the check against RHO.
+    monkeypatch.setattr(grouptheory, "rho", corrupt(grouptheory.rho))
+    with pytest.raises(CosetTableError, match=message):
+        grouptheory._coset_table.__wrapped__()
+
+
+@pytest.mark.parametrize("d", [(0, 0), (2, 4), (-3, 0)])
+def test_decider_refuses_non_primitive(d):
+    with pytest.raises(ValueError):
+        column_has_witness(*d)
+
+
+def test_euclid_path():
+    for p, q in ((1, 0), (0, 1), (5, 2), (-4, 9), (1752, -21169), (-3, -7)):
+        m = grouptheory._su_matrix(grouptheory._euclid(p, q) + [0])
+        assert (m[0], m[2]) in ((p, q), (-p, -q))
+
+
+def _signed_primitive(n):
+    return [
+        (p, q) for p in range(-n, n + 1) for q in range(-n, n + 1)
+        if gcd(abs(p), abs(q)) == 1
+    ]
+
+
+def test_decider_matches_classify_x_up_to_60():
+    dirs = _signed_primitive(60)
+    assert len(dirs) == 8816
+    periodic = 0
+    for d in dirs:
+        expect = classify_x(d).verdict
+        assert classify_group(d).verdict == expect, d
+        assert column_has_witness(*d) == (expect == "periodic"), d
+        periodic += expect == "periodic"
+    assert periodic > 200
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.tuples(st.integers(-3000, 3000), st.integers(-3000, 3000)).filter(
+        lambda d: gcd(abs(d[0]), abs(d[1])) == 1
+    )
+)
+def test_decider_matches_oracle_random(d):
+    assert classify_group(d).verdict == classify_oracle(d).verdict
+
+
+def test_decider_certificate():
+    assert classify_group((3, 1)).certificate == {"reaches_h": False}
+    c = classify_group((4, 1))
+    assert c.verdict == "periodic" and c.method == "group"
+    assert c.certificate == {"reaches_h": True, "rho": [[1, 1], [0, 1]]}
+    c = classify_group((5, 2))
+    assert c.verdict == "drift" and c.certificate["reaches_h"]
+    assert not is_upper_unipotent(column_rho(5, 2))
+
+
+def test_every_fourey_direction_has_a_witness():
+    nonzero = [v for v in range(-3, 4) if v]
+    count = 0
+    for n in range(0, 4):
+        for a0 in range(-3, 4):
+            for tail in itertools.product(nonzero, repeat=n):
+                assert column_has_witness(*fourey_direction([a0, *tail])), (a0, tail)
+                count += 1
+    assert count == 1813
+
+
+def test_drift_witness_search_does_not_walk(monkeypatch):
+    grouptheory._coset_table()
+
+    def no_walk(*args):
+        raise AssertionError("walked the BFS for a drift direction")
+
+    monkeypatch.setattr(grouptheory, "_witness_bfs", no_walk)
+    for d in ((5, 2), (1, 2), (2, 7), (-4, 9)):
+        assert classify_oracle(d).verdict == "drift"
+        assert find_witness(d) is None
+        assert find_witness(d, max_depth=30, entry_cap=10**6) is None
+
+
+def test_witness_table_reads_back_only_table_words(monkeypatch):
+    calls = []
+    reconstruct = grouptheory._reconstruct
+
+    def counted(visited, key):
+        calls.append(key)
+        return reconstruct(visited, key)
+
+    monkeypatch.setattr(grouptheory, "_reconstruct", counted)
+    table = witness_table(30, 12, 480)
+    assert len(calls) == len(table) >= 40
+
+
+def test_coset_table_is_built_on_first_use():
+    src = os.path.dirname(os.path.dirname(grouptheory.__file__))
+    code = (
+        "import mucube; from mucube import grouptheory; mucube.build_x(); mucube.build_y(); "
+        "assert grouptheory._coset_table.cache_info().currsize == 0; "
+        "mucube.find_witness((4, 1)); "
+        "assert grouptheory._coset_table.cache_info().currsize == 1"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_gamma_action_preserves_classes():

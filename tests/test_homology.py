@@ -218,3 +218,14 @@ def test_count_matches_pushoffs_on_large_cores(Y, d):
         coords = homology_coordinates(Y, cyl.core_chain)
         assert coords == pushoff_coordinates(Y, cyl.core_chain)
         assert gamma0_intersection(Y, cyl) == coords[1]
+
+
+@pytest.mark.parametrize("d, coords", [((3, 1), (-1, -1)), ((2, 3), (1, -4))])
+def test_trace_without_segments_is_refused(Y, d, coords):
+    # Without its segments a trace would count no pass of the marked curve.
+    start = SurfacePoint(0, Fraction(1, 2), Fraction(1, 3))
+    assert homology_coordinates(Y, trace_surface(Y, start, d)) == coords
+    bare = trace_surface(Y, start, d, record_segments=False)
+    for count in (homology_coordinates, gamma0_intersection):
+        with pytest.raises(ValueError, match="without its segments"):
+            count(Y, bare)
