@@ -57,6 +57,7 @@ from .grouptheory import (
     ContinuedFraction,
     GroupWord,
     column_has_witness,
+    column_witness,
     convergents,
     eval_word,
     find_witness,

@@ -208,9 +208,6 @@ def classify_group(d) -> Classification:
     return Classification((p, q), verdict, "group", cert)
 
 
-METHODS = {"oracle": classify_oracle, "x": classify_x, "y": classify_y}
-
-
 def classify_all(d) -> Classification:
     """Run all three deciders and insist on a unanimous verdict."""
     p, q = _as_pair(d)

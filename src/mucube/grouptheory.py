@@ -15,13 +15,20 @@ That criterion is decided exactly, in O(log(|p| + |q|)) steps, by the coset
 table of H = <T, A, B> in PSL(2, Z) = <S, U | S^2, (S U)^3>, with S = T and
 U = [[1,1],[0,1]].  Todd-Coxeter enumeration finds 9 cosets, and
 Reidemeister-Schreier rewriting carries rho to the Schreier generators,
-whose images come from one walk of the witness BFS and are checked against
-the relators and against rho(T), rho(A), rho(B) (Holt, Eick and O'Brien,
-Handbook of Computational Group Theory, 2005).  Euclid's path of (p, q)
-through the table either never reaches H's coset, and then no word of H
-has that column, or gives one that does; all such words differ by powers
-of A and a sign, so one rho image answers for all of them.  The witness
-search uses this to skip columns that have no witness.
+whose T/A/B words come from one short walk of the witness BFS; their rho
+images are checked against the relators and against rho(T), rho(A), rho(B)
+(Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005).
+Euclid's path of (p, q) through the table either never reaches H's coset,
+and then no word of H has that column, or gives one that does; all such
+words differ by powers of A and a sign, so one rho image answers for all
+of them.
+
+The table's signature (one coset fixed by S, none by S U, three cusps) makes
+H = Z/2 * Z * Z, free on T, A and B, so every element has exactly one
+freely reduced word.  Rewriting with the Schreier generators' words in
+place of their rho images therefore gives each column's shortest witness
+word, and the breadth-first witness search never has to be walked: it is a
+tree, and whether it reaches a word is a test of that word's prefixes.
 
 Continued fractions whose partial quotients are multiples of four live here
 as well: convergents, the explicit witness words for their slopes, the
@@ -38,6 +45,7 @@ from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
 Mat2 = tuple[int, int, int, int]  # row-major (a, b, c, d)
+Syllables = tuple[tuple[str, int], ...]  # a word as (letter, exponent) pairs
 
 IDENTITY: Mat2 = (1, 0, 0, 1)
 THETA: Mat2 = (0, -1, 1, 0)
@@ -369,13 +377,16 @@ def _enumerate_cosets(subgroup) -> list[list[int]]:
 
 
 class _Coset(NamedTuple):
-    """One coset c of H, with rho of the Schreier generators t_c X t_{cX}^-1
-    (t the Schreier transversal) that the walk from it passes."""
+    """One coset c of H, with rho and the T/A/B words of the Schreier
+    generators t_c X t_{cX}^-1 (t the Schreier transversal) that the walk
+    from it passes."""
 
     s_image: int  # c S
     s_rho: Mat2
+    s_word: Syllables
     u_orbit: tuple[int, ...]  # c U^j for j below the length of c's U-cycle
     u_rho: tuple[Mat2, ...]  # rho of t_c U^j t_{cU^j}^-1 for j up to the length
+    u_words: tuple[Syllables, ...]  # the T/A/B words of the same elements
 
 
 def _rewrite(cosets, c: int, exps) -> tuple[int, Mat2]:
@@ -396,19 +407,90 @@ def _rewrite(cosets, c: int, exps) -> tuple[int, Mat2]:
     return c, r
 
 
+def _rewrite_word(cosets, c: int, exps) -> tuple[int, list[tuple[str, int]]]:
+    """``_rewrite`` with the T/A/B words of the Schreier generators in place
+    of their rho images: the coset reached and the freely reduced word of
+    the product."""
+    w: list[tuple[str, int]] = []
+    for i, e in enumerate(exps):
+        if i:
+            row = cosets[c]
+            c = row.s_image
+            _extend(w, row.s_word)
+        row = cosets[c]
+        loops, j = divmod(e, len(row.u_orbit))
+        if loops:
+            _extend(w, _word_pow(row.u_words[-1], loops))
+        c = row.u_orbit[j]
+        _extend(w, row.u_words[j])
+    return c, w
+
+
+def _extend(out: list[tuple[str, int]], word: Sequence[tuple[str, int]]) -> None:
+    """Multiply the freely reduced word ``out`` on the right by ``word``, in
+    place: equal letters merge, T's exponent counts mod 2 (T^2 = -I), and
+    zero exponents drop out."""
+    for letter, exp in word:
+        if out and out[-1][0] == letter:
+            exp += out.pop()[1]
+        if letter == "T":
+            exp %= 2
+        if exp:
+            out.append((letter, exp))
+
+
+def _word_pow(word: Syllables, n: int) -> list[tuple[str, int]]:
+    """The freely reduced word of word^n, by repeated squaring."""
+    out: list[tuple[str, int]] = []
+    base: list[tuple[str, int]] = []
+    _extend(base, [(letter, -e) for letter, e in reversed(word)] if n < 0 else word)
+    n = abs(n)
+    while n:
+        if n & 1:
+            _extend(out, base)
+        n >>= 1
+        if n:
+            _extend(base, list(base))
+    return out
+
+
+def _signature(table) -> tuple[int, int, int, int]:
+    """(index, e2, e3, cusps) of the subgroup with coset table ``table``:
+    the cosets fixed by S, those fixed by S U, and the U-cycles."""
+    e2 = sum(row[_S] == c for c, row in enumerate(table))
+    e3 = sum(table[row[_S]][_U] == c for c, row in enumerate(table))
+    cusps, seen = 0, set()
+    for c in range(len(table)):
+        cusps += c not in seen
+        while c not in seen:
+            seen.add(c)
+            c = table[c][_U]
+    return len(table), e2, e3, cusps
+
+
+# The signature of H.  Its genus is 1 + 9/12 - 1/4 - 0/3 - 3/2 = 0, so
+# H = Z/2 * Z * Z (Kulkarni, Amer. J. Math. 113, 1991).  T, A and B generate
+# H, and finitely generated residually finite groups are Hopfian, so they
+# are a free basis: every element of H has exactly one freely reduced word.
+_H_SIGNATURE = (9, 1, 0, 3)
+
+
 @cache
 def _coset_table() -> tuple[_Coset, ...]:
-    """The cosets of H = <T, A, B> in PSL(2, Z), H's coset first, with rho on
-    the Schreier generators; built on first use.
+    """The cosets of H = <T, A, B> in PSL(2, Z), H's coset first, with rho
+    and the T/A/B words of the Schreier generators; built on first use.
 
-    The rho images come from the first T/A/B word of one ``_witness_bfs``
-    walk that reaches each generator's matrix.  Two checks then prove that
+    The table must have H's signature ``_H_SIGNATURE``.  The words are the
+    first T/A/B words of one ``_witness_bfs`` walk that reach each
+    generator's matrix, and give the rho images.  Two checks then prove that
     rho is well defined on H (modulo sign): every relator, rewritten from
     every coset, maps to +-I, and T, A and B, rewritten from H's coset, map
-    to their images in ``RHO``.  Either failing raises CosetTableError.
+    to their images in ``RHO``.  Any check failing raises CosetTableError.
     """
     words = {name: _su_exponents(m) for name, m in GENS.items()}
     table = _enumerate_cosets(words.values())
+    if _signature(table) != _H_SIGNATURE:
+        raise CosetTableError(f"signature {_signature(table)}, not {_H_SIGNATURE}")
     steps = ((_S, THETA), (_U, U_MAT))
     trans: list[Optional[Mat2]] = [IDENTITY] + [None] * (len(table) - 1)
     queue = [0]
@@ -422,25 +504,32 @@ def _coset_table() -> tuple[_Coset, ...]:
         (c, x): proj_canonical(mat_mul(mat_mul(trans[c], xm), mat_inv(trans[table[c][x]])))
         for c in range(len(table)) for x, xm in steps
     }
-    rho_of: dict[Mat2, Optional[Mat2]] = dict.fromkeys(schreier.values())
+    word_of: dict[Mat2, Optional[GroupWord]] = dict.fromkeys(schreier.values())
     visited: dict = {}
     for m in _witness_bfs(visited, 12, 400):
-        if m in rho_of:
-            rho_of[m] = rho(_reconstruct(visited, m))
-            if None not in rho_of.values():
+        if m in word_of:
+            word_of[m] = _reconstruct(visited, m)
+            if None not in word_of.values():
                 break
     else:
         raise CosetTableError("a Schreier generator has no word within the walk")
+    rho_of = {m: rho(w) for m, w in word_of.items()}
     cosets = []
     for c in range(len(table)):
-        orbit, prefix = [c], [IDENTITY]
+        orbit, prefix, prefix_word = [c], [IDENTITY], [()]
         while True:
-            prefix.append(mat_mul(prefix[-1], rho_of[schreier[orbit[-1], _U]]))
+            gen = schreier[orbit[-1], _U]
+            prefix.append(mat_mul(prefix[-1], rho_of[gen]))
+            w = list(prefix_word[-1])
+            _extend(w, word_of[gen].letters)
+            prefix_word.append(tuple(w))
             d = table[orbit[-1]][_U]
             if d == c:
                 break
             orbit.append(d)
-        cosets.append(_Coset(table[c][_S], rho_of[schreier[c, _S]], tuple(orbit), tuple(prefix)))
+        gen = schreier[c, _S]
+        cosets.append(_Coset(table[c][_S], rho_of[gen], word_of[gen].letters,
+                             tuple(orbit), tuple(prefix), tuple(prefix_word)))
     for c in range(len(cosets)):
         for relator in _RELATORS:
             d, r = _rewrite(cosets, c, relator)
@@ -480,19 +569,84 @@ def column_has_witness(p: int, q: int) -> bool:
     return r is not None and is_upper_unipotent(r)
 
 
-def find_witness(d, max_depth: int = 14, entry_cap: Optional[int] = None) -> Optional[GroupWord]:
-    """Breadth-first search for a periodicity witness word for (p, q).
+def _column_word(p: int, q: int) -> GroupWord:
+    """The shortest T/A/B word with first column +-(p, q), for a column that
+    some element of H has.
 
-    Stops the walk of ``_witness_bfs`` at the first word whose matrix has
-    first column +-(p, q); the entry cap defaults to 16 * max(|p|, |q|).
-    Returns that witness word, or None when there is none.
+    ``column_rho``'s walk through the coset table, with words in place of rho
+    images, gives the reduced word of h = G U^j.  Every element of H with
+    that column is +-h A^k, and H is free on T, A, B, so h without its
+    trailing power of A is the shortest word with the column, and a prefix of
+    every other one.
+    """
+    cosets = _coset_table()
+    c, w = _rewrite_word(cosets, 0, _euclid(p, q) + [0])
+    orbit = cosets[c].u_orbit
+    _extend(w, cosets[c].u_words[orbit.index(0)])
+    if w and w[-1][0] == "A":
+        w.pop()
+    return GroupWord(tuple(w))
+
+
+def column_witness(p: int, q: int) -> Optional[GroupWord]:
+    """The shortest witness word with first column +-(p, q), or None when
+    (p, q) has no witness; found by rewriting through the coset table, with
+    no bound on depth or entries."""
+    if not column_has_witness(p, q):
+        return None
+    return _checked(_column_word(p, q))
+
+
+# The letter index that ``_witness_bfs`` records for each one-letter step.
+_STEP_INDEX = {letter: i for i, letter in enumerate(_BFS_LETTERS)}
+# The entries of m X that the walk holds to its cap when it steps by X.
+_CAPPED = {"A": (1, 3), "T": (), "B": (0, 1, 2, 3)}
+
+
+def _reachable(word: GroupWord, max_depth: int, cap: int) -> bool:
+    """Whether ``_witness_bfs(visited, max_depth, cap)`` reaches ``word``.
+
+    H is free on T, A, B, so the walk is a tree of reduced words: it reaches
+    a word iff the word has at most ``max_depth`` letters and every
+    one-letter prefix passes the walk's cap test on the new matrix (A checks
+    its second column, T nothing, B all four entries).  The empty word is
+    always reached.
+    """
+    if not word.letters:
+        return True
+    if sum(abs(e) for _, e in word.letters) > max_depth:
+        return False
+    m = IDENTITY
+    for letter, e in word.letters:
+        g = GENS[letter] if e > 0 else mat_inv(GENS[letter])
+        for _ in range(abs(e)):
+            m = mat_mul(m, g)
+            if any(abs(m[i]) > cap for i in _CAPPED[letter]):
+                return False
+    return True
+
+
+def _walk_order(word: GroupWord) -> tuple[int, tuple[int, ...]]:
+    """Sort key of the walk's order, which is shortlex on letter indices."""
+    steps = tuple(_STEP_INDEX[letter, 1 if e > 0 else -1]
+                  for letter, e in word.letters for _ in range(abs(e)))
+    return len(steps), steps
+
+
+def find_witness(d, max_depth: int = 14, entry_cap: Optional[int] = None) -> Optional[GroupWord]:
+    """The witness word for (p, q) that a breadth-first search over words of
+    at most ``max_depth`` letters, with entries bounded by ``entry_cap``,
+    finds first; the cap defaults to 16 * max(|p|, |q|).  Returns None when
+    that search finds none.
 
     ``column_has_witness`` decides first, for every depth and cap, whether
     any word with that column is a witness, and then every such word is one.
-    So a None without a walk proves that (p, q) has no witness: this holds
-    for every drift direction (for odd/odd ones by parity, see
-    ``_witness_bfs``, before the coset table is built).  A None after a walk
-    only means that the witness lies beyond the depth or the cap.
+    So a None there proves that (p, q) has no witness: this holds for every
+    drift direction (for odd/odd ones by parity, see ``_witness_bfs``, before
+    the coset table is built).  Otherwise the search's first word is the
+    shortest one, ``column_witness``'s, if the search reaches it at all
+    (``_reachable``), and nothing is walked; a None then only means that the
+    witness lies beyond the depth or the cap.
     """
     p, q = (d.p, d.q) if hasattr(d, "p") else d
     if gcd(abs(p), abs(q)) != 1:
@@ -500,44 +654,35 @@ def find_witness(d, max_depth: int = 14, entry_cap: Optional[int] = None) -> Opt
     if p % 2 and q % 2 or not column_has_witness(p, q):
         return None
     cap = entry_cap if entry_cap is not None else 16 * max(abs(p), abs(q), 1)
-    columns = ((p, q), (-p, -q))
-    visited: dict = {}
-    for m in _witness_bfs(visited, max_depth, cap):
-        if (m[0], m[2]) in columns:
-            return _checked_witness(visited, m)
-    return None
+    word = _column_word(p, q)
+    return _checked(word) if _reachable(word, max_depth, cap) else None
 
 
 def witness_table(max_norm: int, max_depth: int, entry_cap: Optional[int] = None):
-    """All witness queries with max(|p|,|q|) bounded, from one walk of
-    ``_witness_bfs``.
+    """``find_witness`` for every column with max(|p|, |q|) bounded, all
+    with one cap (default 16 * max_norm).
 
     Returns a dict mapping the sign-normalized first column (p, q) of every
-    reachable word with upper-unipotent representation image to a shortest
-    witness word.  Each column within the bound is decided once by
-    ``column_has_witness``; a word is read back only for the first word of a
-    column that has a witness.
+    witness word that the breadth-first search reaches to the shortest such
+    word, in the order in which the search reaches them.  Each column within
+    the bound that is not odd/odd is decided by ``column_has_witness``, and
+    a word is built only for columns that have a witness.
     """
     cap = entry_cap if entry_cap is not None else 16 * max_norm
-    visited: dict = {}
-    table: dict[tuple[int, int], GroupWord] = {}
-    no_witness: set[tuple[int, int]] = set()
-    for m in _witness_bfs(visited, max_depth, cap):
-        a, c = m[0], m[2]  # a >= 0 in the canonical representative
-        if a > max_norm or not -max_norm <= c <= max_norm:
-            continue
-        col = (a, c) if a > 0 or c > 0 else (0, -c)
-        if col in table or col in no_witness:
-            continue
-        if column_has_witness(*col):
-            table[col] = _checked_witness(visited, m)
-        else:
-            no_witness.add(col)
-    return table
+    found = []
+    for p in range(max_norm + 1):
+        for q in range(-max_norm, max_norm + 1):
+            if p == 0 and q != 1 or p % 2 and q % 2 or gcd(p, abs(q)) != 1:
+                continue
+            if column_has_witness(p, q):
+                word = _column_word(p, q)
+                if _reachable(word, max_depth, cap):
+                    found.append((_walk_order(word), (p, q), word))
+    found.sort()
+    return {col: _checked(word) for _, col, word in found}
 
 
-def _checked_witness(visited, key) -> GroupWord:
-    word = _reconstruct(visited, key)
+def _checked(word: GroupWord) -> GroupWord:
     if not is_in_gamma(word):
         raise CosetTableError(f"{word} is no witness, against the coset table")
     return word

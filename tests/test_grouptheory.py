@@ -30,6 +30,7 @@ from mucube.grouptheory import (
     THETA,
     column_has_witness,
     column_rho,
+    column_witness,
     convergents,
     eval_word,
     find_witness,
@@ -467,16 +468,19 @@ def test_drift_witness_search_does_not_walk(monkeypatch):
 
 
 def test_witness_table_reads_back_only_table_words(monkeypatch):
-    calls = []
-    reconstruct = grouptheory._reconstruct
+    # A word is built only for columns that have a witness.
+    built = []
+    column_word = grouptheory._column_word
 
-    def counted(visited, key):
-        calls.append(key)
-        return reconstruct(visited, key)
+    def counted(p, q):
+        built.append((p, q))
+        return column_word(p, q)
 
-    monkeypatch.setattr(grouptheory, "_reconstruct", counted)
+    monkeypatch.setattr(grouptheory, "_column_word", counted)
     table = witness_table(30, 12, 480)
-    assert len(calls) == len(table) >= 40
+    assert len(set(built)) == len(built) >= len(table) >= 40
+    assert all(column_has_witness(*col) for col in built)
+    assert set(table) <= set(built)
 
 
 def test_coset_table_is_built_on_first_use():
@@ -492,6 +496,202 @@ def test_coset_table_is_built_on_first_use():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# The walk-based search as it was before the coset table gave the words:
+# find_witness stops the walk at its first word with column +-d, and
+# witness_table reads back the first word of every in-bound column.  Kept as
+# the reference for the rewriting of grouptheory._column_word.
+def _walk_find_witness(d, max_depth=14, entry_cap=None):
+    p, q = d
+    if p % 2 and q % 2 or not column_has_witness(p, q):
+        return None
+    cap = entry_cap if entry_cap is not None else 16 * max(abs(p), abs(q), 1)
+    columns = ((p, q), (-p, -q))
+    visited = {}
+    for m in grouptheory._witness_bfs(visited, max_depth, cap):
+        if (m[0], m[2]) in columns:
+            return grouptheory._reconstruct(visited, m)
+    return None
+
+
+def _walk_witness_table(max_norm, max_depth, entry_cap=None):
+    cap = entry_cap if entry_cap is not None else 16 * max_norm
+    visited = {}
+    table = {}
+    no_witness = set()
+    for m in grouptheory._witness_bfs(visited, max_depth, cap):
+        a, c = m[0], m[2]
+        if a > max_norm or not -max_norm <= c <= max_norm:
+            continue
+        col = (a, c) if a > 0 or c > 0 else (0, -c)
+        if col in table or col in no_witness:
+            continue
+        if column_has_witness(*col):
+            table[col] = grouptheory._reconstruct(visited, m)
+        else:
+            no_witness.add(col)
+    return table
+
+
+@pytest.mark.parametrize("depth, entry_cap", [(12, 480), (14, None), (9, 40)])
+def test_find_witness_and_table_match_the_walk(depth, entry_cap):
+    # The walk's find_witness(d, depth, cap) reads the same walk as its
+    # witness_table at that cap, so one walk per cap serves every direction.
+    by_cap = {}
+    for d in _signed_primitive(40):
+        n = max(map(abs, d))
+        by_cap.setdefault(entry_cap if entry_cap is not None else 16 * n, []).append(d)
+    found = 0
+    for cap, dirs in by_cap.items():
+        ref = _walk_witness_table(40, depth, cap)
+        for d in dirs:
+            w = find_witness(d, depth, entry_cap)
+            assert w == ref.get(_normalized(*d)), (d, depth, cap)
+            found += w is not None
+    assert found >= 100
+    table = witness_table(40, depth, entry_cap)
+    assert list(table.items()) == list(_walk_witness_table(40, depth, entry_cap).items())
+    for d in itertools.islice(table, 0, None, 7):
+        assert find_witness(d, depth, entry_cap) == _walk_find_witness(d, depth, entry_cap), d
+
+
+@pytest.mark.parametrize("depth", [-1, 0, 3])
+@pytest.mark.parametrize("entry_cap", [-5, 0, 1, None])
+def test_edge_arguments_match_the_walk(depth, entry_cap):
+    for d in _signed_primitive(8):
+        assert find_witness(d, depth, entry_cap) == _walk_find_witness(d, depth, entry_cap), d
+    for n in (-1, 0, 1, 8):
+        table = witness_table(n, depth, entry_cap)
+        assert list(table.items()) == list(_walk_witness_table(n, depth, entry_cap).items()), n
+
+
+def test_witness_words_walk_nothing(monkeypatch):
+    grouptheory._coset_table()
+
+    def no_walk(*args):
+        raise AssertionError("walked the BFS for a witness word")
+
+    monkeypatch.setattr(grouptheory, "_witness_bfs", no_walk)
+    assert str(find_witness((4, 1))) == "A T"
+    assert str(find_witness((12, 1))) == "A^3 T"
+    found = 0
+    for coeffs in itertools.islice(itertools.product(range(-3, 4), [-3, -1, 2], [1, -2]), 0, None, 5):
+        d = fourey_direction(coeffs)
+        w = find_witness(d)
+        if w is not None:
+            m = eval_word(w)
+            assert (m[0], m[2]) in (d, (-d[0], -d[1])) and is_in_gamma(w), coeffs
+            found += 1
+    assert found >= 5
+    w = find_witness((1752, -21169), max_depth=17)
+    assert str(w) == "T A^3 T A^-3 T A^3 T A^-3 T"
+    m = eval_word(w)
+    assert (m[0], m[2]) in ((1752, -21169), (-1752, 21169)) and is_in_gamma(w)
+    assert find_witness((1752, -21169), max_depth=16) is None
+    assert column_witness(1752, -21169) == w
+    assert len(witness_table(30, 12, 480)) == 46
+
+
+def test_column_witness_up_to_60():
+    # A witness for every periodic column and none for a drift one; long
+    # words come as they are, with no depth or cap.
+    longest = 0
+    for d in _signed_primitive(60):
+        w = column_witness(*d)
+        assert (w is not None) == column_has_witness(*d), d
+        if w is not None:
+            m = eval_word(w)
+            assert (m[0], m[2]) in (d, (-d[0], -d[1])) and is_in_gamma(w), d
+            assert not w.letters or w.letters[-1][0] != "A", d
+            longest = max(longest, sum(abs(e) for _, e in w.letters))
+    assert longest > 14
+    with pytest.raises(ValueError):
+        column_witness(2, 4)
+
+
+def test_word_powers_and_reduction():
+    w = (("T", 1), ("A", -1), ("B", 1))
+    for n in range(-4, 5):
+        out = grouptheory._word_pow(w, n)
+        assert proj_equal(eval_word(GroupWord(tuple(out))), mat_pow(eval_word(GroupWord(w)), n)), n
+    assert grouptheory._word_pow((("A", 2),), -3) == [("A", -6)]
+    out = [("B", 1), ("T", 1), ("A", 2)]
+    grouptheory._extend(out, [("A", -2), ("T", 1), ("B", 2), ("T", -1)])
+    assert out == [("B", 3), ("T", 1)]
+
+
+# ---------------------------------------------------------------------------
+# Freeness of H on T, A, B
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "words, signature",
+    [
+        ([[0, 0], [1]], (1, 1, 1, 1)),  # PSL(2, Z)
+        ([[0, 0], [2]], (3, 1, 0, 2)),  # the theta group
+        ([[1], [0, 2, 0]], (3, 1, 0, 2)),  # Gamma_0(2)
+        ([[1], [0, 3, 0]], (4, 0, 1, 2)),  # Gamma_0(3)
+        ([[1], [0, 4, 0]], (6, 0, 0, 3)),  # Gamma_0(4)
+        ([grouptheory._su_exponents(m) for m in GENS.values()], (9, 1, 0, 3)),  # H
+    ],
+)
+def test_signature(words, signature):
+    index, e2, e3, cusps = grouptheory._signature(grouptheory._enumerate_cosets(words))
+    assert (index, e2, e3, cusps) == signature
+    # All of these have genus 0: 12 g = 12 + index - 3 e2 - 4 e3 - 6 cusps.
+    assert 12 + index - 3 * e2 - 4 * e3 - 6 * cusps == 0
+
+
+def test_walk_is_a_tree():
+    # H is free on T, A, B, so the only child of a node that the walk's
+    # deduplication rejects is the node's parent: the inverse step.
+    visited = {}
+    list(grouptheory._witness_bfs(visited, 10, 300))
+    depth = {IDENTITY: 0}
+    for m, (parent, _) in visited.items():  # parents come first
+        if parent is not None:
+            depth[m] = depth[parent] + 1
+    rejected = 0
+    for m, (parent, _) in visited.items():
+        if depth[m] == 10:
+            continue
+        for gidx, (letter, exp) in enumerate(grouptheory._BFS_LETTERS):
+            if (letter, exp) == ("T", -1):
+                continue
+            n = mat_mul(m, mat_pow(GENS[letter], exp))
+            if any(abs(n[i]) > 300 for i in grouptheory._CAPPED[letter]):
+                continue
+            n = proj_canonical(n)
+            if visited[n] != (m, gidx):
+                assert n == parent, (m, letter, exp)
+                rejected += 1
+    assert rejected == len(visited) - 1 - sum(d == 10 for d in depth.values())
+
+
+def _split_s_pair(table):
+    c = next(c for c, row in enumerate(table) if row[0] != c)
+    d = table[c][0]
+    table[c][0], table[d][0] = c, d
+
+
+def _move_s_fixed_coset(table):
+    c = next(c for c, row in enumerate(table) if row[0] == c)
+    table[c][0] = (c + 1) % len(table)
+
+
+@pytest.mark.parametrize("corrupt", [_split_s_pair, _move_s_fixed_coset])
+def test_coset_table_refuses_a_corrupted_s_image(monkeypatch, corrupt):
+    enumerate_cosets = grouptheory._enumerate_cosets
+
+    def corrupted(subgroup):
+        table = enumerate_cosets(subgroup)
+        corrupt(table)
+        return table
+
+    monkeypatch.setattr(grouptheory, "_enumerate_cosets", corrupted)
+    with pytest.raises(CosetTableError, match="signature"):
+        grouptheory._coset_table.__wrapped__()
 
 
 def test_gamma_action_preserves_classes():
