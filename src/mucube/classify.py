@@ -95,10 +95,6 @@ class Classification:
     method: str  # "oracle" | "x" | "y" | "all" | "group"
     certificate: dict = field(default_factory=dict)
 
-    @property
-    def periodic(self) -> bool:
-        return self.verdict == PERIODIC
-
 
 def _as_pair(d) -> tuple[int, int]:
     if isinstance(d, Direction):

@@ -102,11 +102,19 @@ def _serialize_certificate(cert: dict) -> dict:
     return out
 
 
-def _parse_direction(p: int, q: int) -> tuple[int, int, bool]:
+def _direction(args) -> Optional[tuple[int, int]]:
+    """The primitive direction of ``args.p`` and ``args.q``, with a warning
+    when it had to be reduced; None, after an error line, for the zero
+    vector."""
+    p, q = args.p, args.q
     if (p, q) == (0, 0):
-        raise ValueError("the zero vector is not a direction")
+        print("error: the zero vector is not a direction", file=sys.stderr)
+        return None
     g = gcd(abs(p), abs(q))
-    return p // g, q // g, g != 1
+    if g != 1:
+        print(f"warning: ({p}, {q}) is not primitive; reduced to ({p // g}, {q // g})",
+              file=sys.stderr)
+    return p // g, q // g
 
 
 # ---------------------------------------------------------------------------
@@ -114,16 +122,10 @@ def _parse_direction(p: int, q: int) -> tuple[int, int, bool]:
 # ---------------------------------------------------------------------------
 
 def cmd_classify(args) -> int:
-    try:
-        p, q, reduced = _parse_direction(args.p, args.q)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    d = _direction(args)
+    if d is None:
         return USAGE_ERROR
-    if reduced:
-        print(
-            f"warning: ({args.p}, {args.q}) is not primitive; reduced to ({p}, {q})",
-            file=sys.stderr,
-        )
+    p, q = d
     result = _CLASSIFIERS[args.method]((p, q))
     _emit(
         {
@@ -294,13 +296,10 @@ def cmd_scan(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_trace(args) -> int:
-    try:
-        p, q, reduced = _parse_direction(args.p, args.q)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    d = _direction(args)
+    if d is None:
         return USAGE_ERROR
-    if reduced:
-        print(f"warning: reduced direction to ({p}, {q})", file=sys.stderr)
+    p, q = d
     try:
         u = Fraction(args.u)
         v = Fraction(args.v)
@@ -312,6 +311,9 @@ def cmd_trace(args) -> int:
         max_s = Fraction(args.max_s) if args.max_s else None
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: bad --max-s: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    if max_s is not None and max_s < 0:
+        print("error: --max-s must not be negative", file=sys.stderr)
         return USAGE_ERROR
     if args.max_crossings < 0:
         print("error: --max-crossings must not be negative", file=sys.stderr)
@@ -350,13 +352,10 @@ def cmd_trace(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_cylinders(args) -> int:
-    try:
-        p, q, reduced = _parse_direction(args.p, args.q)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    d = _direction(args)
+    if d is None:
         return USAGE_ERROR
-    if reduced:
-        print(f"warning: reduced direction to ({p}, {q})", file=sys.stderr)
+    p, q = d
     surf = build_x() if args.surface == "x" else build_y()
     deco = cylinder_decomposition(surf, (p, q))
     _emit(
@@ -430,13 +429,10 @@ def cmd_fourey(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_witness(args) -> int:
-    try:
-        p, q, reduced = _parse_direction(args.p, args.q)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    d = _direction(args)
+    if d is None:
         return USAGE_ERROR
-    if reduced:
-        print(f"warning: reduced direction to ({p}, {q})", file=sys.stderr)
+    p, q = d
     if args.max_depth < 0:
         print("error: --max-depth must not be negative", file=sys.stderr)
         return USAGE_ERROR

@@ -16,7 +16,7 @@ All tracing is integer arithmetic: positions are scaled by an even integer
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -72,10 +72,8 @@ class SurfaceTrace:
     # units of 1/scale; each list covers one period if closed.
     scale: int
     scaled_crossings: list[tuple[int, int, int]]  # (s, square, side) exited
-    scaled_weights: list[tuple[int, tuple[int, int, int]]]  # cocycle weight per crossing
     scaled_segments: list[tuple[int, int, int, int, int]]
     cone_point: Optional[SurfacePoint] = None
-    center_visits: list[SurfacePoint] = field(default_factory=list)
 
     @property
     def arc_length(self) -> SqrtLength:
@@ -86,11 +84,6 @@ class SurfaceTrace:
     def crossings(self) -> list[tuple[Fraction, int, int]]:
         sc = self.scale
         return [(Fraction(s, sc), sq, side) for s, sq, side in self.scaled_crossings]
-
-    @cached_property
-    def weights(self) -> list[tuple[Fraction, tuple[int, int, int]]]:
-        sc = self.scale
-        return [(Fraction(s, sc), w) for s, w in self.scaled_weights]
 
     @cached_property
     def segments(self) -> list[Segment]:
@@ -137,18 +130,6 @@ def _leaf(glue, sc: int, sq: int, x: int, y: int, dx: int, dy: int):
             x, y = u, (0 if side2 == B else sc)
 
 
-def _passes_center(x: int, y: int, dx: int, dy: int, t: int, half: int) -> bool:
-    """Whether the segment of ``t`` steps from ``(x, y)``, end excluded,
-    passes the square center ``(half, half)``."""
-    if dx:
-        k, rem = divmod(half - x, dx)
-        hit = not rem and half - y == dy * k
-    else:
-        k, rem = divmod(half - y, dy)
-        hit = not rem and x == half
-    return hit and 0 <= k < t
-
-
 def trace_surface(
     surface,
     start: SurfacePoint,
@@ -174,29 +155,24 @@ def trace_surface(
     sc = 2 * den * max(abs(p), 1) * max(abs(q), 1)
     x0, y0 = int(start.x * sc), int(start.y * sc)
     cocycle = getattr(surface, "cocycle", None)
-    half = sc // 2
     s_scaled = 0
     acc = anchor_acc = (0, 0, 0)
     anchor = None
     anchor_s = 0
     n_cross = 0
     crossings: list[tuple[int, int, int]] = []  # (s_scaled, sq, side)
-    weights: list[tuple[int, tuple[int, int, int]]] = []
     segments: list[tuple[int, int, int, int, int]] = []
-    centers: list[int] = []
 
     def finish(reason, s, disp, cone_point=None):
-        nonlocal crossings, weights, segments
+        nonlocal crossings, segments
         closed = reason == "closed"
         if closed:
             # Trim everything to one period [0, s_total): crossings 1 .. n-1
             # and the segments from the start point back to itself.
             crossings = crossings[: n_cross - 1]
-            weights = weights[: n_cross - 1]
             if segments:
                 last = segments[n_cross - 1]
                 segments = segments[: n_cross - 1] + [(*last[:3], x0, y0)]
-        center = Fraction(1, 2)
         return SurfaceTrace(
             direction=(p, q),
             closed=closed,
@@ -205,10 +181,8 @@ def trace_surface(
             displacement=disp,
             scale=sc,
             scaled_crossings=crossings,
-            scaled_weights=weights,
             scaled_segments=segments,
             cone_point=cone_point,
-            center_visits=[SurfacePoint(sq, center, center) for sq in dict.fromkeys(centers)],
         )
 
     for sq, x, y, dx, dy, t, nx, ny, side in _leaf(surface.glue, sc, start.square, x0, y0, p, q):
@@ -224,8 +198,6 @@ def trace_surface(
                 )
             if n_cross >= max_crossings:
                 return finish("crossing_budget", s_scaled, acc)
-        if _passes_center(x, y, dx, dy, t, half):
-            centers.append(sq)
         s_scaled += t
         if record_segments:
             segments.append((sq, x, y, nx, ny))
@@ -237,7 +209,6 @@ def trace_surface(
         if cocycle is not None:
             w = cocycle[(sq, side)]
             acc = (acc[0] + w[0], acc[1] + w[1], acc[2] + w[2])
-            weights.append((s_scaled, w))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +222,6 @@ class Cylinder:
     width: SqrtLength
     area: Fraction
     squares: list[int]
-    core_visits: list[SurfacePoint]
     # Edge parameters and chart coordinates below are integers in units of
     # 1/scale, an even integer.
     scale: int
@@ -415,15 +385,12 @@ def cylinder_decomposition(surface, direction: tuple[int, int]) -> Decomposition
         group = []
         squares = []
         core_segments = []
-        core_visits = []
         steps = 0
         for sq, x, y, dx, dy, t, nx, ny, side in _leaf(surface.glue, sc2, *state0):
             if steps and (sq, x, y, dx, dy) == state0:
                 break
             if steps > core_budget:
                 raise FlowBudgetError("core leaf failed to close in budget")
-            if _passes_center(x, y, dx, dy, t, sc):
-                core_visits.append(SurfacePoint(sq, Fraction(1, 2), Fraction(1, 2)))
             if side is None:
                 raise FlowBudgetError("core leaf hit a cone point")
             core_segments.append((sq, x, y, nx, ny))
@@ -456,7 +423,6 @@ def cylinder_decomposition(surface, direction: tuple[int, int]) -> Decomposition
                 width=width,
                 area=area,
                 squares=squares,
-                core_visits=core_visits,
                 scale=sc2,
                 scaled_intervals=group,
                 core_segments=core_segments,
@@ -493,19 +459,20 @@ def _lift_polyline(surface, trace: SurfaceTrace):
     from .mucube3d import Point3
 
     p, q = trace.direction
+    crossings = trace.crossings
     acc = (0, 0, 0)
-    widx = 0
+    k = 0
     s = Fraction(0)
     pts = []
-    for k, (sq, x0, y0, x1, y1) in enumerate(trace.segments):
+    for sq, x0, y0, x1, y1 in trace.segments:
         a = Point3(surface.reps[sq], surface.charts[sq], x0, y0).ambient()
         pts.append((s, tuple(a[m] + 2 * acc[m] for m in range(3))))
         ds = abs(x1 - x0) / abs(p) if p else abs(y1 - y0) / abs(q)
         s += ds
-        if widx < len(trace.weights) and trace.weights[widx][0] <= s:
-            w = trace.weights[widx][1]
+        if k < len(crossings) and crossings[k][0] <= s:
+            w = surface.cocycle[crossings[k][1:]]
             acc = (acc[0] + w[0], acc[1] + w[1], acc[2] + w[2])
-            widx += 1
+            k += 1
     sq, x0, y0, x1, y1 = trace.segments[-1]
     end = Point3(surface.reps[sq], surface.charts[sq], x1, y1).ambient()
     prev_acc = pts[-1][1]

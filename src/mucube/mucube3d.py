@@ -85,10 +85,6 @@ class Face:
     center2x: IntTriple
     axis: int
 
-    @property
-    def center(self) -> tuple[Fraction, Fraction, Fraction]:
-        return tuple(Fraction(c, 2) for c in self.center2x)  # type: ignore[return-value]
-
     def in_plane_axes(self) -> tuple[int, int]:
         return IN_PLANE[self.axis]
 
@@ -442,11 +438,6 @@ class Trajectory3D:
     def arc_length(self) -> SqrtLength:
         p, q = self.direction
         return SqrtLength.of(self.s_total, p * p + q * q)
-
-    @property
-    def norm_sq(self) -> int:
-        p, q = self.direction
-        return p * p + q * q
 
 
 def _next_face(face_c2x: IntTriple, axis: int, wall_axis: int, wall2x: int) -> tuple[IntTriple, int]:

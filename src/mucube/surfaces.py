@@ -54,7 +54,6 @@ class Surface:
     cocycle: Optional[dict[tuple[int, int], IntTriple]] = None
     reps: Optional[list[Face]] = None
     charts: Optional[list[Chart]] = None
-    motions: Optional[list[RigidMotion]] = None  # square -> motion with face = g(rep)
     marked_curves: dict[str, list[Segment]] = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -141,10 +140,6 @@ class Surface:
         par = _CORNER_PARAM[(c, side)]
         par2 = 1 - par if flip else par
         return (sq2, _CORNER_AT[(side2, par2)])
-
-    def cone_angles(self) -> list[tuple[list[tuple[int, int]], int]]:
-        """Vertices as (corner fan, angle multiple of pi)."""
-        return [(cycle, k) for cycle, k in self._vertex_fans()]
 
     def singularity_signature(self) -> tuple[int, ...]:
         """Sorted cone angles (multiples of pi), omitting regular points."""
@@ -380,14 +375,12 @@ def _build_quotient(
         raise SurfaceConstructionError(
             f"{name}: expected {expect_squares} squares, found {len(reps)}"
         )
-    motions = [canonical(r)[1] for r in reps]
     surf = Surface(
         name=name,
         glue=glue,
         cocycle=cocycle if with_cocycle else None,
         reps=reps,
         charts=charts,
-        motions=motions,
     )
     surf.validate()
     return surf

@@ -53,6 +53,20 @@ def test_classify_reduces_with_warning(capsys):
     assert payload["verdict"] == "drift"
 
 
+@pytest.mark.parametrize("argv", [
+    ("classify",), ("trace",), ("cylinders", "--surface", "y"), ("witness",),
+])
+def test_direction_parsing_is_shared(capsys, argv):
+    # (4, 2) reduces to (2, 1) with a warning, and the zero vector is an error.
+    code, out, err = run_cli(capsys, *argv, "--p", "4", "--q", "2")
+    assert code == 0
+    assert err == "warning: (4, 2) is not primitive; reduced to (2, 1)\n"
+    assert out == run_cli(capsys, *argv, "--p", "2", "--q", "1")[1]
+    code, out, err = run_cli(capsys, *argv, "--p", "0", "--q", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: the zero vector is not a direction\n"
+
+
 def test_classify_zero_vector_usage_error(capsys):
     code, _, err = run_cli(capsys, "classify", "--p", "0", "--q", "0")
     assert code == 2
@@ -225,6 +239,7 @@ def test_trace_bad_max_s_usage_error(capsys, max_s):
         (("trace", "--p", "1", "--q", "2", "--max-crossings", "-1"), "--max-crossings"),
         (("witness", "--p", "4", "--q", "1", "--max-depth", "-1"), "--max-depth"),
         (("scan", "--max", "3", "--out", "never.csv", "--jobs", "-1"), "--jobs"),
+        (("trace", "--p", "2", "--q", "1", "--max-s", "-1"), "--max-s"),
     ],
 )
 def test_negative_counts_usage_error(tmp_path, capsys, monkeypatch, argv, option):

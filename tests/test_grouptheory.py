@@ -610,6 +610,31 @@ def test_column_witness_up_to_60():
         column_witness(2, 4)
 
 
+def test_rewriters_agree_up_to_60():
+    # _rewrite carries rho images and _rewrite_word carries T/A/B words
+    # through the same coset table.  The word of h = G U^j, before its
+    # trailing A is stripped, must have column_rho's image up to sign and
+    # first column +-(p, q).
+    cosets = grouptheory._coset_table()
+    reached = 0
+    for p, q in _signed_primitive(60):
+        exps = grouptheory._euclid(p, q) + [0]
+        c, w = grouptheory._rewrite_word(cosets, 0, exps)
+        assert c == grouptheory._rewrite(cosets, 0, exps)[0], (p, q)
+        r = column_rho(p, q)
+        orbit = cosets[c].u_orbit
+        assert (r is not None) == (0 in orbit), (p, q)
+        if r is None:
+            continue
+        grouptheory._extend(w, cosets[c].u_words[orbit.index(0)])
+        word = GroupWord(tuple(w))
+        m = eval_word(word)
+        assert (m[0], m[2]) in ((p, q), (-p, -q)), (p, q)
+        assert proj_equal(rho(word), r), (p, q)
+        reached += 1
+    assert reached == 3908
+
+
 def test_word_powers_and_reduction():
     w = (("T", 1), ("A", -1), ("B", 1))
     for n in range(-4, 5):

@@ -1,7 +1,8 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every private module-level name of the package is read somewhere in it.
 
-The package ``__init__`` is left out: importing names to re-export them is
-its purpose.
+The package ``__init__`` is left out of the import check: importing names to
+re-export them is its purpose.
 """
 
 import ast
@@ -36,3 +37,45 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level functions, classes and constants named ``_x`` that no
+    module of ``sources`` (name -> source text) reads."""
+    defined = []  # (module, name, line)
+    read = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            defined += [
+                (module, name, node.lineno)
+                for name in names
+                if name.startswith("_") and not name.startswith("__")
+            ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{m}.{name} (line {line})" for m, name, line in defined if name not in read)
+
+
+def test_detects_an_unreferenced_private_name():
+    sources = {
+        "a": "_K = 1\n_USED = 2\ndef _f():\n    return _USED\nclass _C:\n    pass\n",
+        "b": "from .a import _f\nprint(_f())\n",
+    }
+    assert unreferenced_private_names(sources) == ["a._C (line 5)", "a._K (line 1)"]
+
+
+def test_private_names_are_referenced():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_names(sources) == []
