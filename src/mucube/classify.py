@@ -277,23 +277,18 @@ def rotation_square_action() -> list[tuple[int, bool]]:
     return out
 
 
-def _map_interval(surf, action, edge, lo: Fraction, hi: Fraction):
+def _map_interval(surf, action, sc: int, edge, lo: int, hi: int):
+    """Image of an edge interval in units of ``1/sc``, on its canonical side."""
     from .flow import OPPOSITE, _canonical_param
 
     sq, side = edge
     sq2, flip = action[sq]
     side2 = OPPOSITE[side] if flip else side
     if flip:
-        lo2, hi2 = 1 - hi, 1 - lo
-    else:
-        lo2, hi2 = lo, hi
-    # Re-canonicalize on the image edge pair; the helper expects integer
-    # params, so scale by the common denominator.
-    den = lo2.denominator * hi2.denominator
-    key, a = _canonical_param(surf, sq2, side2, lo2 * den, den)
-    _, b = _canonical_param(surf, sq2, side2, hi2 * den, den)
-    lo3, hi3 = sorted((Fraction(a, den), Fraction(b, den)))
-    return (key, lo3, hi3)
+        lo, hi = sc - hi, sc - lo
+    key, a = _canonical_param(surf, sq2, side2, lo, sc)
+    _, b = _canonical_param(surf, sq2, side2, hi, sc)
+    return (key, min(a, b), max(a, b))
 
 
 def three_cylinder_check(d) -> bool:
@@ -306,11 +301,10 @@ def three_cylinder_check(d) -> bool:
     if len(deco.cylinders) != 3:
         return False
     action = rotation_square_action()
-    interval_sets = [
-        frozenset((iv[0], iv[1], iv[2]) for iv in c.intervals) for c in deco.cylinders
-    ]
+    sc = deco.cylinders[0].scale
+    interval_sets = [frozenset(c.scaled_intervals) for c in deco.cylinders]
     images = [
-        frozenset(_map_interval(surf, action, *iv) for iv in s) for s in interval_sets
+        frozenset(_map_interval(surf, action, sc, *iv) for iv in s) for s in interval_sets
     ]
     try:
         sigma = [interval_sets.index(img) for img in images]

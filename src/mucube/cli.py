@@ -161,8 +161,7 @@ def _verdict_record(pair_method):
     cls = _CLASSIFIERS[method]((p, q))
     if cls.verdict == PERIODIC:
         return (p, q, PERIODIC, 4, (0, 0, 0))
-    drift = tuple(cls.certificate.get("drift_vector") or cls.certificate["displacement"])
-    return (p, q, DRIFT, 0, drift)
+    return (p, q, DRIFT, 0, tuple(cls.certificate["drift_vector"]))
 
 
 def _verdict_records(pairs, method: str, jobs: int):
@@ -557,7 +556,10 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--q", type=int, required=True)
     t.add_argument("--u", default="1/2", help="start chart coordinate")
     t.add_argument("--v", default="1/2", help="start chart coordinate")
-    t.add_argument("--max-s", dest="max_s", help="bound on the unfolded parameter")
+    t.add_argument(
+        "--max-s", dest="max_s",
+        help="bound on the unfolded parameter; the trace stops at the first edge crossing past it",
+    )
     t.add_argument("--max-crossings", dest="max_crossings", type=int, default=100000)
     t.add_argument("--csv", help="also write vertices as CSV")
     t.set_defaults(func=cmd_trace)

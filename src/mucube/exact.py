@@ -59,13 +59,6 @@ class SqrtLength:
             raise ValueError(f"{self} is not a rational multiple of sqrt({radicand})")
         return Fraction(rn, rd)
 
-    def is_rational(self) -> bool:
-        num, den = self.sq.numerator, self.sq.denominator
-        return isqrt(num) ** 2 == num and isqrt(den) ** 2 == den
-
-    def as_rational(self) -> Fraction:
-        return self.multiplier_of_sqrt(1)
-
     def __mul__(self, other) -> "SqrtLength":
         if isinstance(other, SqrtLength):
             return SqrtLength(self.sq * other.sq)
@@ -123,7 +116,3 @@ def frac_str(x: Rat) -> str:
     """Serialize an exact rational as 'num/den' (plain integer when den = 1)."""
     f = Fraction(x)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
-def parse_frac(s: str) -> Fraction:
-    return Fraction(s)

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import zip_longest
 from math import gcd
 from typing import Optional, Sequence
 
@@ -445,51 +446,14 @@ def reverse_chain(chain: Sequence[Segment]) -> list[Segment]:
 # Quarter-period displacement symmetry on the 12-square quotient
 # ---------------------------------------------------------------------------
 
-def _cell(point) -> tuple[int, int, int]:
-    """Net count of odd-integer walls up to each coordinate."""
-    out = []
-    for c in point:
-        f = Fraction(c) + 1
-        out.append(f.numerator // (2 * f.denominator))
-    return tuple(out)
-
-
-def _lift_polyline(surface, trace: SurfaceTrace):
-    """Vertices of the lifted orbit, with the arc parameter of each vertex."""
-    from .mucube3d import Point3
-
-    p, q = trace.direction
-    crossings = trace.crossings
-    acc = (0, 0, 0)
-    k = 0
-    s = Fraction(0)
-    pts = []
-    for sq, x0, y0, x1, y1 in trace.segments:
-        a = Point3(surface.reps[sq], surface.charts[sq], x0, y0).ambient()
-        pts.append((s, tuple(a[m] + 2 * acc[m] for m in range(3))))
-        ds = abs(x1 - x0) / abs(p) if p else abs(y1 - y0) / abs(q)
-        s += ds
-        if k < len(crossings) and crossings[k][0] <= s:
-            w = surface.cocycle[crossings[k][1:]]
-            acc = (acc[0] + w[0], acc[1] + w[1], acc[2] + w[2])
-            k += 1
-    sq, x0, y0, x1, y1 = trace.segments[-1]
-    end = Point3(surface.reps[sq], surface.charts[sq], x1, y1).ambient()
-    prev_acc = pts[-1][1]
-    base = Point3(surface.reps[sq], surface.charts[sq], x0, y0).ambient()
-    off = tuple(prev_acc[m] - base[m] for m in range(3))
-    pts.append((s, tuple(end[m] + off[m] for m in range(3))))
-    return pts
-
-
 def quarter_displacement_check(surface, trace: SurfaceTrace):
     """Check the displacement quarter-cycling law of a closed traced orbit.
 
-    v(t) is the net signed count of fundamental-domain wall crossings of the
-    lifted orbit on [0, t].  Marks are taken just past the exact quarter times
-    (the orbit may start on a wall, where the count is ambiguous); the offset
-    is chosen below every wall-crossing event so the four window sums are
-    exactly the quantities cycled by the quarter turn.  Returns
+    The lift of a point of square ``sq`` is its point on ``surface.reps[sq]``
+    plus twice the cocycle sum so far, and v(t) is the net count of
+    odd-integer walls the lift has crossed on [0, t], ``floor((x + 1) / 2)``
+    per coordinate.  The orbit may sit on a wall at a quarter mark ``iT/4``,
+    so v is read there as the limit from the right.  Returns
     (True, rotation) if some coordinate quarter-turn ``theta`` satisfies
     v((i+1)T/4) - v(iT/4) = theta^i v(T/4); (False, None) otherwise.
     """
@@ -497,37 +461,41 @@ def quarter_displacement_check(surface, trace: SurfaceTrace):
 
     if not trace.closed:
         raise ValueError("quarter check needs a closed trace")
-    period = trace.s_total
-    pts = _lift_polyline(surface, trace)
+    p, q = trace.direction
+    sc = trace.scale
+    # Arc parameters and ambient coordinates below are integers in units of
+    # 1/(4 sc), so the quarter marks i * period / 4 are too.
+    starts = []  # (arc parameter, lifted start point, ambient step) per segment
+    s, acc = 0, (0, 0, 0)
+    segments = zip_longest(trace.scaled_segments, trace.scaled_crossings)
+    for (sq, x, y, nx, ny), crossing in segments:
+        c2, (cu, cv) = surface.reps[sq].center2x, surface.charts[sq]
+        t = abs(nx - x) // abs(p) if p else abs(ny - y) // abs(q)
+        dx, dy = (nx - x) // t, (ny - y) // t
+        # center + (x - 1/2) cu + (y - 1/2) cv on the face, plus 2 acc
+        lift = tuple(
+            2 * sc * (c2[m] + 4 * acc[m]) + (4 * x - 2 * sc) * cu[m] + (4 * y - 2 * sc) * cv[m]
+            for m in range(3)
+        )
+        starts.append((s, lift, tuple(dx * cu[m] + dy * cv[m] for m in range(3))))
+        s += 4 * t
+        if crossing is not None:
+            w = surface.cocycle[crossing[1:]]
+            acc = (acc[0] + w[0], acc[1] + w[1], acc[2] + w[2])
 
-    events: list[Fraction] = []
-    for (s0, a), (s1, b) in zip(pts, pts[1:]):
-        for k in range(3):
-            if a[k] == b[k]:
-                continue
-            lo, hi = sorted((a[k], b[k]))
-            w = 2 * (lo.numerator // (2 * lo.denominator)) + 1  # first odd >= lo - 1
-            while w < lo:
-                w += 2
-            while w <= hi:
-                events.append(s0 + (Fraction(w) - a[k]) / (b[k] - a[k]) * (s1 - s0))
-                w += 2
-
-    quarter = period / 4
-    residues = sorted({e % quarter for e in events if e % quarter != 0})
-    delta = (residues[0] if residues else quarter) / 2
-
-    def pos_at(s):
-        for (s0, a), (s1, b) in zip(pts, pts[1:]):
-            if s <= s1:
-                t = (s - s0) / (s1 - s0)
-                return tuple(a[m] + t * (b[m] - a[m]) for m in range(3))
-        return pts[-1][1]
-
-    # Shifted marks; the last one wraps around the period and is offset by the
-    # period displacement of the lift (an even translation, under which the
-    # wall count is exactly equivariant).
-    cells = [_cell(pos_at(quarter * i + delta)) for i in range(4)]
+    cells = []
+    for i in range(4):
+        mark = i * s // 4
+        s0, a, step = [st for st in starts if st[0] <= mark][-1]
+        # floor((x + 1) / 2) just after the mark: a coordinate moving down
+        # onto a wall has not crossed it yet.
+        cells.append(tuple(
+            (a[m] + (mark - s0) * step[m] + 4 * sc - (step[m] < 0)) // (8 * sc)
+            for m in range(3)
+        ))
+    # The last mark is the first one a period later, moved by the period
+    # displacement of the lift (an even translation, under which the wall
+    # count is exactly equivariant).
     cells.append(tuple(cells[0][m] + trace.displacement[m] for m in range(3)))
     v = [tuple(c[m] - cells[0][m] for m in range(3)) for c in cells]
     quarters = [tuple(v[i + 1][m] - v[i][m] for m in range(3)) for i in range(4)]

@@ -412,7 +412,7 @@ class Point3:
 
 # The seed face and chart shared by the tracer and the quotient surfaces.
 SEED_FACE = Face((0, 2, 1), 2)
-SEED_CHART: Chart = default_chart(SEED_FACE)  # u = +x, v = +y
+SEED_CHART: Chart = default_chart(SEED_FACE)  # u = +x, v = -y
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +482,10 @@ def trace3d(
     """Trace the straight-line flow from ``start`` in chart direction (p, q).
 
     ``max_arc_s`` bounds the *unfolded parameter* s (arc length divided by
-    sqrt(p^2+q^2)); ``margin_crossings`` extra crossings are allowed past the
-    bound so that closure occurring exactly at the bound is never missed.
+    sqrt(p^2+q^2)), checked at edge crossings only: the trace stops at the
+    first edge crossing past the bound, so its last segment can overshoot
+    it.  ``margin_crossings`` extra crossings are allowed past the bound so
+    that closure occurring exactly at the bound is never missed.
     Stops at closure (same point, same direction), at a drift revisit (same
     point up to a translation in (2Z)^3, same direction), at a cone point, or
     when a budget runs out.

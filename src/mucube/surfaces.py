@@ -61,10 +61,6 @@ class Surface:
     def n(self) -> int:
         return 1 + max(sq for sq, _ in self.glue)
 
-    @property
-    def area(self) -> Fraction:
-        return Fraction(self.n)
-
     # -- structural checks -------------------------------------------------
 
     def validate(self) -> None:

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from mucube.exact import SqrtLength, frac_str, parse_frac
+from mucube.exact import SqrtLength, frac_str
 
 
 def test_construction_and_equality():
@@ -18,8 +18,6 @@ def test_multiplier_extraction():
     assert a.multiplier_of_sqrt(5) == Fraction(7, 2)
     with pytest.raises(ValueError):
         a.multiplier_of_sqrt(3)
-    assert SqrtLength.of(3, 1).as_rational() == 3
-    assert not SqrtLength.of(1, 2).is_rational()
 
 
 def test_arithmetic_and_order():
@@ -41,4 +39,3 @@ def test_str_forms():
 def test_frac_str():
     assert frac_str(Fraction(3, 2)) == "3/2"
     assert frac_str(Fraction(4)) == "4"
-    assert parse_frac("3/2") == Fraction(3, 2)

@@ -282,14 +282,28 @@ def test_quarter_check_examples(X):
 
 
 def test_quarter_check_matches_verdicts(X):
+    # Every closed trace from the 12 square centers and three off-center
+    # starts: the law holds exactly in the periodic directions.
     from mucube.classify import classify_oracle
 
+    half = Fraction(1, 2)
+    starts = [SurfacePoint(sq, half, half) for sq in range(12)] + [
+        SurfacePoint(0, Fraction(1, 3), Fraction(2, 7)),
+        SurfacePoint(5, Fraction(3, 5), Fraction(1, 7)),
+        SurfacePoint(7, Fraction(1, 9), Fraction(8, 9)),
+    ]
+    closed = 0
     for d in canonical_directions(12):
-        if d[0] % 2 and d[1] % 2:
-            continue
-        t = trace_surface(X, CENTER, d, 60000)
-        ok, _ = quarter_displacement_check(X, t)
-        assert ok == (classify_oracle(d).verdict == "periodic"), d
+        periodic = classify_oracle(d).verdict == "periodic"
+        for start in starts:
+            t = trace_surface(X, start, d, 60000)
+            if t.closed:
+                closed += 1
+                ok, _ = quarter_displacement_check(X, t)
+                assert ok == periodic, (d, start)
+            else:
+                assert t.stop_reason == "cone_point", (d, start)
+    assert closed == 1033
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from mucube.mucube3d import (
     incident_faces,
     is_face,
     mat_mul,
+    mat_vec,
     PeriodicDirectionError,
     point_in_surface,
     polyline_diameter,
@@ -550,9 +551,46 @@ def test_drift_vector_function():
         drift_vector((1, 0))
 
 
+# Isometries of the surface that fix the seed center (0, 1, 1/2), as maps
+# of doubled coordinates c -> lin c + shift2x, each with its action on
+# seed-chart directions.
+SEED_SYMMETRIES = {
+    # M_x: (x, y, z) -> (-x, y, z)
+    "M_x": (((-1, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 0, 0), lambda p, q: (-p, q)),
+    # M_y: (x, y, z) -> (x, 2 - y, z)
+    "M_y": (((1, 0, 0), (0, -1, 0), (0, 0, 1)), (0, 4, 0), lambda p, q: (p, -q)),
+    # R, a half-turn: (x, y, z) -> (1 - y, 1 - x, 1 - z)
+    "R": (((0, -1, 0), (-1, 0, 0), (0, 0, -1)), (2, 2, 2), lambda p, q: (q, p)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEED_SYMMETRIES))
+def test_seed_symmetries(name):
+    lin, shift2x, act = SEED_SYMMETRIES[name]
+
+    def image(c2x):
+        return tuple(v + s for v, s in zip(mat_vec(lin, c2x), shift2x))
+
+    # The box covers more than one period (2Z)^3, and the linear parts are
+    # signed permutations, which preserve (2Z)^3.
+    faces = faces_in_box((-4,) * 3, (5,) * 3)
+    assert len(faces) == 1080
+    for face in faces:
+        axis = next(k for k in AXES if lin[k][face.axis])
+        assert is_face(image(face.center2x), axis), face
+    assert image(SEED_FACE.center2x) == SEED_FACE.center2x
+    cu, cv = SEED_CHART
+    for p, q in ((1, 0), (0, 1)):
+        p2, q2 = act(p, q)
+        assert mat_vec(lin, [p * cu[k] + q * cv[k] for k in AXES]) == tuple(
+            p2 * cu[k] + q2 * cv[k] for k in AXES
+        )
+
+
 def test_drift_vector_symmetry_laws():
-    # p -> -p is the reflection x -> -x of the seed face and (p, q) -> (-p, -q)
-    # reverses time; both fix the start point, so they act on drift vectors
+    # M_x (see SEED_SYMMETRIES) fixes the seed face's points with u = 1/2,
+    # so the start point of every direction, and sends (p, q) to (-p, q);
+    # time reversal sends (p, q) to (-p, -q).  So they act on drift vectors
     # by (x, y, z) -> (-x, y, z) and by negation.
     from math import gcd
 
@@ -573,9 +611,11 @@ def test_drift_vector_symmetry_laws():
 
 
 def test_drift_vector_swap_law():
-    # The diagonal reflection of the seed face fixes its center, the start
-    # point of every direction that is not odd/odd, and swaps (p, q) with
-    # (q, p); drift vectors there have z = 0 and swap as (x, y) -> (-y, -x).
+    # R (see SEED_SYMMETRIES) fixes the seed center, the start point of
+    # every direction that is not odd/odd, and swaps (p, q) with (q, p), so
+    # drift((q, p)) = (-y, -x, -z).  M_y fixes the center too and sends
+    # (p, q) to (p, -q) with vector (x, -y, z), where time reversal after M_x
+    # gives (x, -y, -z); so z = 0.  R moves the odd/odd start (1/2, 1/3).
     from math import gcd
 
     pairs = 0
