@@ -5,12 +5,15 @@ Every finite fraction [4a0; 4a1, ..., 4an] is a periodic slope, and the
 explicit word T A^{-a0} T A^{a1} T ... T certifies it: the word's matrix
 carries the direction in its first column and its homology representation
 image is upper unipotent.  Eventually periodic coefficient sequences are
-classified by the recurrence trichotomy.
+classified by the recurrence trichotomy.  The coset table of the group
+decides directions of any size, here one with 201 digits.
 """
 
 from mucube import (
     ContinuedFraction,
+    classify_group,
     classify_oracle,
+    column_witness,
     convergents,
     eval_word,
     find_witness,
@@ -45,6 +48,17 @@ for d in [(1, 0), (4, 1), (18, 13), (5, 2)]:
               f"{classify_oracle(d).verdict})")
     else:
         print(f"{d}: word {w}  rho {rho(w)}")
+
+print()
+print("== a direction with 201 digits, decided by the coset table ==")
+d = (10**100, 10**200 + 1)
+c = classify_group(d)
+w = column_witness(*d)
+m = eval_word(w)
+print(f"(10^100, 10^200 + 1): {c.verdict}, rho {c.certificate['rho']}")
+print(f"   shortest witness: {len(w.letters)} syllables, exponents of "
+      f"{max(len(str(abs(e))) for _, e in w.letters)} digits, first column "
+      f"+-(p, q): {(m[0], m[2]) in (d, (-d[0], -d[1]))}, in group: {is_in_gamma(w)}")
 
 print()
 print("== recurrence classes of eventually periodic sequences ==")

@@ -33,6 +33,8 @@ from .flow import FlowBudgetError, SIDE_NAMES, cylinder_decomposition
 from .grouptheory import (
     ContinuedFraction,
     CosetTableError,
+    column_rho,
+    column_witness,
     convergents,
     eval_word,
     find_witness,
@@ -435,6 +437,9 @@ def cmd_witness(args) -> int:
     if args.max_depth < 0:
         print("error: --max-depth must not be negative", file=sys.stderr)
         return USAGE_ERROR
+    if args.complete:
+        _emit(_complete_witness(p, q))
+        return 0
     word = find_witness((p, q), max_depth=args.max_depth)
     if word is None:
         _emit(
@@ -447,20 +452,39 @@ def cmd_witness(args) -> int:
             }
         )
         return 0
+    _emit(_witness_payload(p, q, word))
+    return 0
+
+
+def _witness_payload(p: int, q: int, word) -> dict:
     m = eval_word(word)
     r = rho(word)
-    _emit(
-        {
-            "p": p,
-            "q": q,
-            "found": True,
-            "word": str(word),
-            "matrix": [[m[0], m[1]], [m[2], m[3]]],
-            "rho": [[r[0], r[1]], [r[2], r[3]]],
-            "depth": sum(abs(e) for _, e in word.letters),
-        }
-    )
-    return 0
+    return {
+        "p": p,
+        "q": q,
+        "found": True,
+        "word": str(word),
+        "matrix": [[m[0], m[1]], [m[2], m[3]]],
+        "rho": [[r[0], r[1]], [r[2], r[3]]],
+        "depth": sum(abs(e) for _, e in word.letters),
+    }
+
+
+def _complete_witness(p: int, q: int) -> dict:
+    """The shortest witness word of (p, q), with no bound on depth, or the
+    coset table's proof that there is none."""
+    r = column_rho(p, q)
+    if r is None:
+        return {"p": p, "q": q, "found": False, "reaches_h": False,
+                "note": "no word over T, A, B has first column +-(p, q)"}
+    word = column_witness(p, q)
+    if word is None:
+        return {"p": p, "q": q, "found": False, "reaches_h": True,
+                "rho": [[r[0], r[1]], [r[2], r[3]]],
+                "note": "every word over T, A, B with first column +-(p, q) has "
+                        "this rho times a power of rho(A), up to sign, and none of "
+                        "these is upper unipotent"}
+    return _witness_payload(p, q, word)
 
 
 # ---------------------------------------------------------------------------
@@ -579,6 +603,8 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--p", type=int, required=True)
     w.add_argument("--q", type=int, required=True)
     w.add_argument("--max-depth", dest="max_depth", type=int, default=14)
+    w.add_argument("--complete", action="store_true",
+                   help="the shortest witness at any depth, or a proof that none exists")
     w.set_defaults(func=cmd_witness)
 
     tw = sub.add_parser("twist", help="twist a periodic slope around an axis direction")

@@ -11,9 +11,9 @@ periodicity group exactly when its image under the representation is upper
 unipotent modulo sign, and a primitive direction (p, q) is periodic exactly
 when some such word has first column +-(p, q).
 
-That criterion is decided exactly, in O(log(|p| + |q|)) steps, by the coset
-table of H = <T, A, B> in PSL(2, Z) = <S, U | S^2, (S U)^3>, with S = T and
-U = [[1,1],[0,1]].  Todd-Coxeter enumeration finds 9 cosets, and
+That criterion is decided exactly by the coset table of H = <T, A, B> in
+PSL(2, Z) = <S, U | S^2, (S U)^3>, with S = T and U = [[1,1],[0,1]].
+Todd-Coxeter enumeration finds 9 cosets, and
 Reidemeister-Schreier rewriting carries rho to the Schreier generators,
 whose T/A/B words come from one short walk of the witness BFS; their rho
 images are checked against the relators and against rho(T), rho(A), rho(B)
@@ -21,7 +21,10 @@ images are checked against the relators and against rho(T), rho(A), rho(B)
 Euclid's path of (p, q) through the table either never reaches H's coset,
 and then no word of H has that column, or gives one that does; all such
 words differ by powers of A and a sign, so one rho image answers for all
-of them.
+of them.  The path turns each partial quotient of p / q into a run of
+exponents -2, which the table walks as a power of the cycle of S U^-2
+through the cosets; so the cost is O(1) table steps per partial quotient,
+O(log(|p| + |q|)) in all, plus O(log n) products for a run of length n.
 
 The table's signature (one coset fixed by S, none by S U, three cusps) makes
 H = Z/2 * Z * Z, free on T, A and B, so every element has exactly one
@@ -71,15 +74,15 @@ def mat_inv(m: Mat2) -> Mat2:
 
 def mat_pow(m: Mat2, n: int) -> Mat2:
     if n < 0:
-        return mat_pow(mat_inv(m), -n)
-    out = IDENTITY
-    base = m
+        m, n = mat_inv(m), -n
+    out = None
     while n:
         if n & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
+            out = m if out is None else mat_mul(out, m)
         n >>= 1
-    return out
+        if n:
+            m = mat_mul(m, m)
+    return IDENTITY if out is None else out
 
 
 def mat_neg(m: Mat2) -> Mat2:
@@ -288,26 +291,49 @@ class CosetTableError(RuntimeError):
 
 # PSL(2, Z) = <S, U | S^2, (S U)^3> with S = T.  A word in S and U is the list
 # of U-exponents (e0, e1, ..., en) of U^e0 S U^e1 S ... S U^en, so the two
-# relators are (0, 0, 0) and (0, 1, 1, 1).  Coset table columns are S (an
-# involution), U and U^-1.
+# relators are (0, 0, 0) and (0, 1, 1, 1).  After the first exponent, an item
+# (-2, n) stands for n exponents -2 in a row, that is for V^n with V = S U^-2
+# (see ``_euclid``).  Coset table columns are S (an involution), U and U^-1.
+_V_MAT: Mat2 = (0, -1, 1, -2)  # S U^-2
 _S, _U, _UI = 0, 1, 2
 _INV = (0, 2, 1)
 _RELATORS = ((0, 0, 0), (0, 1, 1, 1))
 
 
-def _euclid(p: int, q: int) -> list[int]:
-    """Exponents (k1, ..., kn) with U^k1 S U^k2 S ... U^kn S e1 = +-(p, q)."""
-    ks = []
+def _euclid(p: int, q: int) -> list:
+    """Euclid's path of (p, q): exponents (k1, ..., kn) with
+    U^k1 S U^k2 S ... U^kn S e1 = +-(p, q), each k the floor of p / q.
+
+    A regular partial quotient a turns into a run of about a exponents -2,
+    so after the first exponent every run of n > 1 of them is written as one
+    item (-2, n), which stands for (S U^-2)^n.  Inside a run, with
+    s = p + q at its start, p_i + q_i = (-1)^i s and (-1)^i q_i moves by s
+    at every step; the run lasts while -q_i / ((-1)^i s) >= 1, so it has
+    n = -q // s steps and ends at (-(q + (n-1) s), q + n s) up to a sign,
+    which leaves the rest of the path unchanged.  Every other exponent
+    shrinks the pair geometrically, so the path has O(log(|p| + |q|)) items.
+    """
+    ks: list = []
     while q:
         k = p // q
+        if k == -2 and ks:
+            s = p + q
+            n = -q // s
+            if n > 1:
+                ks.append((-2, n))
+                p, q = -q - (n - 1) * s, q + n * s
+                continue
         ks.append(k)
         p, q = q, k * q - p
     return ks
 
 
-def _su_matrix(exps) -> Mat2:
+def _su_matrix(path) -> Mat2:
     m = IDENTITY
-    for i, e in enumerate(exps):
+    for i, e in enumerate(path):
+        if type(e) is tuple:
+            m = mat_mul(m, mat_pow(_V_MAT, e[1]))
+            continue
         if i:
             m = mat_mul(m, THETA)
         m = mat_mul(m, mat_pow(U_MAT, e))
@@ -387,42 +413,53 @@ class _Coset(NamedTuple):
     u_orbit: tuple[int, ...]  # c U^j for j below the length of c's U-cycle
     u_rho: tuple[Mat2, ...]  # rho of t_c U^j t_{cU^j}^-1 for j up to the length
     u_words: tuple[Syllables, ...]  # the T/A/B words of the same elements
+    v_orbit: tuple[int, ...] = ()  # the same three for V = S U^-2
+    v_rho: tuple[Mat2, ...] = ()
+    v_words: tuple[Syllables, ...] = ()
 
 
-def _rewrite(cosets, c: int, exps) -> tuple[int, Mat2]:
-    """The coset reached by the S/U word ``exps`` from coset c, and the
+def _rewrite(cosets, c: int, path) -> tuple[int, Mat2]:
+    """The coset reached by the S/U word ``path`` from coset c, and the
     product of rho over the Schreier generators it passes (Reidemeister-
     Schreier rewriting).  U^e goes e mod L round c's U-cycle of length L and
-    raises the cycle's loop to the power e div L."""
+    raises the cycle's loop to the power e div L; a run V^n does the same on
+    c's V-cycle.  So an item costs O(log |e|) or O(log n) products."""
     r = IDENTITY
-    for i, e in enumerate(exps):
-        if i:
-            row = cosets[c]
-            c, r = row.s_image, mat_mul(r, row.s_rho)
+    for i, e in enumerate(path):
         row = cosets[c]
-        loops, j = divmod(e, len(row.u_orbit))
+        if type(e) is tuple:
+            orbit, prefix, e = row.v_orbit, row.v_rho, e[1]
+        else:
+            if i:
+                r = mat_mul(r, row.s_rho)
+                row = cosets[row.s_image]
+            orbit, prefix = row.u_orbit, row.u_rho
+        loops, j = divmod(e, len(orbit))
         if loops:
-            r = mat_mul(r, mat_pow(row.u_rho[-1], loops))
-        c, r = row.u_orbit[j], mat_mul(r, row.u_rho[j])
+            r = mat_mul(r, mat_pow(prefix[-1], loops))
+        c, r = orbit[j], mat_mul(r, prefix[j])
     return c, r
 
 
-def _rewrite_word(cosets, c: int, exps) -> tuple[int, list[tuple[str, int]]]:
+def _rewrite_word(cosets, c: int, path) -> tuple[int, list[tuple[str, int]]]:
     """``_rewrite`` with the T/A/B words of the Schreier generators in place
     of their rho images: the coset reached and the freely reduced word of
     the product."""
     w: list[tuple[str, int]] = []
-    for i, e in enumerate(exps):
-        if i:
-            row = cosets[c]
-            c = row.s_image
-            _extend(w, row.s_word)
+    for i, e in enumerate(path):
         row = cosets[c]
-        loops, j = divmod(e, len(row.u_orbit))
+        if type(e) is tuple:
+            orbit, prefix, e = row.v_orbit, row.v_words, e[1]
+        else:
+            if i:
+                _extend(w, row.s_word)
+                row = cosets[row.s_image]
+            orbit, prefix = row.u_orbit, row.u_words
+        loops, j = divmod(e, len(orbit))
         if loops:
-            _extend(w, _word_pow(row.u_words[-1], loops))
-        c = row.u_orbit[j]
-        _extend(w, row.u_words[j])
+            _extend(w, _word_pow(prefix[-1], loops))
+        c = orbit[j]
+        _extend(w, prefix[j])
     return c, w
 
 
@@ -468,6 +505,23 @@ def _signature(table) -> tuple[int, int, int, int]:
     return len(table), e2, e3, cusps
 
 
+def _cycle(c: int, step):
+    """The cycle of coset c under a permutation X given by ``step(d)`` =
+    (d X, rho of t_d X t_{dX}^-1, its T/A/B word): the cosets c X^j for j
+    below the cycle's length L, and the products of rho and of the words
+    over the first j steps, for j up to L."""
+    orbit, prefix, prefix_word = [c], [IDENTITY], [()]
+    while True:
+        d, r, word = step(orbit[-1])
+        prefix.append(mat_mul(prefix[-1], r))
+        w = list(prefix_word[-1])
+        _extend(w, word)
+        prefix_word.append(tuple(w))
+        if d == c:
+            return tuple(orbit), tuple(prefix), tuple(prefix_word)
+        orbit.append(d)
+
+
 # The signature of H.  Its genus is 1 + 9/12 - 1/4 - 0/3 - 3/2 = 0, so
 # H = Z/2 * Z * Z (Kulkarni, Amer. J. Math. 113, 1991).  T, A and B generate
 # H, and finitely generated residually finite groups are Hopfian, so they
@@ -478,7 +532,9 @@ _H_SIGNATURE = (9, 1, 0, 3)
 @cache
 def _coset_table() -> tuple[_Coset, ...]:
     """The cosets of H = <T, A, B> in PSL(2, Z), H's coset first, with rho
-    and the T/A/B words of the Schreier generators; built on first use.
+    and the T/A/B words of the Schreier generators, and the cycles of U and
+    of V = S U^-2 through each coset with their prefix products; built on
+    first use.
 
     The table must have H's signature ``_H_SIGNATURE``.  The words are the
     first T/A/B words of one ``_witness_bfs`` walk that reach each
@@ -514,22 +570,24 @@ def _coset_table() -> tuple[_Coset, ...]:
     else:
         raise CosetTableError("a Schreier generator has no word within the walk")
     rho_of = {m: rho(w) for m, w in word_of.items()}
-    cosets = []
-    for c in range(len(table)):
-        orbit, prefix, prefix_word = [c], [IDENTITY], [()]
-        while True:
-            gen = schreier[orbit[-1], _U]
-            prefix.append(mat_mul(prefix[-1], rho_of[gen]))
-            w = list(prefix_word[-1])
-            _extend(w, word_of[gen].letters)
-            prefix_word.append(tuple(w))
-            d = table[orbit[-1]][_U]
-            if d == c:
-                break
-            orbit.append(d)
-        gen = schreier[c, _S]
-        cosets.append(_Coset(table[c][_S], rho_of[gen], word_of[gen].letters,
-                             tuple(orbit), tuple(prefix), tuple(prefix_word)))
+
+    def u_step(c):
+        gen = schreier[c, _U]
+        return table[c][_U], rho_of[gen], word_of[gen].letters
+
+    cosets = [
+        _Coset(table[c][_S], rho_of[schreier[c, _S]], word_of[schreier[c, _S]].letters,
+               *_cycle(c, u_step))
+        for c in range(len(table))
+    ]
+
+    def v_step(c):
+        d, r = _rewrite(cosets, c, (0, -2))
+        return d, r, tuple(_rewrite_word(cosets, c, (0, -2))[1])
+
+    v_cycles = [_cycle(c, v_step) for c in range(len(cosets))]
+    cosets = [row._replace(v_orbit=o, v_rho=r, v_words=w)
+              for row, (o, r, w) in zip(cosets, v_cycles)]
     for c in range(len(cosets)):
         for relator in _RELATORS:
             d, r = _rewrite(cosets, c, relator)
@@ -549,8 +607,9 @@ def column_rho(p: int, q: int) -> Optional[Mat2]:
     Euclid writes (p, q) = G e1; the walk of G through the coset table, then
     of U until it reaches H's coset, gives h = G U^j in H.  Any other element
     of H with that column differs from h by a power of A (H's coset has a
-    U-cycle of length 4) and a sign, and rho(A) is upper unipotent.  So the
-    cost is O(log(|p| + |q|)) table steps.
+    U-cycle of length 4) and a sign, and rho(A) is upper unipotent.  The
+    cost is O(1) table steps per partial quotient of p / q (``_euclid``
+    compresses its runs), plus O(log n) products for a run of length n.
     """
     if gcd(abs(p), abs(q)) != 1:
         raise ValueError("direction must be primitive")
@@ -646,7 +705,9 @@ def find_witness(d, max_depth: int = 14, entry_cap: Optional[int] = None) -> Opt
     the coset table is built).  Otherwise the search's first word is the
     shortest one, ``column_witness``'s, if the search reaches it at all
     (``_reachable``), and nothing is walked; a None then only means that the
-    witness lies beyond the depth or the cap.
+    witness lies beyond the depth or the cap.  The cost is that of
+    ``column_rho`` twice, once with words in place of rho images, plus
+    O(max_depth) matrix products for the reachability test.
     """
     p, q = (d.p, d.q) if hasattr(d, "p") else d
     if gcd(abs(p), abs(q)) != 1:

@@ -327,6 +327,46 @@ def test_witness_odd_odd_not_found(capsys):
     }
 
 
+def test_witness_complete_finds_words_beyond_the_depth(capsys):
+    code, out, _ = run_cli(capsys, "witness", "--p", "800001", "--q", "200008")
+    assert code == 0 and json.loads(out)["found"] is False
+    code, out, _ = run_cli(capsys, "witness", "--p", "800001", "--q", "200008", "--complete")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["found"] is True
+    assert payload["word"] == "A T A^1613 T A^2 T A T"
+    assert payload["depth"] == 1621
+    assert [payload["matrix"][0][0], payload["matrix"][1][0]] == [800001, 200008]
+    assert payload["rho"] == [[1, 1617], [0, 1]]
+
+
+def test_witness_complete_proves_there_is_none(capsys):
+    code, out, _ = run_cli(capsys, "witness", "--p", "5", "--q", "2", "--complete")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["found"], payload["reaches_h"]) == (False, True)
+    assert payload["rho"] == [[3, 2], [4, 3]]
+    assert "inconclusive" not in payload["note"]
+    code, out, _ = run_cli(capsys, "witness", "--p", "3", "--q", "1", "--complete")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["found"], payload["reaches_h"]) == (False, False)
+    assert "rho" not in payload
+
+
+def test_classify_method_group_huge_directions(capsys):
+    for (p, q), verdict, cert in (
+        ((10**100, 10**200 + 1), "periodic", {"reaches_h": True, "rho": [[1, 1], [0, 1]]}),
+        ((2 * 10**100 + 1, 10**100 + 1), "drift", {"reaches_h": False}),
+    ):
+        code, out, _ = run_cli(capsys, "classify", "--p", str(p), "--q", str(q),
+                               "--method", "group")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["p"], payload["q"], payload["verdict"]) == (p, q, verdict)
+        assert payload["certificate"] == cert
+
+
 def test_twist_command(capsys):
     code, out, _ = run_cli(
         capsys, "twist", "--slope", "0", "--axis", "vertical", "--k", "2"

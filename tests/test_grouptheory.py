@@ -398,8 +398,12 @@ def test_decider_refuses_non_primitive(d):
         column_has_witness(*d)
 
 
+HUGE = ((10**100, 10**200 + 1), (2 * 10**100 + 1, 10**100 + 1))
+
+
 def test_euclid_path():
-    for p, q in ((1, 0), (0, 1), (5, 2), (-4, 9), (1752, -21169), (-3, -7)):
+    for p, q in ((1, 0), (0, 1), (5, 2), (-4, 9), (1752, -21169), (-3, -7), (800001, 200008),
+                 *HUGE):
         m = grouptheory._su_matrix(grouptheory._euclid(p, q) + [0])
         assert (m[0], m[2]) in ((p, q), (-p, -q))
 
@@ -633,6 +637,145 @@ def test_rewriters_agree_up_to_60():
         assert proj_equal(rho(word), r), (p, q)
         reached += 1
     assert reached == 3908
+
+
+# Euclid's path and the rewriting as they were before the path's runs of -2
+# were compressed: one item per exponent, so the walk costs the sum of the
+# partial quotients.  Kept as the reference for grouptheory._euclid,
+# _rewrite and _rewrite_word.
+def _ref_euclid(p, q):
+    ks = []
+    while q:
+        k = p // q
+        ks.append(k)
+        p, q = q, k * q - p
+    return ks
+
+
+def _ref_rewrite(cosets, c, exps):
+    r = IDENTITY
+    for i, e in enumerate(exps):
+        if i:
+            row = cosets[c]
+            c, r = row.s_image, mat_mul(r, row.s_rho)
+        row = cosets[c]
+        loops, j = divmod(e, len(row.u_orbit))
+        if loops:
+            r = mat_mul(r, mat_pow(row.u_rho[-1], loops))
+        c, r = row.u_orbit[j], mat_mul(r, row.u_rho[j])
+    return c, r
+
+
+def _ref_rewrite_word(cosets, c, exps):
+    w = []
+    for i, e in enumerate(exps):
+        if i:
+            row = cosets[c]
+            c = row.s_image
+            grouptheory._extend(w, row.s_word)
+        row = cosets[c]
+        loops, j = divmod(e, len(row.u_orbit))
+        if loops:
+            grouptheory._extend(w, grouptheory._word_pow(row.u_words[-1], loops))
+        c = row.u_orbit[j]
+        grouptheory._extend(w, row.u_words[j])
+    return c, w
+
+
+def _ref_column(p, q):
+    """column_rho(p, q) and, where H has the column, _column_word(p, q), by
+    the step-by-step walk; (None, None) where H has not."""
+    cosets = grouptheory._coset_table()
+    exps = _ref_euclid(p, q) + [0]
+    c, r = _ref_rewrite(cosets, 0, exps)
+    d, w = _ref_rewrite_word(cosets, 0, exps)
+    assert c == d
+    orbit = cosets[c].u_orbit
+    if 0 not in orbit:
+        return None, None
+    j = orbit.index(0)
+    grouptheory._extend(w, cosets[c].u_words[j])
+    if w and w[-1][0] == "A":
+        w.pop()
+    return proj_canonical(mat_mul(r, cosets[c].u_rho[j])), GroupWord(tuple(w))
+
+
+def _expanded(path):
+    out = []
+    for e in path:
+        out += [e[0]] * e[1] if isinstance(e, tuple) else [e]
+    return out
+
+
+def _check_compressed_walk(p, q):
+    """The compressed path of (p, q) against the step-by-step one; returns
+    its number of runs."""
+    path = grouptheory._euclid(p, q)
+    assert _expanded(path) == _ref_euclid(p, q), (p, q)
+    runs = [e for e in path if isinstance(e, tuple)]
+    assert not path or not isinstance(path[0], tuple), (p, q)
+    assert all(e[0] == -2 and e[1] > 1 for e in runs), (p, q)
+    # Runs are maximal: after the first item, no -2 or run follows another.
+    minus_two = [e == -2 or isinstance(e, tuple) for e in path[1:]]
+    assert not any(a and b for a, b in zip(minus_two, minus_two[1:])), (p, q)
+    r, word = _ref_column(p, q)
+    assert column_rho(p, q) == r, (p, q)
+    if word is not None:
+        assert grouptheory._column_word(p, q) == word, (p, q)
+    return len(runs)
+
+
+def test_compressed_walk_matches_the_step_by_step_walk_up_to_80():
+    dirs = _signed_primitive(80)
+    assert sum(_check_compressed_walk(*d) for d in dirs) > 5000
+    # Each coset's V-cycle, V = S U^-2, is the walk of single V steps.
+    cosets = grouptheory._coset_table()
+    for c, row in enumerate(cosets):
+        for j, d in enumerate(row.v_orbit):
+            assert (d, row.v_rho[j]) == _ref_rewrite(cosets, c, [0] + [-2] * j), (c, j)
+            assert row.v_words[j] == tuple(_ref_rewrite_word(cosets, c, [0] + [-2] * j)[1])
+        L = len(row.v_orbit)
+        assert _ref_rewrite(cosets, c, [0] + [-2] * L) == (c, row.v_rho[L])
+
+
+def test_compressed_walk_matches_on_large_partial_quotients():
+    # Directions p / q = [a0; a1, ..., an] with partial quotients up to
+    # 5000, with all four signs and in both orders.  The path has at most
+    # two items per partial quotient.
+    rng = random.Random(47)
+    runs = 0
+    for _ in range(20):
+        qs = [rng.choice((rng.randrange(1, 5), rng.randrange(1, 5001)))
+              for _ in range(rng.randrange(1, 6))]
+        p, q = 1, 0
+        for a in reversed(qs):
+            p, q = a * p + q, p
+        for d in ((p, q), (-p, q), (p, -q), (-p, -q)):
+            for p1, q1 in (d, d[::-1]):
+                runs += _check_compressed_walk(p1, q1)
+                assert len(grouptheory._euclid(p1, q1)) <= 2 * len(qs), (p1, q1, qs)
+    assert runs > 50
+
+
+def test_huge_directions_are_decided():
+    # Each path has a run of more than 10^99 exponents -2; the walk over its
+    # exponents one by one could not end.  The verdicts keep the sign and
+    # swap laws, and the odd/odd one is drift, as parity demands.
+    for p, q in HUGE:
+        assert max(e[1] for e in grouptheory._euclid(p, q) if isinstance(e, tuple)) > 10**99
+        images = ((p, q), (-p, q), (p, -q), (q, p), (-q, p))
+        assert len({column_has_witness(*d) for d in images}) == 1
+        assert len({classify_group(d).verdict for d in images}) == 1
+    periodic, odd_odd = HUGE
+    assert column_has_witness(*periodic) and classify_group(periodic).verdict == "periodic"
+    assert classify_group(periodic).certificate["rho"] == [[1, 1], [0, 1]]
+    assert not column_has_witness(*odd_odd) and classify_group(odd_odd).verdict == "drift"
+    w = column_witness(*periodic)
+    k = 10**100 // 4
+    assert str(w) == f"T A^-{k} T A^{k} T"
+    m = eval_word(w)
+    assert (m[0], m[2]) in (periodic, (-periodic[0], -periodic[1])) and is_in_gamma(w)
+    assert find_witness(periodic) is None  # far beyond depth 14
 
 
 def test_word_powers_and_reduction():
