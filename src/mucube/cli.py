@@ -33,8 +33,8 @@ from .flow import FlowBudgetError, SIDE_NAMES, cylinder_decomposition
 from .grouptheory import (
     ContinuedFraction,
     CosetTableError,
-    column_rho,
-    column_witness,
+    _checked,
+    _column_rho_and_word,
     convergents,
     eval_word,
     find_witness,
@@ -473,18 +473,17 @@ def _witness_payload(p: int, q: int, word) -> dict:
 def _complete_witness(p: int, q: int) -> dict:
     """The shortest witness word of (p, q), with no bound on depth, or the
     coset table's proof that there is none."""
-    r = column_rho(p, q)
+    r, word = _column_rho_and_word(p, q)
     if r is None:
         return {"p": p, "q": q, "found": False, "reaches_h": False,
                 "note": "no word over T, A, B has first column +-(p, q)"}
-    word = column_witness(p, q)
     if word is None:
         return {"p": p, "q": q, "found": False, "reaches_h": True,
                 "rho": [[r[0], r[1]], [r[2], r[3]]],
                 "note": "every word over T, A, B with first column +-(p, q) has "
                         "this rho times a power of rho(A), up to sign, and none of "
                         "these is upper unipotent"}
-    return _witness_payload(p, q, word)
+    return _witness_payload(p, q, _checked(word))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,10 @@ of them.  The path turns each partial quotient of p / q into a run of
 exponents -2, which the table walks as a power of the cycle of S U^-2
 through the cosets; so the cost is O(1) table steps per partial quotient,
 O(log(|p| + |q|)) in all, plus O(log n) products for a run of length n.
+A whole box of columns is decided by one descent of the Stern-Brocot tree
+through the coset table instead, at one table step per node, so O(1) per
+column (``_witness_columns``, after Schmithuesen's Veech-group algorithm for
+origamis, Experiment. Math. 2004).
 
 The table's signature (one coset fixed by S, none by S U, three cusps) makes
 H = Z/2 * Z * Z, free on T, A and B, so every element has exactly one
@@ -613,8 +617,13 @@ def column_rho(p: int, q: int) -> Optional[Mat2]:
     """
     if gcd(abs(p), abs(q)) != 1:
         raise ValueError("direction must be primitive")
+    return _path_rho(_euclid(p, q) + [0])
+
+
+def _path_rho(path) -> Optional[Mat2]:
+    """``column_rho`` along a given Euclid path, closed by a last U^0."""
     cosets = _coset_table()
-    c, r = _rewrite(cosets, 0, _euclid(p, q) + [0])
+    c, r = _rewrite(cosets, 0, path)
     orbit = cosets[c].u_orbit
     if 0 not in orbit:
         return None
@@ -638,13 +647,28 @@ def _column_word(p: int, q: int) -> GroupWord:
     trailing power of A is the shortest word with the column, and a prefix of
     every other one.
     """
+    return _path_word(_euclid(p, q) + [0])
+
+
+def _path_word(path) -> GroupWord:
+    """``_column_word`` along a given Euclid path, closed by a last U^0."""
     cosets = _coset_table()
-    c, w = _rewrite_word(cosets, 0, _euclid(p, q) + [0])
+    c, w = _rewrite_word(cosets, 0, path)
     orbit = cosets[c].u_orbit
     _extend(w, cosets[c].u_words[orbit.index(0)])
     if w and w[-1][0] == "A":
         w.pop()
     return GroupWord(tuple(w))
+
+
+def _column_rho_and_word(p: int, q: int) -> tuple[Optional[Mat2], Optional[GroupWord]]:
+    """``column_rho(p, q)`` and, when it is upper unipotent, the unchecked
+    ``_column_word(p, q)``, from one Euclid path of a primitive (p, q)."""
+    path = _euclid(p, q) + [0]
+    r = _path_rho(path)
+    if r is None or not is_upper_unipotent(r):
+        return r, None
+    return r, _path_word(path)
 
 
 def column_witness(p: int, q: int) -> Optional[GroupWord]:
@@ -705,18 +729,63 @@ def find_witness(d, max_depth: int = 14, entry_cap: Optional[int] = None) -> Opt
     the coset table is built).  Otherwise the search's first word is the
     shortest one, ``column_witness``'s, if the search reaches it at all
     (``_reachable``), and nothing is walked; a None then only means that the
-    witness lies beyond the depth or the cap.  The cost is that of
-    ``column_rho`` twice, once with words in place of rho images, plus
-    O(max_depth) matrix products for the reachability test.
+    witness lies beyond the depth or the cap.  The cost is one Euclid path,
+    walked through the coset table once with rho images and once with
+    words, plus O(max_depth) matrix products for the reachability test.
     """
     p, q = (d.p, d.q) if hasattr(d, "p") else d
     if gcd(abs(p), abs(q)) != 1:
         raise ValueError("direction must be primitive")
-    if p % 2 and q % 2 or not column_has_witness(p, q):
+    if p % 2 and q % 2:
+        return None
+    word = _column_rho_and_word(p, q)[1]
+    if word is None:
         return None
     cap = entry_cap if entry_cap is not None else 16 * max(abs(p), abs(q), 1)
-    word = _column_word(p, q)
     return _checked(word) if _reachable(word, max_depth, cap) else None
+
+
+def _witness_columns(max_norm: int):
+    """Every sign-normalized column (p, q) with max(|p|, |q|) <= max_norm
+    that has a witness, each once, decided in O(1) table steps per column.
+
+    The Stern-Brocot tree of L = [[1,0],[1,1]] and R = U enumerates every
+    matrix M of SL(2, Z) with entries >= 0 once; node M stands for the
+    column M (1, 1), the first column of G = M L.  A node carries its coset
+    and the rho product of its walk from H's coset (``_rewrite``), so its L
+    child's state is that of G, one L step on, and U steps from there to
+    H's coset give an h in H with first column (p, q).  It differs from the
+    h of Euclid's path by +-A^k, and rho(A) is upper unipotent, so the
+    verdict is ``column_has_witness``'s (see ``column_rho``).  Columns only
+    grow down the tree, so a child beyond the bound is pruned with its
+    subtree.  The walk from H's coset gives the columns with p, q > 0, the
+    walk from S's coset (G = S M L) those with p > 0 > q; (1, 0) and (0, 1)
+    are the identity's and T's.
+    """
+    if max_norm < 1:
+        return
+    yield (1, 0)
+    yield (0, 1)
+    cosets = _coset_table()
+    l_steps = [_rewrite(cosets, c, (0, -1, 0)) for c in range(len(cosets))]  # S U^-1 S = -L
+    r_steps = [_rewrite(cosets, c, (1,)) for c in range(len(cosets))]
+    to_h = [row.u_rho[row.u_orbit.index(0)] if 0 in row.u_orbit else None for row in cosets]
+    for flip, start in ((False, (0, IDENTITY)), (True, _rewrite(cosets, 0, (0, 0)))):
+        # (a, c) and (b, d) are the columns of M; the node's column is their sum.
+        stack = [(1, 0, 0, 1, *start)]
+        while stack:
+            a, c, b, d, coset, r = stack.pop()
+            x, y = a + b, c + d
+            g, gl = l_steps[coset]
+            gr = mat_mul(r, gl)
+            tail = to_h[g]
+            if tail is not None and is_upper_unipotent(mat_mul(gr, tail)):
+                yield (y, -x) if flip else (x, y)
+            if x + b <= max_norm and y + d <= max_norm:
+                stack.append((x, y, b, d, g, gr))
+            if a + x <= max_norm and c + y <= max_norm:
+                k, kr = r_steps[coset]
+                stack.append((a, c, x, y, k, mat_mul(r, kr)))
 
 
 def witness_table(max_norm: int, max_depth: int, entry_cap: Optional[int] = None):
@@ -725,20 +794,17 @@ def witness_table(max_norm: int, max_depth: int, entry_cap: Optional[int] = None
 
     Returns a dict mapping the sign-normalized first column (p, q) of every
     witness word that the breadth-first search reaches to the shortest such
-    word, in the order in which the search reaches them.  Each column within
-    the bound that is not odd/odd is decided by ``column_has_witness``, and
-    a word is built only for columns that have a witness.
+    word, in the order in which the search reaches them.  The columns within
+    the bound that have a witness come from one Stern-Brocot descent through
+    the coset table (``_witness_columns``), at one table step per node, and
+    a word is built only for them.
     """
     cap = entry_cap if entry_cap is not None else 16 * max_norm
     found = []
-    for p in range(max_norm + 1):
-        for q in range(-max_norm, max_norm + 1):
-            if p == 0 and q != 1 or p % 2 and q % 2 or gcd(p, abs(q)) != 1:
-                continue
-            if column_has_witness(p, q):
-                word = _column_word(p, q)
-                if _reachable(word, max_depth, cap):
-                    found.append((_walk_order(word), (p, q), word))
+    for p, q in _witness_columns(max_norm):
+        word = _column_word(p, q)
+        if _reachable(word, max_depth, cap):
+            found.append((_walk_order(word), (p, q), word))
     found.sort()
     return {col: _checked(word) for _, col, word in found}
 

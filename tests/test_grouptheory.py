@@ -538,6 +538,76 @@ def _walk_witness_table(max_norm, max_depth, entry_cap=None):
     return table
 
 
+# witness_table as it was before the Stern-Brocot descent decided its
+# columns: column_has_witness on every sign-normalized column in the box
+# that is not odd/odd.  Kept as the reference for grouptheory._witness_columns.
+def _per_column_witnesses(max_norm):
+    for p in range(max_norm + 1):
+        for q in range(-max_norm, max_norm + 1):
+            if p == 0 and q != 1 or p % 2 and q % 2 or gcd(p, abs(q)) != 1:
+                continue
+            if column_has_witness(p, q):
+                yield p, q
+
+
+def _ref_witness_table_by_column(max_norm, max_depth, entry_cap=None):
+    cap = entry_cap if entry_cap is not None else 16 * max_norm
+    found = []
+    for p, q in _per_column_witnesses(max_norm):
+        word = grouptheory._column_word(p, q)
+        if grouptheory._reachable(word, max_depth, cap):
+            found.append((grouptheory._walk_order(word), (p, q), word))
+    found.sort()
+    return {col: grouptheory._checked(word) for _, col, word in found}
+
+
+@pytest.mark.parametrize("args", [
+    (30, 12, 480), (8, 7, 128), (20, 10, None), (14, 12, 224), (60, 14, None),
+    (0, 12, None), (1, 12, None), (-3, 12, None),
+])
+def test_witness_table_matches_the_per_column_reference(args):
+    table = witness_table(*args)
+    assert list(table.items()) == list(_ref_witness_table_by_column(*args).items())
+
+
+@pytest.mark.parametrize("n", [*range(13), 60, 120])
+def test_witness_columns_match_the_per_column_decider(n):
+    cols = list(grouptheory._witness_columns(n))
+    assert len(cols) == len(set(cols)), n
+    assert set(cols) == set(_per_column_witnesses(n)), n
+    assert not any(p % 2 and q % 2 for p, q in cols), n
+
+
+def test_witness_columns_count_the_periodic_classes_up_to_230():
+    # 258 of the 16155 canonical classes p >= q >= 0 up to 230 are periodic,
+    # as column_has_witness finds one by one.
+    canonical = [(p, q) for p, q in grouptheory._witness_columns(230) if p >= q >= 0]
+    assert len(canonical) == 258
+
+
+def test_find_witness_and_complete_witness_read_one_euclid_path(monkeypatch):
+    # The rho walk and the word walk of a column share one path, in
+    # find_witness and in `mucube witness --complete`.
+    from mucube import cli
+
+    grouptheory._coset_table()
+    paths = []
+    euclid = grouptheory._euclid
+
+    def counted(p, q):
+        paths.append((p, q))
+        return euclid(p, q)
+
+    monkeypatch.setattr(grouptheory, "_euclid", counted)
+    for d in ((4, 1), (12, 1), (5, 2), (1752, -21169), (800001, 200008)):
+        paths.clear()
+        find_witness(d)
+        assert paths == [d], d
+        paths.clear()
+        cli._complete_witness(*d)
+        assert paths == [d], d
+
+
 @pytest.mark.parametrize("depth, entry_cap", [(12, 480), (14, None), (9, 40)])
 def test_find_witness_and_table_match_the_walk(depth, entry_cap):
     # The walk's find_witness(d, depth, cap) reads the same walk as its
