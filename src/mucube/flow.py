@@ -11,7 +11,12 @@ by translation; a gluing with flip identifies it with the *same* side type by
 a rotation by pi, which negates the direction of the flow.
 
 All tracing is integer arithmetic: positions are scaled by an even integer
-``sc`` chosen so that every crossing coordinate is integral.
+``sc`` chosen so that every crossing coordinate is integral.  One leaf
+kernel, ``_leaf``, steps from wall to wall for both the surface tracer and
+the cores of the cylinder decomposition.  The decomposition traces no
+separatrix: in a primitive direction (p, q), the separatrices cut every
+transversal edge at the multiples of 1/max(|p|, |q|), so its intervals are
+known slots, and only one core leaf per cylinder is walked.
 """
 
 from __future__ import annotations
@@ -37,7 +42,9 @@ class DegenerateIntersection(Exception):
 
 
 class FlowBudgetError(RuntimeError):
-    """A separatrix or orbit failed to close within its combinatorial budget."""
+    """A leaf broke an invariant of the integer tracer or of the cylinder
+    decomposition (a core leaf that hits a corner or revisits a slot, a
+    crossing off the scale or on a cut)."""
 
 
 @dataclass(frozen=True)
@@ -101,15 +108,17 @@ def _leaf(glue, sc: int, sq: int, x: int, y: int, dx: int, dy: int):
     across the glued edge.  The last segment yielded ends at a corner, with
     ``side`` None.
     """
+    # A flip changes only the signs of dx and dy.
+    adx, ady = abs(dx), abs(dy)
     while True:
         t = None
         if dx:
-            t, rem = divmod(sc - x if dx > 0 else x, abs(dx))
+            t, rem = divmod(sc - x if dx > 0 else x, adx)
             side = R if dx > 0 else L
             if rem:
                 raise FlowBudgetError("non-integral step; scaling invariant broken")
         if dy:
-            ty, rem = divmod(sc - y if dy > 0 else y, abs(dy))
+            ty, rem = divmod(sc - y if dy > 0 else y, ady)
             if rem:
                 raise FlowBudgetError("non-integral step; scaling invariant broken")
             if t is None or ty < t:
@@ -270,93 +279,60 @@ def _canonical_param(surface, sq, side, t, sc):
     return (sq2, side2), (sc - t if flip else t)
 
 
-def _separatrix_cuts(surface, direction, sc, transversal) -> dict[tuple[int, int], set[int]]:
-    """Points where the separatrices cut the transversal sides.
-
-    Keys are the canonical edges of ``transversal``; values are edge
-    parameters in units of ``1/sc``, the ends 0 and ``sc`` excluded.  The
-    separatrices are traced as rays from the corners of the squares in both
-    directions, and each saddle connection once: a ray that starts where an
-    earlier ray ended would retrace it backwards, cutting the same points in
-    the same number of steps, so it is skipped.
-    """
-    p, q = direction
-    n = surface.n
-    glue = surface.glue
-    budget = 4 * n * (abs(p) + abs(q)) + 16
-    cuts: dict[tuple[int, int], set[int]] = {}
-    for sq in range(n):
-        for side in transversal:
-            cuts.setdefault(_canonical_edge(surface, sq, side), set())
-
-    traced_ends: set[tuple[int, int, int, int, int]] = set()
-    for dx, dy in ((p, q), (-p, -q)):
-        xs = [0] if dx > 0 else [sc] if dx < 0 else [0, sc]
-        ys = [0] if dy > 0 else [sc] if dy < 0 else [0, sc]
-        for sq0 in range(n):
-            for cx in xs:
-                for cy in ys:
-                    if (sq0, cx, cy, dx, dy) in traced_ends:
-                        continue
-                    for steps, (sq, _, _, ex, ey, _, nx, ny, side) in enumerate(
-                        _leaf(glue, sc, sq0, cx, cy, dx, dy)
-                    ):
-                        if side is None:
-                            # The reversed ray would start here.
-                            traced_ends.add((sq, nx, ny, -ex, -ey))
-                            break
-                        if steps >= budget:
-                            raise FlowBudgetError(
-                                "separatrix failed to reach a cone point in budget"
-                            )
-                        if side in transversal:
-                            t = ny if side in VERTICAL_SIDES else nx
-                            key, tc = _canonical_param(surface, sq, side, t, sc)
-                            if 0 < tc < sc:
-                                cuts[key].add(tc)
-    return cuts
-
-
 def cylinder_decomposition(surface, direction: tuple[int, int]) -> Decomposition:
     """Decompose the surface into maximal cylinders in a primitive direction.
 
-    Separatrices cut a transversal (all vertical edges, or all horizontal
-    edges when the direction is closer to vertical) into intervals; each
-    saddle connection is traced once (see ``_separatrix_cuts``).  Grouping
+    The transversal is all vertical edges, or all horizontal edges when the
+    direction is closer to vertical.  The separatrices (the rays from every
+    corner of every square, both ways) cut it into intervals, and grouping
     the intervals along the first-return map yields the cylinders with exact
     widths and integer circumference multipliers.
+
+    No separatrix is traced: the cuts are the multiples of 1/m on every
+    transversal edge, m = max(|p|, |q|).  Take the vertical transversal, so
+    m = |p| (the horizontal one is the same with x and y swapped).  Developed
+    into the plane, the gluings are translations and rotations by pi that
+    preserve Z^2, so a leaf is a line of slope q/p, and the set of wall
+    points (j, k/p) with j, k integers is preserved.  The line through
+    (0, k/p) meets x = j at height (k + j q)/p, an integer for some j since
+    gcd(p, q) = 1: every such wall point lies on a corner ray, and every
+    corner ray meets the walls only at such points.  So the intervals are
+    the m slots of width 1/m on each canonical edge, in sorted order, and a
+    crossing finds its slot by integer division.  The corner-ray
+    construction is kept in ``tests/test_flow.py`` as
+    ``_ref_cylinder_decomposition``, the reference this one is tested
+    against.
+
+    Each cylinder's core leaf starts at the midpoint of the first slot not
+    yet visited and is walked until it re-enters that slot in the same
+    state.  The return map sends slots isometrically onto slots, so the core
+    crosses every slot at its midpoint.  Every slot is entered at most once
+    ("slot revisited" raises otherwise), and the leaf crosses the
+    transversal at least every other segment, so a core closes within the
+    n m slots and needs no crossing budget.
     """
     p, q = direction
     if (p, q) == (0, 0) or gcd(abs(p), abs(q)) != 1:
         raise ValueError("direction must be primitive")
     n = surface.n
+    glue = surface.glue
     vertical_transversal = abs(p) >= abs(q)
     transversal = VERTICAL_SIDES if vertical_transversal else HORIZONTAL_SIDES
-    step_div = abs(p) if vertical_transversal else abs(q)
+    m = abs(p) if vertical_transversal else abs(q)
 
-    sc = 2 * max(abs(p), 1) * max(abs(q), 1)
-    cuts = _separatrix_cuts(surface, (p, q), sc, transversal)
-
-    # Interval lists per canonical edge, in doubled scale so midpoints stay
-    # integral.
-    sc2 = 2 * sc
-    intervals: list[tuple[tuple[int, int], int, int]] = []
-    bounds: dict[tuple[int, int], list[int]] = {}
-    for key in sorted(cuts):
-        params = sorted({0, sc} | cuts[key])
-        bounds[key] = [2 * v for v in params]
-        for lo, hi in zip(params, params[1:]):
-            intervals.append((key, 2 * lo, 2 * hi))
-    index = {iv: k for k, iv in enumerate(intervals)}
-
-    from bisect import bisect_left
-
-    def locate(key, t2):
-        bs = bounds[key]
-        i = bisect_left(bs, t2)
-        if i == 0 or i == len(bs) or bs[i] == t2:
-            raise FlowBudgetError("transversal crossing landed on a cut")
-        return (key, bs[i - 1], bs[i])
+    # Twice the tracer's scale, so slot midpoints are integral too.
+    sc2 = 4 * max(abs(p), 1) * max(abs(q), 1)
+    slot2 = sc2 // m
+    keys = sorted({_canonical_edge(surface, sq, side) for sq in range(n) for side in transversal})
+    slots = [(key, j * slot2, (j + 1) * slot2) for key in keys for j in range(m)]
+    # Per transversal side: the index of its edge's first slot, and whether
+    # the side measures the edge parameter backwards (see _canonical_param).
+    key_base = {key: i * m for i, key in enumerate(keys)}
+    side_slots = {}
+    for sq in range(n):
+        for side in transversal:
+            key, back = _canonical_param(surface, sq, side, 0, sc2)
+            side_slots[(sq, side)] = (key_base[key], back == sc2)
 
     def entry_state(key, t2):
         """State just inside the square after crossing the canonical side."""
@@ -373,56 +349,51 @@ def cylinder_decomposition(surface, direction: tuple[int, int]) -> Decomposition
         d_in = (p, q) if q < 0 else (-p, -q)
         return (sq_c, t2, sc2, d_in[0], d_in[1])
 
-    core_budget = 16 * n * (abs(p) + abs(q)) + 64
-    visited: set[int] = set()
+    half = slot2 // 2
+    width = SqrtLength(Fraction(1, p * p + q * q))
+    visited = [False] * len(slots)
     cylinders: list[Cylinder] = []
 
-    for iv0 in intervals:
-        if index[iv0] in visited:
+    for k0, slot0 in enumerate(slots):
+        if visited[k0]:
             continue
-        key0 = iv0[0]
-        mid = (iv0[1] + iv0[2]) // 2
-        state0 = entry_state(key0, mid)
+        state0 = entry_state(slot0[0], slot0[1] + half)
         group = []
         squares = []
         core_segments = []
-        steps = 0
-        for sq, x, y, dx, dy, t, nx, ny, side in _leaf(surface.glue, sc2, *state0):
-            if steps and (sq, x, y, dx, dy) == state0:
+        closing = False
+        for sq, x, y, dx, dy, t, nx, ny, side in _leaf(glue, sc2, *state0):
+            if closing and (sq, x, y, dx, dy) == state0:
                 break
-            if steps > core_budget:
-                raise FlowBudgetError("core leaf failed to close in budget")
             if side is None:
                 raise FlowBudgetError("core leaf hit a cone point")
             core_segments.append((sq, x, y, nx, ny))
             if side in transversal:
-                tpar = ny if side in VERTICAL_SIDES else nx
-                key, tc = _canonical_param(surface, sq, side, tpar // 2, sc)
-                iv = locate(key, tc * 2)
-                k = index[iv]
-                if k in visited:
-                    raise FlowBudgetError("interval revisited before closure")
-                visited.add(k)
-                group.append(iv)
+                base, back = side_slots[(sq, side)]
+                t2 = ny if vertical_transversal else nx
+                j, rem = divmod(sc2 - t2 if back else t2, slot2)
+                if not rem:
+                    raise FlowBudgetError("transversal crossing landed on a cut")
+                if rem != half:
+                    raise FlowBudgetError("return map is not measure-preserving")
+                k = base + j
+                if visited[k]:
+                    raise FlowBudgetError("slot revisited before closure")
+                visited[k] = True
+                group.append(slots[k])
                 squares.append(sq)
-                steps += 1
+                closing = k == k0
 
-        length0 = Fraction(iv0[2] - iv0[1], sc2)
-        for iv in group:
-            if iv[2] - iv[1] != iv0[2] - iv0[1]:
-                raise FlowBudgetError("return map is not measure-preserving")
-        mult, rem = divmod(steps, step_div)
+        steps = len(group)
+        mult, rem = divmod(steps, m)
         if rem:
             raise FlowBudgetError("circumference is not an integer multiple")
-        nsq = p * p + q * q
-        width = SqrtLength(length0 * length0 * step_div * step_div / nsq)
-        area = Fraction(steps) * length0
         cylinders.append(
             Cylinder(
                 direction=(p, q),
                 circumference_multiplier=mult,
                 width=width,
-                area=area,
+                area=Fraction(steps, m),
                 squares=squares,
                 scale=sc2,
                 scaled_intervals=group,

@@ -674,10 +674,12 @@ def _column_rho_and_word(p: int, q: int) -> tuple[Optional[Mat2], Optional[Group
 def column_witness(p: int, q: int) -> Optional[GroupWord]:
     """The shortest witness word with first column +-(p, q), or None when
     (p, q) has no witness; found by rewriting through the coset table, with
-    no bound on depth or entries."""
-    if not column_has_witness(p, q):
-        return None
-    return _checked(_column_word(p, q))
+    no bound on depth or entries.  The rho walk and the word walk share one
+    Euclid path."""
+    if gcd(abs(p), abs(q)) != 1:
+        raise ValueError("direction must be primitive")
+    word = _column_rho_and_word(p, q)[1]
+    return None if word is None else _checked(word)
 
 
 # The letter index that ``_witness_bfs`` records for each one-letter step.

@@ -1,10 +1,13 @@
 """Tracing, decomposition and intersection machinery on the quotients."""
 
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mucube import flow
 from mucube.exact import SqrtLength
@@ -18,6 +21,7 @@ from mucube.flow import (
 )
 from mucube.homology import signed_crossings
 from mucube.mucube3d import Point3, SEED_CHART, SEED_FACE, trace3d
+from mucube.surfaces import minimal_translation_cover
 
 
 CENTER = SurfacePoint(0, Fraction(1, 2), Fraction(1, 2))
@@ -176,8 +180,11 @@ def test_return_map_measure_preserving(X, Y):
 
 # The separatrix loop as it was before each saddle connection was traced once:
 # one ray from every corner in each of +d and -d, so every connection is
-# walked from both ends.  Kept as the reference for flow._separatrix_cuts.
-def _ref_separatrix_cuts(surface, direction, sc, transversal):
+# walked from both ends.  With ``once``, the loop that traced each connection
+# from one end only: a ray that starts where an earlier ray ended would
+# retrace it backwards, cutting the same points, so it is skipped.  Kept as
+# the reference for the cuts.
+def _ref_separatrix_cuts(surface, direction, sc, transversal, once=False):
     p, q = direction
     n = surface.n
     budget = 4 * n * (abs(p) + abs(q)) + 16
@@ -185,16 +192,20 @@ def _ref_separatrix_cuts(surface, direction, sc, transversal):
     for sq in range(n):
         for side in transversal:
             cuts.setdefault(flow._canonical_edge(surface, sq, side), set())
+    traced_ends = set()
     for dx, dy in ((p, q), (-p, -q)):
         xs = [0] if dx > 0 else [sc] if dx < 0 else [0, sc]
         ys = [0] if dy > 0 else [sc] if dy < 0 else [0, sc]
         for sq0 in range(n):
             for cx in xs:
                 for cy in ys:
-                    for steps, (sq, _, _, _, _, _, nx, ny, side) in enumerate(
+                    if once and (sq0, cx, cy, dx, dy) in traced_ends:
+                        continue
+                    for steps, (sq, _, _, ex, ey, _, nx, ny, side) in enumerate(
                         flow._leaf(surface.glue, sc, sq0, cx, cy, dx, dy)
                     ):
                         if side is None:
+                            traced_ends.add((sq, nx, ny, -ex, -ey))
                             break
                         if steps >= budget:
                             raise FlowBudgetError(
@@ -208,6 +219,113 @@ def _ref_separatrix_cuts(surface, direction, sc, transversal):
     return cuts
 
 
+def _ref_separatrix_cuts_once(surface, direction, sc, transversal):
+    return _ref_separatrix_cuts(surface, direction, sc, transversal, once=True)
+
+
+# cylinder_decomposition as it was while it traced the separatrices: the cuts
+# of the corner rays, sorted into intervals located by bisection, and a core
+# leaf per cylinder under a guessed budget.  Kept as the reference for
+# flow.cylinder_decomposition, which reads the cuts off the slot lattice.
+def _ref_cylinder_decomposition(surface, direction, separatrix_cuts=_ref_separatrix_cuts):
+    p, q = direction
+    if (p, q) == (0, 0) or gcd(abs(p), abs(q)) != 1:
+        raise ValueError("direction must be primitive")
+    n = surface.n
+    vertical_transversal = abs(p) >= abs(q)
+    transversal = flow.VERTICAL_SIDES if vertical_transversal else flow.HORIZONTAL_SIDES
+    step_div = abs(p) if vertical_transversal else abs(q)
+
+    sc = 2 * max(abs(p), 1) * max(abs(q), 1)
+    cuts = separatrix_cuts(surface, (p, q), sc, transversal)
+
+    sc2 = 2 * sc
+    intervals = []
+    bounds = {}
+    for key in sorted(cuts):
+        params = sorted({0, sc} | cuts[key])
+        bounds[key] = [2 * v for v in params]
+        for lo, hi in zip(params, params[1:]):
+            intervals.append((key, 2 * lo, 2 * hi))
+    index = {iv: k for k, iv in enumerate(intervals)}
+
+    def locate(key, t2):
+        bs = bounds[key]
+        i = bisect_left(bs, t2)
+        if i == 0 or i == len(bs) or bs[i] == t2:
+            raise FlowBudgetError("transversal crossing landed on a cut")
+        return (key, bs[i - 1], bs[i])
+
+    def entry_state(key, t2):
+        sq_c, side_c = key
+        if side_c == flow.L:
+            d_in = (p, q) if p > 0 else (-p, -q)
+            return (sq_c, 0, t2, d_in[0], d_in[1])
+        if side_c == flow.R:
+            d_in = (p, q) if p < 0 else (-p, -q)
+            return (sq_c, sc2, t2, d_in[0], d_in[1])
+        if side_c == flow.B:
+            d_in = (p, q) if q > 0 else (-p, -q)
+            return (sq_c, t2, 0, d_in[0], d_in[1])
+        d_in = (p, q) if q < 0 else (-p, -q)
+        return (sq_c, t2, sc2, d_in[0], d_in[1])
+
+    core_budget = 16 * n * (abs(p) + abs(q)) + 64
+    visited = set()
+    cylinders = []
+    for iv0 in intervals:
+        if index[iv0] in visited:
+            continue
+        mid = (iv0[1] + iv0[2]) // 2
+        state0 = entry_state(iv0[0], mid)
+        group, squares, core_segments = [], [], []
+        steps = 0
+        for sq, x, y, dx, dy, t, nx, ny, side in flow._leaf(surface.glue, sc2, *state0):
+            if steps and (sq, x, y, dx, dy) == state0:
+                break
+            if steps > core_budget:
+                raise FlowBudgetError("core leaf failed to close in budget")
+            if side is None:
+                raise FlowBudgetError("core leaf hit a cone point")
+            core_segments.append((sq, x, y, nx, ny))
+            if side in transversal:
+                tpar = ny if side in flow.VERTICAL_SIDES else nx
+                key, tc = flow._canonical_param(surface, sq, side, tpar // 2, sc)
+                iv = locate(key, tc * 2)
+                k = index[iv]
+                if k in visited:
+                    raise FlowBudgetError("interval revisited before closure")
+                visited.add(k)
+                group.append(iv)
+                squares.append(sq)
+                steps += 1
+
+        length0 = Fraction(iv0[2] - iv0[1], sc2)
+        for iv in group:
+            if iv[2] - iv[1] != iv0[2] - iv0[1]:
+                raise FlowBudgetError("return map is not measure-preserving")
+        mult, rem = divmod(steps, step_div)
+        if rem:
+            raise FlowBudgetError("circumference is not an integer multiple")
+        nsq = p * p + q * q
+        cylinders.append(
+            flow.Cylinder(
+                direction=(p, q),
+                circumference_multiplier=mult,
+                width=SqrtLength(length0 * length0 * step_div * step_div / nsq),
+                area=Fraction(steps) * length0,
+                squares=squares,
+                scale=sc2,
+                scaled_intervals=group,
+                core_segments=core_segments,
+            )
+        )
+    deco = flow.Decomposition(direction=(p, q), cylinders=cylinders)
+    if deco.total_area != n:
+        raise FlowBudgetError(f"decomposition areas {deco.total_area} do not add up to {n}")
+    return deco
+
+
 def _primitive(bound):
     return [
         (p, q)
@@ -217,30 +335,39 @@ def _primitive(bound):
     ]
 
 
-def test_decomposition_matches_two_way_reference(X, Y, monkeypatch):
-    dirs = _primitive(25)
-    got = {
-        (name, d): cylinder_decomposition(S, d) for name, S in (("x", X), ("y", Y)) for d in dirs
-    }
-    monkeypatch.setattr(flow, "_separatrix_cuts", _ref_separatrix_cuts)
-    for (name, d), deco in got.items():
-        ref = cylinder_decomposition(X if name == "x" else Y, d)
-        # Dataclass equality covers every field, core_segments included.
-        assert deco == ref, (name, d)
-        if max(map(abs, d)) <= 12:
-            # The Fraction views derive from the fields compared above; they
-            # are compared where they are cheap to build.
-            for c, rc in zip(deco.cylinders, ref.cylinders):
-                assert c.intervals == rc.intervals, (name, d)
-                assert c.core_chain == rc.core_chain, (name, d)
-    assert len(got) == 2 * 1600
+def _slot_lattice(surface, direction, sc, transversal):
+    """The cuts that cylinder_decomposition assumes: every multiple of
+    1/max(|p|, |q|) inside every canonical transversal edge."""
+    m = max(map(abs, direction))
+    edges = {flow._canonical_edge(surface, sq, side) for sq in range(surface.n) for side in transversal}
+    return {key: set(range(sc // m, sc, sc // m)) for key in edges}
+
+
+def test_decomposition_matches_two_way_reference(X, Y):
+    count = 0
+    for S in (X, Y):
+        for d in _primitive(25):
+            deco = cylinder_decomposition(S, d)
+            ref = _ref_cylinder_decomposition(S, d)
+            # Dataclass equality covers every field, core_segments included.
+            assert deco == ref, (S.name, d)
+            if max(map(abs, d)) <= 12:
+                # The Fraction views derive from the fields compared above;
+                # they are compared where they are cheap to build.
+                for c, rc in zip(deco.cylinders, ref.cylinders):
+                    assert c.intervals == rc.intervals, (S.name, d)
+                    assert c.core_chain == rc.core_chain, (S.name, d)
+            count += 1
+    assert count == 2 * 1600
 
 
 def test_each_saddle_connection_traced_once(X, Y, monkeypatch):
     # Corner rays start at a corner of a square; core leaves start inside an
     # edge.  n squares have n corner rays in each of +d and -d off the axes
     # (2n on an axis, where two corners of each square face the flow), and
-    # the two ends of each saddle connection are two of them.
+    # the two ends of each saddle connection are two of them.  The one-way
+    # reference cuts as the two-way one does; the slot decomposition starts
+    # no leaf at a corner at all.
     starts = []
 
     def counting_leaf(glue, sc, sq, x, y, dx, dy):
@@ -253,9 +380,38 @@ def test_each_saddle_connection_traced_once(X, Y, monkeypatch):
     for S in (X, Y):
         for p, q in _primitive(12):
             starts.clear()
-            cylinder_decomposition(S, (p, q))
+            ref = _ref_cylinder_decomposition(S, (p, q), _ref_separatrix_cuts_once)
             assert len(starts) == (S.n if p * q else 2 * S.n), (S.n, p, q)
             assert len(set(starts)) == len(starts)
+            starts.clear()
+            assert cylinder_decomposition(S, (p, q)) == ref, (S.name, p, q)
+            assert starts == [], (S.name, p, q)
+
+
+@pytest.fixture(scope="module")
+def cover_y(Y):
+    return minimal_translation_cover(Y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((0, 1, 2)),
+    st.tuples(st.integers(-300, 300), st.integers(-300, 300)).filter(
+        lambda d: gcd(abs(d[0]), abs(d[1])) == 1
+    ),
+)
+def test_slot_lattice_beyond_the_gate_sizes(X, Y, cover_y, which, d):
+    # The corner rays cut every transversal edge at the multiples of
+    # 1/max(|p|, |q|) and nowhere else, so the slot decomposition equals the
+    # reference far past the |p|, |q| <= 25 sweep, on X, Y and Y's
+    # translation cover.
+    S = (X, Y, cover_y)[which]
+    p, q = d
+    sc = 2 * max(abs(p), 1) * max(abs(q), 1)
+    transversal = flow.VERTICAL_SIDES if abs(p) >= abs(q) else flow.HORIZONTAL_SIDES
+    cuts = _ref_separatrix_cuts(S, d, sc, transversal)
+    assert cuts == _slot_lattice(S, d, sc, transversal), (S.name, d)
+    assert cylinder_decomposition(S, d) == _ref_cylinder_decomposition(S, d), (S.name, d)
 
 
 def test_closure_implies_rational_slope_contrapositive(X):

@@ -608,6 +608,30 @@ def test_find_witness_and_complete_witness_read_one_euclid_path(monkeypatch):
         assert paths == [d], d
 
 
+def test_column_witness_reads_one_euclid_path(monkeypatch):
+    # The verdict and the word of a column come from the same path, for
+    # columns with a witness and for drift ones alike.
+    grouptheory._coset_table()
+    paths = []
+    euclid = grouptheory._euclid
+
+    def counted(p, q):
+        paths.append((p, q))
+        return euclid(p, q)
+
+    monkeypatch.setattr(grouptheory, "_euclid", counted)
+    for d in ((4, 1), (12, 1), (5, 2), (1, 2), (1752, -21169), (800001, 200008)):
+        paths.clear()
+        column_witness(*d)
+        assert paths == [d], d
+    assert column_witness(800001, 200008) is not None
+    assert column_witness(5, 2) is None
+    paths.clear()
+    with pytest.raises(ValueError):
+        column_witness(2, 4)
+    assert paths == []
+
+
 @pytest.mark.parametrize("depth, entry_cap", [(12, 480), (14, None), (9, 40)])
 def test_find_witness_and_table_match_the_walk(depth, entry_cap):
     # The walk's find_witness(d, depth, cap) reads the same walk as its
