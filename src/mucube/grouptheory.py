@@ -684,8 +684,6 @@ def column_witness(p: int, q: int) -> Optional[GroupWord]:
 
 # The letter index that ``_witness_bfs`` records for each one-letter step.
 _STEP_INDEX = {letter: i for i, letter in enumerate(_BFS_LETTERS)}
-# The entries of m X that the walk holds to its cap when it steps by X.
-_CAPPED = {"A": (1, 3), "T": (), "B": (0, 1, 2, 3)}
 
 
 def _reachable(word: GroupWord, max_depth: int, cap: int) -> bool:
@@ -701,12 +699,19 @@ def _reachable(word: GroupWord, max_depth: int, cap: int) -> bool:
         return True
     if sum(abs(e) for _, e in word.letters) > max_depth:
         return False
-    m = IDENTITY
+    a, b, c, d = IDENTITY
     for letter, e in word.letters:
-        g = GENS[letter] if e > 0 else mat_inv(GENS[letter])
+        if letter == "T":
+            # T^e = +-T^(e mod 2), and the cap tests ignore the sign.
+            if e % 2:
+                a, b, c, d = b, -a, d, -c
+            continue
+        w, x, y, z = GENS[letter] if e > 0 else mat_inv(GENS[letter])
         for _ in range(abs(e)):
-            m = mat_mul(m, g)
-            if any(abs(m[i]) > cap for i in _CAPPED[letter]):
+            a, b, c, d = a * w + b * y, a * x + b * z, c * w + d * y, c * x + d * z
+            if not (-cap <= b <= cap and -cap <= d <= cap):
+                return False
+            if letter == "B" and not (-cap <= a <= cap and -cap <= c <= cap):
                 return False
     return True
 
@@ -747,47 +752,79 @@ def find_witness(d, max_depth: int = 14, entry_cap: Optional[int] = None) -> Opt
     return _checked(word) if _reachable(word, max_depth, cap) else None
 
 
+@cache
+def _descent_steps():
+    """The steps of ``_witness_columns``' descent, built on first use from
+    ``_coset_table()``.
+
+    Per coset c: the coset and rho of one L step (S U^-1 S = -L) and of one
+    R step (U) from c, and (w0, w1), the first column of rho(L step) times
+    rho of the U steps from the L step's coset to H's coset, or None when
+    that coset's U-cycle misses H's.  Then the start of the walk for p > 0 > q:
+    S's coset and the bottom row of rho(S) from H's coset.
+    """
+    cosets = _coset_table()
+    steps = []
+    for c in range(len(cosets)):
+        g, gl = _rewrite(cosets, c, (0, -1, 0))
+        k, kr = _rewrite(cosets, c, (1,))
+        orbit = cosets[g].u_orbit
+        w = None
+        if 0 in orbit:
+            m = mat_mul(gl, cosets[g].u_rho[orbit.index(0)])
+            w = (m[0], m[2])
+        steps.append((g, *gl, k, *kr, w))
+    s, sr = _rewrite(cosets, 0, (0, 0))
+    return tuple(steps), (s, sr[2], sr[3])
+
+
 def _witness_columns(max_norm: int):
     """Every sign-normalized column (p, q) with max(|p|, |q|) <= max_norm
     that has a witness, each once, decided in O(1) table steps per column.
 
     The Stern-Brocot tree of L = [[1,0],[1,1]] and R = U enumerates every
     matrix M of SL(2, Z) with entries >= 0 once; node M stands for the
-    column M (1, 1), the first column of G = M L.  A node carries its coset
-    and the rho product of its walk from H's coset (``_rewrite``), so its L
-    child's state is that of G, one L step on, and U steps from there to
-    H's coset give an h in H with first column (p, q).  It differs from the
-    h of Euclid's path by +-A^k, and rho(A) is upper unipotent, so the
+    column M (1, 1), the first column of G = M L.  A node stands for its
+    coset and the rho product r of its walk from H's coset (``_rewrite``),
+    so its L child's state is that of G, one L step on, and U steps from
+    there to H's coset give an h in H with first column (p, q).  It differs
+    from the h of Euclid's path by +-A^k, and rho(A) is upper unipotent, so the
     verdict is ``column_has_witness``'s (see ``column_rho``).  Columns only
     grow down the tree, so a child beyond the bound is pruned with its
     subtree.  The walk from H's coset gives the columns with p, q > 0, the
     walk from S's coset (G = S M L) those with p > 0 > q; (1, 0) and (0, 1)
     are the identity's and T's.
+
+    Only the bottom row (rc, rd) of r is carried.  Every rho image here has
+    determinant 1 (rho(T), rho(A) and rho(B) do, and so do their products,
+    inverses and negatives), so such a product is upper unipotent up to
+    sign exactly when its lower-left entry is 0: with c = 0, a d = 1 forces
+    a = d = +-1.  The verdict reads the lower-left entry of r gl tail, with
+    gl the L step's rho and tail that of the U steps to H's coset, which is
+    (rc, rd) times the first column (w0, w1) of gl tail; that column
+    depends on the coset alone (``_descent_steps``).  A child's bottom row
+    is (rc, rd) times its step's rho.  So a node costs one 2-term dot
+    product for the verdict and two per child, with no matrix built.
     """
     if max_norm < 1:
         return
     yield (1, 0)
     yield (0, 1)
-    cosets = _coset_table()
-    l_steps = [_rewrite(cosets, c, (0, -1, 0)) for c in range(len(cosets))]  # S U^-1 S = -L
-    r_steps = [_rewrite(cosets, c, (1,)) for c in range(len(cosets))]
-    to_h = [row.u_rho[row.u_orbit.index(0)] if 0 in row.u_orbit else None for row in cosets]
-    for flip, start in ((False, (0, IDENTITY)), (True, _rewrite(cosets, 0, (0, 0)))):
+    steps, s_start = _descent_steps()
+    for flip, start in ((False, (0, 0, 1)), (True, s_start)):
         # (a, c) and (b, d) are the columns of M; the node's column is their sum.
         stack = [(1, 0, 0, 1, *start)]
+        pop, push = stack.pop, stack.append
         while stack:
-            a, c, b, d, coset, r = stack.pop()
+            a, c, b, d, coset, rc, rd = pop()
+            g, la, lb, lc, ld, k, ka, kb, kc, kd, w = steps[coset]
             x, y = a + b, c + d
-            g, gl = l_steps[coset]
-            gr = mat_mul(r, gl)
-            tail = to_h[g]
-            if tail is not None and is_upper_unipotent(mat_mul(gr, tail)):
+            if w is not None and rc * w[0] + rd * w[1] == 0:
                 yield (y, -x) if flip else (x, y)
             if x + b <= max_norm and y + d <= max_norm:
-                stack.append((x, y, b, d, g, gr))
+                push((x, y, b, d, g, rc * la + rd * lc, rc * lb + rd * ld))
             if a + x <= max_norm and c + y <= max_norm:
-                k, kr = r_steps[coset]
-                stack.append((a, c, x, y, k, mat_mul(r, kr)))
+                push((a, c, x, y, k, rc * ka + rd * kc, rc * kb + rd * kd))
 
 
 def witness_table(max_norm: int, max_depth: int, entry_cap: Optional[int] = None):

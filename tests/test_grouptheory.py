@@ -585,6 +585,98 @@ def test_witness_columns_count_the_periodic_classes_up_to_230():
     assert len(canonical) == 258
 
 
+# grouptheory._witness_columns as it was before its nodes carried only the
+# bottom row of their rho product: full 2x2 products through mat_mul, the
+# step tables rebuilt with _rewrite on every call, and the verdict by
+# is_upper_unipotent.  Kept as the reference for the one-row descent.
+def _ref_witness_columns(max_norm):
+    if max_norm < 1:
+        return
+    yield (1, 0)
+    yield (0, 1)
+    cosets = grouptheory._coset_table()
+    rewrite = grouptheory._rewrite
+    l_steps = [rewrite(cosets, c, (0, -1, 0)) for c in range(len(cosets))]  # S U^-1 S = -L
+    r_steps = [rewrite(cosets, c, (1,)) for c in range(len(cosets))]
+    to_h = [row.u_rho[row.u_orbit.index(0)] if 0 in row.u_orbit else None for row in cosets]
+    for flip, start in ((False, (0, IDENTITY)), (True, rewrite(cosets, 0, (0, 0)))):
+        stack = [(1, 0, 0, 1, *start)]
+        while stack:
+            a, c, b, d, coset, r = stack.pop()
+            x, y = a + b, c + d
+            g, gl = l_steps[coset]
+            gr = mat_mul(r, gl)
+            tail = to_h[g]
+            if tail is not None and is_upper_unipotent(mat_mul(gr, tail)):
+                yield (y, -x) if flip else (x, y)
+            if x + b <= max_norm and y + d <= max_norm:
+                stack.append((x, y, b, d, g, gr))
+            if a + x <= max_norm and c + y <= max_norm:
+                k, kr = r_steps[coset]
+                stack.append((a, c, x, y, k, mat_mul(r, kr)))
+
+
+@pytest.mark.parametrize("n", [*range(13), 30, 60, 120, 230])
+def test_witness_columns_match_the_matrix_descent(n):
+    # The same columns in the same order as the descent that carries whole
+    # rho products.
+    assert list(grouptheory._witness_columns(n)) == list(_ref_witness_columns(n))
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(-5, 400))
+def test_witness_columns_match_the_matrix_descent_random(n):
+    assert list(grouptheory._witness_columns(n)) == list(_ref_witness_columns(n))
+
+
+def _det(m):
+    return m[0] * m[3] - m[1] * m[2]
+
+
+def test_one_row_lemma():
+    # Every rho the descent reads has determinant 1, so its verdict needs
+    # only the lower-left entry of the product, which the bottom row gives.
+    cosets = grouptheory._coset_table()
+    for row in cosets:
+        assert _det(row.s_rho) == 1
+        assert all(_det(m) == 1 for m in row.u_rho + row.v_rho)
+    steps, (s, s_c, s_d) = grouptheory._descent_steps()
+    assert (s, (s_c, s_d)) == (cosets[0].s_image, cosets[0].s_rho[2:])
+    for c, (g, la, lb, lc, ld, k, ka, kb, kc, kd, w) in enumerate(steps):
+        assert (g, (la, lb, lc, ld)) == grouptheory._rewrite(cosets, c, (0, -1, 0))
+        assert (k, (ka, kb, kc, kd)) == grouptheory._rewrite(cosets, c, (1,))
+        assert _det((la, lb, lc, ld)) == _det((ka, kb, kc, kd)) == 1
+        orbit = cosets[g].u_orbit
+        assert (w is None) == (0 not in orbit), c
+        if w is not None:
+            m = mat_mul((la, lb, lc, ld), cosets[g].u_rho[orbit.index(0)])
+            assert w == (m[0], m[2]), c
+    rng = random.Random(1515)
+    unipotent = 0
+    for _ in range(2000):
+        r = rho(random_word(rng, rng.randint(0, 8)))
+        assert _det(r) == 1
+        assert is_upper_unipotent(r) == (r[2] == 0), r
+        unipotent += r[2] == 0
+    assert 0 < unipotent < 2000
+
+
+def test_witness_table_reuses_its_step_tables(monkeypatch):
+    # The descent's steps are rewritten once, on first use; a second table
+    # rewrites nothing with rho images.
+    witness_table(30, 12, 480)
+    calls = []
+    rewrite = grouptheory._rewrite
+
+    def counted(*args):
+        calls.append(args)
+        return rewrite(*args)
+
+    monkeypatch.setattr(grouptheory, "_rewrite", counted)
+    assert len(witness_table(30, 12, 480)) == 46
+    assert calls == []
+
+
 def test_find_witness_and_complete_witness_read_one_euclid_path(monkeypatch):
     # The rho walk and the word walk of a column share one path, in
     # find_witness and in `mucube witness --complete`.
@@ -905,6 +997,10 @@ def test_signature(words, signature):
     assert 12 + index - 3 * e2 - 4 * e3 - 6 * cusps == 0
 
 
+# The entries of m X that the walk holds to its cap when it steps by X.
+_CAPPED = {"A": (1, 3), "T": (), "B": (0, 1, 2, 3)}
+
+
 def test_walk_is_a_tree():
     # H is free on T, A, B, so the only child of a node that the walk's
     # deduplication rejects is the node's parent: the inverse step.
@@ -922,13 +1018,35 @@ def test_walk_is_a_tree():
             if (letter, exp) == ("T", -1):
                 continue
             n = mat_mul(m, mat_pow(GENS[letter], exp))
-            if any(abs(n[i]) > 300 for i in grouptheory._CAPPED[letter]):
+            if any(abs(n[i]) > 300 for i in _CAPPED[letter]):
                 continue
             n = proj_canonical(n)
             if visited[n] != (m, gidx):
                 assert n == parent, (m, letter, exp)
                 rejected += 1
     assert rejected == len(visited) - 1 - sum(d == 10 for d in depth.values())
+
+
+@pytest.mark.parametrize("cap", [4, 16, 60])
+def test_reachable_is_the_walks_test_word_by_word(cap):
+    # Every word the walk reaches passes _reachable, and every one-letter
+    # extension of such a word that stays reduced (T only as T^1, since
+    # T^-1 = -T and T^2 = -I) passes it exactly when the walk reaches it.
+    visited = {}
+    reached = {grouptheory._reconstruct(visited, m) for m in grouptheory._witness_bfs(visited, 7, cap)}
+    rejected = 0
+    for w in reached:
+        assert grouptheory._reachable(w, 7, cap), w
+        last = w.letters[-1] if w.letters else (None, 0)
+        for letter, exp in grouptheory._BFS_LETTERS:
+            if (letter, exp) == ("T", -1) or letter == last[0] and (letter == "T" or exp * last[1] < 0):
+                continue
+            child = w * GroupWord.of((letter, exp))
+            if sum(abs(e) for _, e in child.letters) > 7:
+                continue
+            assert grouptheory._reachable(child, 7, cap) == (child in reached), (child, cap)
+            rejected += child not in reached
+    assert rejected > 0
 
 
 def _split_s_pair(table):

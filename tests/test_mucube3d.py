@@ -633,6 +633,45 @@ def test_drift_vector_swap_law():
     assert pairs == 312  # 624 ordered drift pairs
 
 
+def test_crossing_budget_bounds_every_trace():
+    # crossing_budget's derivation: on X's 24-sheet orientation cover a leaf
+    # is back on its sheet and position, or at a corner, within 24 units of
+    # |p| + |q| crossings each, and the oracle's drift revisit is X's
+    # closure.  Every primitive |p|, |q| <= 40, from seed_start and from
+    # (1/3, 2/7), in 3D and on X: the traces end under the budget, and in
+    # fact within 4(|p| + |q|) + 1 crossings, which some trace attains.
+    from mucube.flow import SurfacePoint, trace_surface
+    from mucube.surfaces import build_x
+
+    X = build_x()
+    other = Point3(SEED_FACE, SEED_CHART, Fraction(1, 3), Fraction(2, 7))
+    worst = 0
+    stops = set()
+    for p in range(-40, 41):
+        for q in range(-40, 41):
+            if gcd(abs(p), abs(q)) != 1:
+                continue
+            n = abs(p) + abs(q)
+            budget = crossing_budget(p, q)
+            assert budget == 24 * n + 1, (p, q)
+            used = []
+            for start in (seed_start(p, q), other):
+                t = trace3d(start, (p, q), max_crossings=budget, record_vertices=False)
+                stops.add(t.stop_reason)
+                assert t.stop_reason in ("closed", "drift", "cone_point"), (p, q, start)
+                used.append(t.crossings)
+            y0 = Fraction(1, 3) if p % 2 and q % 2 else Fraction(1, 2)
+            for start in (SurfacePoint(0, Fraction(1, 2), y0), SurfacePoint(0, other.u, other.v)):
+                t = trace_surface(X, start, (p, q), budget, record_segments=False)
+                stops.add(t.stop_reason)
+                assert t.stop_reason in ("closed", "cone_point"), (p, q, start)
+                used.append(len(t.scaled_crossings) + t.closed)  # closure trims one
+            assert max(used) <= 4 * n + 1, (p, q, used)
+            worst = max(worst, max(used) - 4 * n - 1)
+    assert worst == 0
+    assert stops == {"closed", "drift", "cone_point"}
+
+
 # ---------------------------------------------------------------------------
 # Diameter and twists
 # ---------------------------------------------------------------------------
