@@ -168,6 +168,7 @@ def _verdict_record(pair_method):
 
 def _verdict_records(pairs, method: str, jobs: int):
     tasks = [(pair, method) for pair in pairs]
+    jobs = min(jobs, len(tasks))
     if jobs > 1:
         import multiprocessing
 

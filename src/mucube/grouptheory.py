@@ -13,11 +13,12 @@ when some such word has first column +-(p, q).
 
 That criterion is decided exactly by the coset table of H = <T, A, B> in
 PSL(2, Z) = <S, U | S^2, (S U)^3>, with S = T and U = [[1,1],[0,1]].
-Todd-Coxeter enumeration finds 9 cosets, and
-Reidemeister-Schreier rewriting carries rho to the Schreier generators,
-whose T/A/B words come from one short walk of the witness BFS; their rho
-images are checked against the relators and against rho(T), rho(A), rho(B)
-(Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005).
+Todd-Coxeter enumeration finds 9 cosets, and in its modified form records
+the T/A/B word of each Schreier generator as it deduces the table's
+entries.  Reidemeister-Schreier rewriting carries these words and their rho
+images along any S/U word; both are checked against the relators and
+against T, A and B (Holt, Eick and O'Brien, Handbook of Computational Group
+Theory, 2005).
 Euclid's path of (p, q) through the table either never reaches H's coset,
 and then no word of H has that column, or gives one that does; all such
 words differ by powers of A and a sign, so one rho image answers for all
@@ -34,8 +35,9 @@ The table's signature (one coset fixed by S, none by S U, three cusps) makes
 H = Z/2 * Z * Z, free on T, A and B, so every element has exactly one
 freely reduced word.  Rewriting with the Schreier generators' words in
 place of their rho images therefore gives each column's shortest witness
-word, and the breadth-first witness search never has to be walked: it is a
-tree, and whether it reaches a word is a test of that word's prefixes.
+word, and the breadth-first search that defines ``find_witness``'s answer
+is never walked: it is a tree, and whether it reaches a word is a test of
+that word's prefixes.
 
 Continued fractions whose partial quotients are multiples of four live here
 as well: convergents, the explicit witness words for their slopes, the
@@ -90,7 +92,8 @@ def mat_pow(m: Mat2, n: int) -> Mat2:
 
 
 def mat_neg(m: Mat2) -> Mat2:
-    return tuple(-v for v in m)  # type: ignore[return-value]
+    a, b, c, d = m
+    return (-a, -b, -c, -d)
 
 
 def proj_canonical(m: Mat2) -> Mat2:
@@ -201,85 +204,16 @@ def is_in_gamma(w: GroupWord) -> bool:
 # Witness search
 # ---------------------------------------------------------------------------
 
-# Letters of the walk, by the index ``visited`` records.  T^-1 never reaches a
-# new word: M T^-1 = -(M T), which the T step has already tried.
+# ``find_witness`` and ``witness_table`` answer as a breadth-first walk over
+# words would.  It starts at the empty word and extends every word of the
+# last level on the right by these letters, in this order.  A new word is
+# kept only if its matrix, modulo sign, is new and passes the step's cap test
+# (see ``_reachable``).  The order fixes which word of a column is found
+# first.  T^-1 never reaches a new word: M T^-1 = -(M T), which the T step
+# has already tried.
 _BFS_LETTERS: tuple[tuple[str, int], ...] = (
     ("A", 1), ("A", -1), ("T", 1), ("T", -1), ("B", 1), ("B", -1),
 )
-
-
-def _witness_bfs(visited: dict[Mat2, tuple[Optional[Mat2], int]], max_depth: int, cap: int):
-    """Breadth-first walk over words of length at most ``max_depth``.
-
-    Words are extended by right multiplication with the generator letters in
-    the order of ``_BFS_LETTERS``, deduplicated on the matrix modulo sign (the
-    ``proj_canonical`` representative), and dropped once an entry exceeds
-    ``cap``.  Yields the canonical matrix of every newly reached word, the
-    empty word first, after recording ``(parent, letter index)`` in
-    ``visited``; ``_reconstruct`` reads the word back from there.
-
-    No representation image is carried: rho is a homomorphism, so callers
-    evaluate it on the reconstructed word, and only for the few words whose
-    first column they want.  Mod 2, A and B are the identity and T swaps the
-    basis vectors, so every first column reached is (1, 0) or (0, 1) mod 2
-    and never odd/odd.
-    """
-    visited[IDENTITY] = (None, -1)
-    yield IDENTITY
-    frontier = [IDENTITY]
-    ncap = -cap
-    for _ in range(max_depth):
-        level: list[Mat2] = []
-        push = level.append
-        for m in frontier:
-            a, b, c, d = m
-            # m A and m A^-1 keep the first column, which is within the cap.
-            x, z = 4 * a + b, 4 * c + d
-            if ncap <= x <= cap and ncap <= z <= cap:
-                n = (a, x, c, z) if a > 0 or (a == 0 and x > 0) else (-a, -x, -c, -z)
-                if n not in visited:
-                    visited[n] = (m, 0)
-                    yield n
-                    push(n)
-            x, z = b - 4 * a, d - 4 * c
-            if ncap <= x <= cap and ncap <= z <= cap:
-                n = (a, x, c, z) if a > 0 or (a == 0 and x > 0) else (-a, -x, -c, -z)
-                if n not in visited:
-                    visited[n] = (m, 1)
-                    yield n
-                    push(n)
-            # m T permutes the entries of m up to sign, so it is within the cap.
-            n = (b, -a, d, -c) if b > 0 or (b == 0 and a < 0) else (-b, a, -d, c)
-            if n not in visited:
-                visited[n] = (m, 2)
-                yield n
-                push(n)
-            w, x, y, z = 5 * a + 2 * b, -8 * a - 3 * b, 5 * c + 2 * d, -8 * c - 3 * d
-            if ncap <= w <= cap and ncap <= x <= cap and ncap <= y <= cap and ncap <= z <= cap:
-                n = (w, x, y, z) if w > 0 or (w == 0 and x > 0) else (-w, -x, -y, -z)
-                if n not in visited:
-                    visited[n] = (m, 4)
-                    yield n
-                    push(n)
-            w, x, y, z = -3 * a - 2 * b, 8 * a + 5 * b, -3 * c - 2 * d, 8 * c + 5 * d
-            if ncap <= w <= cap and ncap <= x <= cap and ncap <= y <= cap and ncap <= z <= cap:
-                n = (w, x, y, z) if w > 0 or (w == 0 and x > 0) else (-w, -x, -y, -z)
-                if n not in visited:
-                    visited[n] = (m, 5)
-                    yield n
-                    push(n)
-        frontier = level
-
-
-def _reconstruct(visited, key) -> GroupWord:
-    parts = []
-    while True:
-        parent, gidx = visited[key]
-        if parent is None:
-            break
-        parts.append(_BFS_LETTERS[gidx])
-        key = parent
-    return GroupWord(_reduce(tuple(reversed(parts))))
 
 
 # ---------------------------------------------------------------------------
@@ -353,39 +287,65 @@ def _su_exponents(m: Mat2) -> list[int]:
     return exps
 
 
-def _enumerate_cosets(subgroup) -> list[list[int]]:
+def _enumerate_cosets(subgroup) -> tuple[list[list[int]], list[list[Syllables]]]:
     """Todd-Coxeter enumeration (HLT) of the right cosets of the subgroup
-    generated by the S/U words ``subgroup``; the rows give the images of each
-    coset under S, U and U^-1, and coset 0 is the subgroup itself.
+    generated by ``subgroup``, pairs of a generator's letter and its S/U
+    word; coset 0 is the subgroup itself.  Returns the coset table, whose
+    rows give the images of each coset under S, U and U^-1, and the word of
+    every entry over the generators' letters (modified Todd-Coxeter).
 
-    Every coset is defined as the image of one already known, and an entry is
-    filled in only when a relator or a subgroup generator forces it, so a
-    complete table is the coset action.  Two names for one coset (a
+    Every coset d is defined as the image c x of one already known, and an
+    entry is filled in only when a relator or a subgroup generator forces
+    it, so a complete table is the coset action.  Two names for one coset (a
     coincidence) would need merging; no enumeration here meets one, so it
     raises CosetTableError instead, as does passing 1000 cosets.
+
+    The representatives follow the definitions: t_0 = 1 and t_d = t_c x.
+    The word of an entry c x = d is the freely reduced W with t_c x = W t_d,
+    so it is empty for the two entries of a definition.  A scan of a word
+    x_0 ... x_n-1 from coset c reads t_c x_0 ... x_n-1 = h t_c, with h the
+    generator's letter for a generator scanned at coset 0 and empty for a
+    relator.  The forward scan's entry words multiply to P, with
+    t_c x_0 ... x_i-1 = P t_f; the backward scan, stepping from b by x_j^-1
+    with entry word V, prepends V^-1 to Q, so that t_b x_i+1 ... x_n-1 =
+    Q t_c.  So the entry f x_i = b deduced at position i has the word
+    W = P^-1 h Q^-1, and its inverse entry W^-1.  All words go through
+    ``_extend``, so T's exponent counts mod 2.
     """
     table: list[list] = [[None, None, None]]
+    words: list[list] = [[None, None, None]]
 
     def define(c, x):
         if len(table) >= 1000:
             raise CosetTableError("coset enumeration passed 1000 cosets")
-        table[c][x] = len(table)
+        table[c][x], words[c][x] = len(table), ()
         table.append([None, None, None])
-        table[-1][_INV[x]] = c
+        words.append([None, None, None])
+        table[-1][_INV[x]], words[-1][_INV[x]] = c, ()
 
-    def scan_and_fill(c, word):
+    def scan_and_fill(c, word, h=()):
         f, b, i, j = c, c, 0, len(word) - 1
+        p: list[tuple[str, int]] = []  # P, the forward scan's entry words
+        q: list[tuple[str, int]] = []  # Q^-1, the backward scan's, in scan order
         while True:
             while i <= j and table[f][word[i]] is not None:
+                _extend(p, words[f][word[i]])
                 f, i = table[f][word[i]], i + 1
             while j >= i and table[b][_INV[word[j]]] is not None:
+                _extend(q, words[b][_INV[word[j]]])
                 b, j = table[b][_INV[word[j]]], j - 1
             if j < i:
                 if f != b:
                     raise CosetTableError(f"cosets {f} and {b} coincide")
                 return
             if i == j:
+                w = _word_inv(p)
+                _extend(w, h)
+                _extend(w, q)
                 table[f][word[i]], table[b][_INV[word[i]]] = b, f
+                # An S entry fixing its coset is its own inverse entry; W is
+                # then an involution, and the entry keeps W.
+                words[b][_INV[word[i]]], words[f][word[i]] = tuple(_word_inv(w)), tuple(w)
                 return
             define(f, word[i])
 
@@ -395,21 +355,21 @@ def _enumerate_cosets(subgroup) -> list[list[int]]:
             word += [_S] * (i > 0) + [_U if e > 0 else _UI] * abs(e)
         return word
 
-    for exps in subgroup:
-        scan_and_fill(0, columns(exps))
+    for letter, exps in subgroup:
+        scan_and_fill(0, columns(exps), ((letter, 1),))
     for c, row in enumerate(table):
         for relator in _RELATORS:
             scan_and_fill(c, columns(relator))
         for x in range(3):
             if row[x] is None:
                 define(c, x)
-    return table
+    return table, words
 
 
 class _Coset(NamedTuple):
     """One coset c of H, with rho and the T/A/B words of the Schreier
-    generators t_c X t_{cX}^-1 (t the Schreier transversal) that the walk
-    from it passes."""
+    generators t_c X t_{cX}^-1 that the walk from it passes (t the
+    representatives of ``_enumerate_cosets``, whose entry words these are)."""
 
     s_image: int  # c S
     s_rho: Mat2
@@ -480,11 +440,17 @@ def _extend(out: list[tuple[str, int]], word: Sequence[tuple[str, int]]) -> None
             out.append((letter, exp))
 
 
+def _word_inv(word: Sequence[tuple[str, int]]) -> list[tuple[str, int]]:
+    """The freely reduced word of the inverse of ``word``."""
+    out: list[tuple[str, int]] = []
+    _extend(out, [(letter, -e) for letter, e in reversed(word)])
+    return out
+
+
 def _word_pow(word: Syllables, n: int) -> list[tuple[str, int]]:
     """The freely reduced word of word^n, by repeated squaring."""
     out: list[tuple[str, int]] = []
-    base: list[tuple[str, int]] = []
-    _extend(base, [(letter, -e) for letter, e in reversed(word)] if n < 0 else word)
+    base = _word_inv(word) if n < 0 else list(word)
     n = abs(n)
     while n:
         if n & 1:
@@ -540,50 +506,28 @@ def _coset_table() -> tuple[_Coset, ...]:
     of V = S U^-2 through each coset with their prefix products; built on
     first use.
 
-    The table must have H's signature ``_H_SIGNATURE``.  The words are the
-    first T/A/B words of one ``_witness_bfs`` walk that reach each
-    generator's matrix, and give the rho images.  Two checks then prove that
-    rho is well defined on H (modulo sign): every relator, rewritten from
-    every coset, maps to +-I, and T, A and B, rewritten from H's coset, map
-    to their images in ``RHO``.  Any check failing raises CosetTableError.
+    The table must have H's signature ``_H_SIGNATURE``.  The words are those
+    that the enumeration records for its S and U entries, and give the rho
+    images.  Two checks then prove the words and rho right (rho modulo
+    sign): every relator, rewritten from every coset, maps to +-I and to the
+    empty word, and T, A and B, rewritten from H's coset, map to their
+    images in ``RHO`` and to the words T, A and B.  By Reidemeister-Schreier
+    the relators' words make the words a homomorphism from H to the free
+    product Z/2 * Z * Z on T, A, B, and the generators' words make it
+    inverse to evaluation, so every word evaluates to its Schreier
+    generator.  Any check failing raises CosetTableError.
     """
     words = {name: _su_exponents(m) for name, m in GENS.items()}
-    table = _enumerate_cosets(words.values())
+    table, entry_words = _enumerate_cosets(words.items())
     if _signature(table) != _H_SIGNATURE:
         raise CosetTableError(f"signature {_signature(table)}, not {_H_SIGNATURE}")
-    steps = ((_S, THETA), (_U, U_MAT))
-    trans: list[Optional[Mat2]] = [IDENTITY] + [None] * (len(table) - 1)
-    queue = [0]
-    for c in queue:
-        for x, xm in steps:
-            d = table[c][x]
-            if trans[d] is None:
-                trans[d] = mat_mul(trans[c], xm)
-                queue.append(d)
-    schreier = {
-        (c, x): proj_canonical(mat_mul(mat_mul(trans[c], xm), mat_inv(trans[table[c][x]])))
-        for c in range(len(table)) for x, xm in steps
-    }
-    word_of: dict[Mat2, Optional[GroupWord]] = dict.fromkeys(schreier.values())
-    visited: dict = {}
-    for m in _witness_bfs(visited, 12, 400):
-        if m in word_of:
-            word_of[m] = _reconstruct(visited, m)
-            if None not in word_of.values():
-                break
-    else:
-        raise CosetTableError("a Schreier generator has no word within the walk")
-    rho_of = {m: rho(w) for m, w in word_of.items()}
 
-    def u_step(c):
-        gen = schreier[c, _U]
-        return table[c][_U], rho_of[gen], word_of[gen].letters
+    def step(c, x):
+        word = entry_words[c][x]
+        return table[c][x], rho(GroupWord(word)), word
 
-    cosets = [
-        _Coset(table[c][_S], rho_of[schreier[c, _S]], word_of[schreier[c, _S]].letters,
-               *_cycle(c, u_step))
-        for c in range(len(table))
-    ]
+    cosets = [_Coset(*step(c, _S), *_cycle(c, lambda d: step(d, _U)))
+              for c in range(len(table))]
 
     def v_step(c):
         d, r = _rewrite(cosets, c, (0, -2))
@@ -595,12 +539,16 @@ def _coset_table() -> tuple[_Coset, ...]:
     for c in range(len(cosets)):
         for relator in _RELATORS:
             d, r = _rewrite(cosets, c, relator)
-            if d != c or not proj_equal(r, IDENTITY):
-                raise CosetTableError(f"relator {relator} from coset {c} maps to {r}")
+            e, w = _rewrite_word(cosets, c, relator)
+            if d != c or e != c or w or not proj_equal(r, IDENTITY):
+                raise CosetTableError(f"relator {relator} from coset {c} maps to {r}, {w}")
     for name, exps in words.items():
         d, r = _rewrite(cosets, 0, exps)
         if d != 0 or not proj_equal(r, RHO[name]):
             raise CosetTableError(f"{name} rewrites to {r}, not {RHO[name]}")
+        d, w = _rewrite_word(cosets, 0, exps)
+        if (d, w) != (0, [(name, 1)]):
+            raise CosetTableError(f"{name} rewrites to the word {w} at coset {d}")
     return tuple(cosets)
 
 
@@ -682,18 +630,20 @@ def column_witness(p: int, q: int) -> Optional[GroupWord]:
     return None if word is None else _checked(word)
 
 
-# The letter index that ``_witness_bfs`` records for each one-letter step.
+# The index in ``_BFS_LETTERS`` of each one-letter step.
 _STEP_INDEX = {letter: i for i, letter in enumerate(_BFS_LETTERS)}
 
 
 def _reachable(word: GroupWord, max_depth: int, cap: int) -> bool:
-    """Whether ``_witness_bfs(visited, max_depth, cap)`` reaches ``word``.
+    """Whether the walk of ``find_witness``'s contract (``_BFS_LETTERS``),
+    with ``max_depth`` levels and entry cap ``cap``, reaches ``word``.
 
+    The walk's cap test on a step's new matrix is this: after A or B, the
+    new second column must lie within the cap; after T, nothing is tested.
+    That is every entry within the cap once cap >= 1 (see the B step below).
     H is free on T, A, B, so the walk is a tree of reduced words: it reaches
     a word iff the word has at most ``max_depth`` letters and every
-    one-letter prefix passes the walk's cap test on the new matrix (A checks
-    its second column, T nothing, B all four entries).  The empty word is
-    always reached.
+    one-letter prefix passes the cap test.  The empty word is always reached.
     """
     if not word.letters:
         return True
@@ -708,10 +658,14 @@ def _reachable(word: GroupWord, max_depth: int, cap: int) -> bool:
             continue
         w, x, y, z = GENS[letter] if e > 0 else mat_inv(GENS[letter])
         for _ in range(abs(e)):
+            # Only the second column can leave the cap.  m A keeps m's first
+            # column.  m B has a' = (b - 5 b') / 8 and m B^-1 has
+            # a' = -(3 b' + b) / 8 (likewise c' from d and d'), so once b'
+            # passes, |a'| <= 3/4 cap, since |b| <= cap by induction from the
+            # identity when cap >= 1.  When cap < 1, no A or B step passes:
+            # b' = d' = 0 would give the new matrix determinant 0.
             a, b, c, d = a * w + b * y, a * x + b * z, c * w + d * y, c * x + d * z
             if not (-cap <= b <= cap and -cap <= d <= cap):
-                return False
-            if letter == "B" and not (-cap <= a <= cap and -cap <= c <= cap):
                 return False
     return True
 
@@ -732,11 +686,13 @@ def find_witness(d, max_depth: int = 14, entry_cap: Optional[int] = None) -> Opt
     ``column_has_witness`` decides first, for every depth and cap, whether
     any word with that column is a witness, and then every such word is one.
     So a None there proves that (p, q) has no witness: this holds for every
-    drift direction (for odd/odd ones by parity, see ``_witness_bfs``, before
-    the coset table is built).  Otherwise the search's first word is the
-    shortest one, ``column_witness``'s, if the search reaches it at all
-    (``_reachable``), and nothing is walked; a None then only means that the
-    witness lies beyond the depth or the cap.  The cost is one Euclid path,
+    drift direction.  For odd/odd ones it holds before the coset table is
+    built, by parity: mod 2, A and B are the identity and T swaps the basis
+    vectors, so no word over T, A, B has an odd/odd first column.
+    Otherwise the search's first word is the shortest one,
+    ``column_witness``'s, if the search reaches it at all (``_reachable``),
+    and nothing is walked; a None then only means that the witness lies
+    beyond the depth or the cap.  The cost is one Euclid path,
     walked through the coset table once with rho images and once with
     words, plus O(max_depth) matrix products for the reachability test.
     """

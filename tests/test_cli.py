@@ -138,6 +138,41 @@ def test_scan_drift_columns_are_the_rows_own(tmp_path, capsys):
         assert rows[(p, q)] == f"{p},{q},drift,0,{x},{y},{z}"
 
 
+def test_scan_in_parallel_writes_the_serial_csv(tmp_path, capsys):
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}.csv"
+        code, _, _ = run_cli(capsys, "scan", "--max", "6", "--out", str(out), "--jobs", jobs)
+        assert code == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_scan_pool_has_no_more_workers_than_tasks(monkeypatch):
+    # Up to 2 there are three canonical classes and one drift swap, so a
+    # request for 64 workers opens one pool of 3 and none for the swap.
+    import multiprocessing
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    assert scan_records(2, jobs=64) == scan_records(2, jobs=1)
+    assert sizes == [3]
+
+
 def test_scan_unwritable_path(capsys):
     code, _, err = run_cli(
         capsys, "scan", "--max", "1", "--out", "/nonexistent-dir/x.csv", "--jobs", "1"

@@ -8,6 +8,7 @@ import sys
 from collections import deque
 from fractions import Fraction
 from math import gcd
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from mucube.grouptheory import (
     GroupWord,
     IDENTITY,
     INCONCLUSIVE,
+    Mat2,
     PERIODIC_SLOPE,
     RECURRENT_ALL,
     RECURRENT_FROM_CONE_POINTS,
@@ -47,6 +49,8 @@ from mucube.grouptheory import (
     recurrence_classify,
     rho,
     witness_table,
+    _BFS_LETTERS,
+    _reduce,
 )
 
 LETTERS = ("T", "A", "B")
@@ -181,22 +185,96 @@ def test_find_witness_is_an_early_exit_of_witness_table():
     assert found == len(table) >= 10 and missing > 10
 
 
+# The breadth-first walk that defines find_witness's and witness_table's
+# answers (grouptheory._BFS_LETTERS), as the package ran it until the coset
+# enumeration recorded the Schreier generators' words.  It stays the fast
+# reference for the walk tests below; _ref_bfs is its own reference.
+def _witness_bfs(visited: dict[Mat2, tuple[Optional[Mat2], int]], max_depth: int, cap: int):
+    """Breadth-first walk over words of length at most ``max_depth``.
+
+    Words are extended by right multiplication with the generator letters in
+    the order of ``_BFS_LETTERS``, deduplicated on the matrix modulo sign (the
+    ``proj_canonical`` representative), and dropped once an entry exceeds
+    ``cap``.  Yields the canonical matrix of every newly reached word, the
+    empty word first, after recording ``(parent, letter index)`` in
+    ``visited``; ``_reconstruct`` reads the word back from there.
+
+    No representation image is carried: rho is a homomorphism, so callers
+    evaluate it on the reconstructed word, and only for the few words whose
+    first column they want.  Mod 2, A and B are the identity and T swaps the
+    basis vectors, so every first column reached is (1, 0) or (0, 1) mod 2
+    and never odd/odd.
+    """
+    visited[IDENTITY] = (None, -1)
+    yield IDENTITY
+    frontier = [IDENTITY]
+    ncap = -cap
+    for _ in range(max_depth):
+        level: list[Mat2] = []
+        push = level.append
+        for m in frontier:
+            a, b, c, d = m
+            # m A and m A^-1 keep the first column, which is within the cap.
+            x, z = 4 * a + b, 4 * c + d
+            if ncap <= x <= cap and ncap <= z <= cap:
+                n = (a, x, c, z) if a > 0 or (a == 0 and x > 0) else (-a, -x, -c, -z)
+                if n not in visited:
+                    visited[n] = (m, 0)
+                    yield n
+                    push(n)
+            x, z = b - 4 * a, d - 4 * c
+            if ncap <= x <= cap and ncap <= z <= cap:
+                n = (a, x, c, z) if a > 0 or (a == 0 and x > 0) else (-a, -x, -c, -z)
+                if n not in visited:
+                    visited[n] = (m, 1)
+                    yield n
+                    push(n)
+            # m T permutes the entries of m up to sign, so it is within the cap.
+            n = (b, -a, d, -c) if b > 0 or (b == 0 and a < 0) else (-b, a, -d, c)
+            if n not in visited:
+                visited[n] = (m, 2)
+                yield n
+                push(n)
+            w, x, y, z = 5 * a + 2 * b, -8 * a - 3 * b, 5 * c + 2 * d, -8 * c - 3 * d
+            if ncap <= w <= cap and ncap <= x <= cap and ncap <= y <= cap and ncap <= z <= cap:
+                n = (w, x, y, z) if w > 0 or (w == 0 and x > 0) else (-w, -x, -y, -z)
+                if n not in visited:
+                    visited[n] = (m, 4)
+                    yield n
+                    push(n)
+            w, x, y, z = -3 * a - 2 * b, 8 * a + 5 * b, -3 * c - 2 * d, 8 * c + 5 * d
+            if ncap <= w <= cap and ncap <= x <= cap and ncap <= y <= cap and ncap <= z <= cap:
+                n = (w, x, y, z) if w > 0 or (w == 0 and x > 0) else (-w, -x, -y, -z)
+                if n not in visited:
+                    visited[n] = (m, 5)
+                    yield n
+                    push(n)
+        frontier = level
+
+
+def _reconstruct(visited, key) -> GroupWord:
+    parts = []
+    while True:
+        parent, gidx = visited[key]
+        if parent is None:
+            break
+        parts.append(_BFS_LETTERS[gidx])
+        key = parent
+    return GroupWord(_reduce(tuple(reversed(parts))))
+
+
 def test_parity_lemma():
     # Mod 2, A and B are the identity and T swaps the basis vectors, so no
     # word has an odd/odd first column.
     visited = {}
     nodes = 0
-    for m in grouptheory._witness_bfs(visited, 10, 200):
+    for m in _witness_bfs(visited, 10, 200):
         nodes += 1
         assert m[0] % 2 == 0 or m[2] % 2 == 0, m
     assert nodes == len(visited) > 10000
 
 
-def test_odd_odd_witness_search_does_not_walk(monkeypatch):
-    def no_walk(*args):
-        raise AssertionError("walked the BFS for an odd/odd direction")
-
-    monkeypatch.setattr(grouptheory, "_witness_bfs", no_walk)
+def test_odd_odd_witness_search_does_not_walk():
     for d in ((3, 5), (-7, 1), (1, 1), (9, -11)):
         assert find_witness(d) is None
         assert find_witness(d, max_depth=30, entry_cap=10**6) is None
@@ -204,7 +282,7 @@ def test_odd_odd_witness_search_does_not_walk(monkeypatch):
 
 # The walk as it was before rho became lazy: every node carries its rho image,
 # and the representation is tested on every word.  Kept as the reference for
-# the lean walk of grouptheory._witness_bfs.
+# the lean walk _witness_bfs above.
 _REF_GENS = tuple(
     (letter, exp, mat_pow(GENS[letter], exp), mat_pow(RHO[letter], exp))
     for letter in ("A", "T", "B")
@@ -279,7 +357,7 @@ def _normalized(p, q):
 @pytest.mark.parametrize("cap", [16, 100, 224])
 def test_lean_walk_matches_reference(cap):
     visited, ref_visited = {}, {}
-    nodes = list(grouptheory._witness_bfs(visited, 9, cap))
+    nodes = list(_witness_bfs(visited, 9, cap))
     ref_nodes = [m for m, _ in _ref_bfs(ref_visited, 9, cap)]
     assert nodes == ref_nodes
     assert list(visited.items()) == list(ref_visited.items())
@@ -357,7 +435,7 @@ def test_coset_table_shape_and_checks():
     ],
 )
 def test_enumerate_cosets_known_indices(words, index):
-    table = grouptheory._enumerate_cosets(words)
+    table, _ = grouptheory._enumerate_cosets(enumerate(words))
     assert len(table) == index
     for c, (s, u, ui) in enumerate(table):
         assert table[s][0] == c and table[u][2] == c and table[ui][1] == c
@@ -365,7 +443,7 @@ def test_enumerate_cosets_known_indices(words, index):
 
 def test_enumerate_cosets_stops_on_infinite_index():
     with pytest.raises(CosetTableError):
-        grouptheory._enumerate_cosets([[1], [0, 5, 0]])
+        grouptheory._enumerate_cosets(enumerate([[1], [0, 5, 0]]))
 
 
 def _without_b(rho_of_word):
@@ -381,15 +459,97 @@ def _conjugated(rho_of_word):
 
 
 @pytest.mark.parametrize(
-    "corrupt, message", [(_without_b, "relator"), (_conjugated, "A rewrites")]
+    "corrupt, message", [(_without_b, "B rewrites"), (_conjugated, "A rewrites")]
 )
 def test_coset_table_refuses_wrong_schreier_images(monkeypatch, corrupt, message):
-    # rho on the Schreier generators comes from words of the walk.  Images
-    # that are no homomorphism fail the relator check; those of another
-    # homomorphism (rho conjugated) fail the check against RHO.
+    # rho on the Schreier generators is evaluated on the words that the
+    # enumeration records.  Images that drop B still pass the relators on
+    # this table but send B to the identity; those of another homomorphism
+    # (rho conjugated) fail the check against RHO at A.
     monkeypatch.setattr(grouptheory, "rho", corrupt(grouptheory.rho))
     with pytest.raises(CosetTableError, match=message):
         grouptheory._coset_table.__wrapped__()
+
+
+@pytest.mark.parametrize("letter", ["A", "T"])
+def test_coset_table_refuses_a_corrupted_entry_word(monkeypatch, letter):
+    # The relators' rewriting reads every S and U entry, so one entry word
+    # times A, which moves rho, or times T, which rho cannot see, is refused
+    # by the relator check or by the check of T, A and B's words.
+    enumerate_cosets = grouptheory._enumerate_cosets
+    table, words = enumerate_cosets(
+        (name, grouptheory._su_exponents(m)) for name, m in GENS.items())
+    entries = [(c, x) for c in range(len(table)) for x in (grouptheory._S, grouptheory._U)]
+    assert sum(bool(words[c][x]) for c, x in entries) >= 5  # deduced, not defined
+    for c, x in entries:
+        def corrupted(subgroup, c=c, x=x):
+            table, words = enumerate_cosets(subgroup)
+            w = list(words[c][x])
+            grouptheory._extend(w, [(letter, 1)])
+            words[c][x] = tuple(w)
+            return table, words
+
+        monkeypatch.setattr(grouptheory, "_enumerate_cosets", corrupted)
+        with pytest.raises(CosetTableError, match="relator|rewrites"):
+            grouptheory._coset_table.__wrapped__()
+
+
+def test_coset_table_refuses_the_words_of_another_basis(monkeypatch):
+    # T -> A T A^-1 is an automorphism of Z/2 * Z * Z that keeps rho, so
+    # words rewritten by it pass the relator checks and the rho checks; only
+    # the check of T, A and B's own words refuses them.
+    enumerate_cosets = grouptheory._enumerate_cosets
+
+    def conjugated(subgroup):
+        table, words = enumerate_cosets(subgroup)
+        for row in words:
+            for x, word in enumerate(row):
+                w = []
+                for letter, e in word:
+                    image = [("A", 1), ("T", e), ("A", -1)] if letter == "T" else [(letter, e)]
+                    grouptheory._extend(w, image)
+                row[x] = tuple(w)
+        return table, words
+
+    monkeypatch.setattr(grouptheory, "_enumerate_cosets", conjugated)
+    with pytest.raises(CosetTableError, match="T rewrites to the word"):
+        grouptheory._coset_table.__wrapped__()
+
+
+def _su_path(word):
+    """The S/U exponents of a T/A/B word: its letters' paths, each inverted
+    for a negative exponent, concatenated with the exponents merged at each
+    join (U^e S ... U^f times U^g S ... is U^e S ... U^(f+g) S ...)."""
+    path = [0]
+    for letter, e in word.letters:
+        step = grouptheory._su_exponents(GENS[letter])
+        if e < 0:
+            step = [-k for k in reversed(step)]  # S^-1 = S in PSL(2, Z)
+        for _ in range(abs(e)):
+            path[-1] += step[0]
+            path += step[1:]
+    return path
+
+
+def test_table_words_round_trip():
+    # Rewriting a word's S/U path from H's coset returns to it with exactly
+    # the word's free reduction in Z/2 * Z * Z (T's exponent mod 2), and
+    # with rho of the word.
+    cosets = grouptheory._coset_table()
+    rng = random.Random(1616)
+    for _ in range(500):
+        parts, letter = [], None
+        for _ in range(rng.randint(0, 12)):
+            letter = rng.choice([x for x in LETTERS if x != letter])
+            parts.append((letter, rng.choice((-3, -2, -1, 1, 2, 3))))
+        word = GroupWord(tuple(parts))
+        path = _su_path(word)
+        assert proj_equal(grouptheory._su_matrix(path), eval_word(word)), word
+        reduced = []
+        grouptheory._extend(reduced, word.letters)
+        assert grouptheory._rewrite_word(cosets, 0, path) == (0, reduced), word
+        c, r = grouptheory._rewrite(cosets, 0, path)
+        assert c == 0 and proj_canonical(r) == rho(word), word
 
 
 @pytest.mark.parametrize("d", [(0, 0), (2, 4), (-3, 0)])
@@ -458,13 +618,7 @@ def test_every_fourey_direction_has_a_witness():
     assert count == 1813
 
 
-def test_drift_witness_search_does_not_walk(monkeypatch):
-    grouptheory._coset_table()
-
-    def no_walk(*args):
-        raise AssertionError("walked the BFS for a drift direction")
-
-    monkeypatch.setattr(grouptheory, "_witness_bfs", no_walk)
+def test_drift_witness_search_does_not_walk():
     for d in ((5, 2), (1, 2), (2, 7), (-4, 9)):
         assert classify_oracle(d).verdict == "drift"
         assert find_witness(d) is None
@@ -513,9 +667,9 @@ def _walk_find_witness(d, max_depth=14, entry_cap=None):
     cap = entry_cap if entry_cap is not None else 16 * max(abs(p), abs(q), 1)
     columns = ((p, q), (-p, -q))
     visited = {}
-    for m in grouptheory._witness_bfs(visited, max_depth, cap):
+    for m in _witness_bfs(visited, max_depth, cap):
         if (m[0], m[2]) in columns:
-            return grouptheory._reconstruct(visited, m)
+            return _reconstruct(visited, m)
     return None
 
 
@@ -524,7 +678,7 @@ def _walk_witness_table(max_norm, max_depth, entry_cap=None):
     visited = {}
     table = {}
     no_witness = set()
-    for m in grouptheory._witness_bfs(visited, max_depth, cap):
+    for m in _witness_bfs(visited, max_depth, cap):
         a, c = m[0], m[2]
         if a > max_norm or not -max_norm <= c <= max_norm:
             continue
@@ -532,7 +686,7 @@ def _walk_witness_table(max_norm, max_depth, entry_cap=None):
         if col in table or col in no_witness:
             continue
         if column_has_witness(*col):
-            table[col] = grouptheory._reconstruct(visited, m)
+            table[col] = _reconstruct(visited, m)
         else:
             no_witness.add(col)
     return table
@@ -756,13 +910,7 @@ def test_edge_arguments_match_the_walk(depth, entry_cap):
         assert list(table.items()) == list(_walk_witness_table(n, depth, entry_cap).items()), n
 
 
-def test_witness_words_walk_nothing(monkeypatch):
-    grouptheory._coset_table()
-
-    def no_walk(*args):
-        raise AssertionError("walked the BFS for a witness word")
-
-    monkeypatch.setattr(grouptheory, "_witness_bfs", no_walk)
+def test_witness_words_walk_nothing():
     assert str(find_witness((4, 1))) == "A T"
     assert str(find_witness((12, 1))) == "A^3 T"
     found = 0
@@ -991,7 +1139,7 @@ def test_word_powers_and_reduction():
     ],
 )
 def test_signature(words, signature):
-    index, e2, e3, cusps = grouptheory._signature(grouptheory._enumerate_cosets(words))
+    index, e2, e3, cusps = grouptheory._signature(grouptheory._enumerate_cosets(enumerate(words))[0])
     assert (index, e2, e3, cusps) == signature
     # All of these have genus 0: 12 g = 12 + index - 3 e2 - 4 e3 - 6 cusps.
     assert 12 + index - 3 * e2 - 4 * e3 - 6 * cusps == 0
@@ -1005,7 +1153,7 @@ def test_walk_is_a_tree():
     # H is free on T, A, B, so the only child of a node that the walk's
     # deduplication rejects is the node's parent: the inverse step.
     visited = {}
-    list(grouptheory._witness_bfs(visited, 10, 300))
+    list(_witness_bfs(visited, 10, 300))
     depth = {IDENTITY: 0}
     for m, (parent, _) in visited.items():  # parents come first
         if parent is not None:
@@ -1033,7 +1181,7 @@ def test_reachable_is_the_walks_test_word_by_word(cap):
     # extension of such a word that stays reduced (T only as T^1, since
     # T^-1 = -T and T^2 = -I) passes it exactly when the walk reaches it.
     visited = {}
-    reached = {grouptheory._reconstruct(visited, m) for m in grouptheory._witness_bfs(visited, 7, cap)}
+    reached = {_reconstruct(visited, m) for m in _witness_bfs(visited, 7, cap)}
     rejected = 0
     for w in reached:
         assert grouptheory._reachable(w, 7, cap), w
@@ -1065,9 +1213,9 @@ def test_coset_table_refuses_a_corrupted_s_image(monkeypatch, corrupt):
     enumerate_cosets = grouptheory._enumerate_cosets
 
     def corrupted(subgroup):
-        table = enumerate_cosets(subgroup)
+        table, words = enumerate_cosets(subgroup)
         corrupt(table)
-        return table
+        return table, words
 
     monkeypatch.setattr(grouptheory, "_enumerate_cosets", corrupted)
     with pytest.raises(CosetTableError, match="signature"):
