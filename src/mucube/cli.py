@@ -397,7 +397,7 @@ def cmd_fourey(args) -> int:
         coeffs = _parse_int_list(args.coeffs)
         period = _parse_int_list(args.period) if args.period else []
         cf = ContinuedFraction.fourey(coeffs, period)
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         print(f"error: bad coefficients: {exc}", file=sys.stderr)
         return USAGE_ERROR
     payload = {

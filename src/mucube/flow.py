@@ -11,21 +11,47 @@ by translation; a gluing with flip identifies it with the *same* side type by
 a rotation by pi, which negates the direction of the flow.
 
 All tracing is integer arithmetic: positions are scaled by an even integer
-``sc`` chosen so that every crossing coordinate is integral.  One leaf
-kernel, ``_leaf``, steps from wall to wall for both the surface tracer and
-the cores of the cylinder decomposition.  The decomposition traces no
-separatrix: in a primitive direction (p, q), the separatrices cut every
-transversal edge at the multiples of 1/max(|p|, |q|), so its intervals are
-known slots, and only one core leaf per cylinder is walked.
+``sc`` chosen so that every crossing coordinate is integral.  Both the
+surface tracer and the cores of the cylinder decomposition walk the
+direction's cutting word (``_unit_word``), the order in which a line of
+slope q/p crosses the walls of the square lattice.  Every gluing is a
+translation, or a translation composed with a rotation by pi, and both
+preserve Z^2.  So a leaf in direction (p, q), developed into the plane, is
+a straight line, and in one unit of the parameter s it moves by (p, q) and
+crosses |p| vertical and |q| horizontal walls.  Their order depends only on
+(p, q) and the start's position in its chart, so the word is built once per
+call; a tie in it is a corner, where the leaf stops at a cone point.  Along
+the walk the leaf's only state is its sheet: the square and the sign of the
+direction in that square's chart.  A letter moves the sheet by one lookup in
+flat gluing lists (``_sheet_steps``); a flip switches the sign, and the
+chart coordinates are then the word's, reflected through the square's
+center.
+
+Lemma: a post-crossing state repeats only after a whole number of units.
+Proof: the two crossings are at the same point of the same square with the
+same direction.  The leaf between them develops to a segment from a point z
+to g(z), where g is the holonomy of the developing map, z -> +-z + v with v
+in Z^2.  The direction is the same at both ends, so g is the translation by
+v, and v lies on the line: v = lam (p, q), with lam an integer because
+gcd(p, q) = 1.  lam is the number of units between the crossings.  So
+closure is tested once per unit, at the same letter of the word, and the
+leaf has closed exactly when its sheet there is the same.
+
+The decomposition traces no separatrix: in a primitive direction (p, q),
+the separatrices cut every transversal edge at the multiples of
+1/max(|p|, |q|), so its intervals are known slots, and only one core leaf
+per cylinder is walked.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import zip_longest
+from itertools import chain, repeat, zip_longest
 from math import gcd
+from operator import getitem
 from typing import Optional, Sequence
 
 from .exact import SqrtLength
@@ -98,46 +124,115 @@ class SurfaceTrace:
         return _fraction_segments(self.scaled_segments, self.scale)
 
 
-def _leaf(glue, sc: int, sq: int, x: int, y: int, dx: int, dy: int):
-    """Wall-to-wall segments of the leaf from ``(x, y)`` in square ``sq``.
+def _unit_word(sc: int, x0: int, y0: int, dx: int, dy: int):
+    """One unit of the cutting word of the leaf from ``(x0, y0)`` in direction
+    ``(dx, dy)``: the walls it crosses with 0 < t <= sc, in order.
 
-    Coordinates are integers in units of ``1/sc``.  Yields
-    ``(sq, x, y, dx, dy, t, nx, ny, side)`` per segment: its square, start
-    point and direction, its length ``t`` in steps of ``(dx, dy)``, its end
-    point, and the side it exits through, after which the leaf continues
-    across the glued edge.  The last segment yielded ends at a corner, with
-    ``side`` None.
+    Coordinates are integers in units of ``1/sc`` in the developed chart of
+    the start square, where the leaf is the line ``(x0 + dx t, y0 + dy t)``.
+    Returns ``(times, kinds, corner)``: per crossing its step count t and 1
+    for a vertical wall or 0 for a horizontal one.  When the two families
+    tie, the leaf meets a corner: ``corner`` is the first such t and the
+    lists stop before it; otherwise ``corner`` is None.
     """
-    # A flip changes only the signs of dx and dy.
-    adx, ady = abs(dx), abs(dy)
-    while True:
-        t = None
-        if dx:
-            t, rem = divmod(sc - x if dx > 0 else x, adx)
-            side = R if dx > 0 else L
+    # A wall at step t is the integer 2 t + kind, so one sort merges both.
+    walls = []
+    for kind, d, z in ((0, dy, y0), (1, dx, x0)):
+        if d:
+            first, rem = divmod(sc - z if d > 0 else z, abs(d))
             if rem:
                 raise FlowBudgetError("non-integral step; scaling invariant broken")
-        if dy:
-            ty, rem = divmod(sc - y if dy > 0 else y, ady)
-            if rem:
-                raise FlowBudgetError("non-integral step; scaling invariant broken")
-            if t is None or ty < t:
-                t, side = ty, (T if dy > 0 else B)
-        if t is None:
-            raise ValueError("zero direction")
-        nx, ny = x + dx * t, y + dy * t
-        if nx in (0, sc) and ny in (0, sc):
-            yield sq, x, y, dx, dy, t, nx, ny, None
-            return
-        yield sq, x, y, dx, dy, t, nx, ny, side
-        sq, side2, flip = glue[(sq, side)]
-        u = ny if side in VERTICAL_SIDES else nx
-        if flip:
-            u, dx, dy = sc - u, -dx, -dy
-        if side2 in VERTICAL_SIDES:
-            x, y = (0 if side2 == L else sc), u
+            walls.append(range(2 * first + kind, 2 * (first + sc), 2 * (sc // abs(d))))
+    events = sorted(chain(*walls))
+    corner = None
+    # The line meets a corner (a sc, b sc) iff a dy - b dx = (dy x0 - dx y0) / sc
+    # has an integer solution, that is iff sc divides dy x0 - dx y0.
+    if dx and dy and (dy * x0 - dx * y0) % sc == 0:
+        horizontal, vertical = walls
+        corner = min(set(range(horizontal.start, horizontal.stop, horizontal.step)).intersection(
+            range(vertical.start - 1, vertical.stop, vertical.step)
+        )) >> 1
+        events = events[: bisect_left(events, 2 * corner)]
+    return [e >> 1 for e in events], [e & 1 for e in events], corner
+
+
+def _pieces(sc: int, x0: int, y0: int, dx: int, dy: int, times, kinds) -> list:
+    """Per letter, the segment that ends at its crossing, from the point where
+    the previous letter entered the square (cyclically) to the point where
+    this one leaves it: ``(x0, y0, x1, y1)`` in the chart of a + sheet, and
+    reflected through the square's center for a - sheet."""
+    wx, wy = (sc if dx > 0 else 0), (sc if dy > 0 else 0)
+    out = []
+    if not times:
+        return out
+    t = times[-1]
+    if kinds[-1]:
+        px, py = sc - wx, (y0 + dy * t) % sc
+    else:
+        px, py = (x0 + dx * t) % sc, sc - wy
+    for t, vertical in zip(times, kinds):
+        if vertical:
+            y = (y0 + dy * t) % sc
+            out.append(((px, py, wx, y), (sc - px, sc - py, sc - wx, sc - y)))
+            px, py = sc - wx, y
         else:
-            x, y = u, (0 if side2 == B else sc)
+            x = (x0 + dx * t) % sc
+            out.append(((px, py, x, wy), (sc - px, sc - py, sc - x, sc - wy)))
+            px, py = x, sc - wy
+    return out
+
+
+def _per_sheet(table, n: int, exits) -> list:
+    """Per letter kind and sheet, the value of ``table`` (keyed by square and
+    side) at the side the leaf leaves by: ``exits[kind]`` for a + and a -
+    sheet (see ``_sheet_steps``)."""
+    flat = [None] * (4 * n)
+    for (sq, side), value in table.items():
+        flat[4 * sq + side] = value
+    rows = []
+    for plus, minus in exits:
+        row = [None] * (2 * n)
+        row[0::2] = flat[plus::4]
+        row[1::2] = flat[minus::4]
+        rows.append(row)
+    return rows
+
+
+def _sheet_steps(glue, n: int, dx: int, dy: int):
+    """The gluings as flat lists over the sheets.
+
+    Sheet ``2 sq + neg`` is square ``sq`` with the leaf running along
+    ``(dx, dy)`` in its chart, or along ``-(dx, dy)`` when ``neg`` is 1.
+    Returns ``(exits, steps)``, each indexed by the letter kind (1 for a
+    vertical wall): the side the leaf leaves a + sheet by and a - sheet by,
+    and per sheet the sheet it enters.  A flip gluing switches ``neg`` and
+    keeps the side type, so the side of the next square follows from the
+    next letter.
+    """
+    exits = ((T, B) if dy > 0 else (B, T)), ((R, L) if dx > 0 else (L, R))
+    steps = [
+        [2 * sq2 + (sheet & 1 ^ flip) for sheet, (sq2, _, flip) in enumerate(row)]
+        for row in _per_sheet(glue, n, exits)
+    ]
+    return exits, steps
+
+
+def _walk(unit: list, sheets: list, home, limit: int) -> bool:
+    """The stepping kernel: walk the letters of ``unit`` (their sheet
+    tables) round and round from the last sheet of ``sheets``, appending the
+    sheet after each crossing, for at most ``limit`` letters.  After each
+    whole unit it stops if the sheet is ``home``, and returns True then."""
+    sheet = sheets[-1]
+    append = sheets.append
+    while limit > 0:
+        block = unit[:limit]
+        for step in block:
+            sheet = step[sheet]
+            append(sheet)
+        limit -= len(block)
+        if sheet == home and len(block) == len(unit):
+            return True
+    return False
 
 
 def trace_surface(
@@ -151,8 +246,12 @@ def trace_surface(
     """Trace the flow from an interior point until it closes up.
 
     Closure means returning to the same point of the same square with the
-    same direction.  Flip gluings negate the direction, so orientation
-    bookkeeping is a single sign.
+    same direction.  The leaf walks the direction's cutting word, one sheet
+    lookup per crossing (see the module docstring), and the closure test,
+    the sheet after a unit's first crossing against the first unit's, runs
+    once per unit.  The budget is checked per crossing: a trace stops at its
+    ``max_crossings``-th crossing (at least its first) unless it closed or
+    met a corner first.
     """
     p, q = direction
     if p == 0 and q == 0 or gcd(abs(p), abs(q)) != 1:
@@ -163,62 +262,89 @@ def trace_surface(
     den_x, den_y = start.x.denominator, start.y.denominator
     den = den_x * den_y // gcd(den_x, den_y)
     sc = 2 * den * max(abs(p), 1) * max(abs(q), 1)
-    x0, y0 = int(start.x * sc), int(start.y * sc)
+    x0, y0 = start.x.numerator * (sc // den_x), start.y.numerator * (sc // den_y)
+    times, kinds, corner = _unit_word(sc, x0, y0, p, q)
+    n_squares = surface.n
+    exits, steps = _sheet_steps(surface.glue, n_squares, p, q)
+    n = len(times)
+    budget = max(max_crossings, 1)
+    tables = [steps[k] for k in kinds]
+
+    # sheets[g] is the sheet of segment g, the one that ends at crossing g.
+    sheets = [2 * start.square]
+    if corner is not None:
+        # The corner lies in the first unit, before any closure can happen.
+        _walk(tables[: min(n, budget)], sheets, None, min(n, budget))
+        reason = "cone_point" if n < budget else "crossing_budget"
+    else:
+        # The anchor is the sheet after crossing 0; a block runs over
+        # letters 1 .. n-1 and the next unit's letter 0, where the sheet is
+        # compared with it.
+        _walk(tables[:1], sheets, None, 1)
+        closes = _walk(tables[1:] + tables[:1], sheets, sheets[1], budget - 1)
+        reason = "closed" if closes else "crossing_budget"
+    count = len(sheets) - 1
+    sheet = sheets[-1]
+
+    closed = reason == "closed"
+    # A closed trace keeps one period: crossings 0 .. count-2, which lie in
+    # (0, s_total), and the segments from the start point back to itself.
+    kept = count - 1 if closed else count
+    units = -(-count // n) if n else 0
+    svals = [t + u * sc for u in range(units) for t in times]
+    crossed = sheets[:kept]
+    side_of = [list(pair) * n_squares for pair in exits]  # per kind and sheet
+    crossings = list(zip(
+        svals,
+        [st >> 1 for st in crossed],
+        map(getitem, [side_of[k] for k in kinds] * units, crossed),
+    ))
+    if closed:
+        s_total = (count - 1) // n * sc
+    elif reason == "cone_point":
+        s_total = corner
+    else:
+        s_total = svals[count - 1]
+    # The closing crossing repeats crossing 0 (same sheet, same letter), so
+    # the crossings after the anchor weigh what the kept ones weigh.
+    disp = (0, 0, 0)
     cocycle = getattr(surface, "cocycle", None)
-    s_scaled = 0
-    acc = anchor_acc = (0, 0, 0)
-    anchor = None
-    anchor_s = 0
-    n_cross = 0
-    crossings: list[tuple[int, int, int]] = []  # (s_scaled, sq, side)
+    if cocycle is not None and kept:
+        weights = _per_sheet(cocycle, n_squares, exits)
+        disp = tuple(map(sum, zip(*map(getitem, [weights[k] for k in kinds] * units, crossed))))
+
     segments: list[tuple[int, int, int, int, int]] = []
-
-    def finish(reason, s, disp, cone_point=None):
-        nonlocal crossings, segments
-        closed = reason == "closed"
+    cone_point = None
+    if record_segments or reason == "cone_point":
+        # Piece i starts where letter i - 1 entered its square.
+        pieces = _pieces(sc, x0, y0, p, q, times, kinds)
+    if record_segments and n:
+        square_of = [(st >> 1,) for st in range(2 * n_squares)]
+        segments = [square_of[st] + pc[st & 1] for st, pc in zip(sheets[:count], pieces * units)]
+        segments[0] = (start.square, x0, y0, *pieces[0][0][2:])
         if closed:
-            # Trim everything to one period [0, s_total): crossings 1 .. n-1
-            # and the segments from the start point back to itself.
-            crossings = crossings[: n_cross - 1]
-            if segments:
-                last = segments[n_cross - 1]
-                segments = segments[: n_cross - 1] + [(*last[:3], x0, y0)]
-        return SurfaceTrace(
-            direction=(p, q),
-            closed=closed,
-            stop_reason=reason,
-            s_total=Fraction(s, sc),
-            displacement=disp,
-            scale=sc,
-            scaled_crossings=crossings,
-            scaled_segments=segments,
-            cone_point=cone_point,
-        )
-
-    for sq, x, y, dx, dy, t, nx, ny, side in _leaf(surface.glue, sc, start.square, x0, y0, p, q):
-        if n_cross:
-            # (sq, x, y, dx, dy) is the state just after the last crossing.
-            state = (sq, x, y, dx, dy)
-            if anchor is None:
-                anchor, anchor_s, anchor_acc = state, s_scaled, acc
-            elif state == anchor:
-                return finish(
-                    "closed", s_scaled - anchor_s,
-                    tuple(a - b for a, b in zip(acc, anchor_acc)),
-                )
-            if n_cross >= max_crossings:
-                return finish("crossing_budget", s_scaled, acc)
-        s_scaled += t
+            segments[-1] = (*segments[-1][:3], x0, y0)
+    if reason == "cone_point":
+        sq, neg = sheet >> 1, sheet & 1
+        cx, cy = (sc if p > 0 else 0), (sc if q > 0 else 0)
+        # The corner ends the first unit's letters: count == n.
+        x, y = pieces[0][0][:2] if n else (x0, y0)
+        if neg:
+            cx, cy, x, y = sc - cx, sc - cy, sc - x, sc - y
         if record_segments:
-            segments.append((sq, x, y, nx, ny))
-        if side is None:
-            cone = SurfacePoint(sq, Fraction(nx, sc), Fraction(ny, sc))
-            return finish("cone_point", s_scaled, acc, cone)
-        n_cross += 1
-        crossings.append((s_scaled, sq, side))
-        if cocycle is not None:
-            w = cocycle[(sq, side)]
-            acc = (acc[0] + w[0], acc[1] + w[1], acc[2] + w[2])
+            segments.append((sq, x, y, cx, cy))
+        cone_point = SurfacePoint(sq, Fraction(cx, sc), Fraction(cy, sc))
+    return SurfaceTrace(
+        direction=(p, q),
+        closed=closed,
+        stop_reason=reason,
+        s_total=Fraction(s_total, sc),
+        displacement=disp,
+        scale=sc,
+        scaled_crossings=crossings,
+        scaled_segments=segments,
+        cone_point=cone_point,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +391,6 @@ class Decomposition:
         return sum((c.area for c in self.cylinders), Fraction(0))
 
 
-def _canonical_edge(surface, sq, side):
-    sq2, side2, flip = surface.glue[(sq, side)]
-    a, b = (sq, side), (sq2, side2)
-    return min(a, b)
-
-
 def _canonical_param(surface, sq, side, t, sc):
     """Parameter of an edge point measured on the canonical side of its pair."""
     sq2, side2, flip = surface.glue[(sq, side)]
@@ -297,25 +417,27 @@ def cylinder_decomposition(surface, direction: tuple[int, int]) -> Decomposition
     (0, k/p) meets x = j at height (k + j q)/p, an integer for some j since
     gcd(p, q) = 1: every such wall point lies on a corner ray, and every
     corner ray meets the walls only at such points.  So the intervals are
-    the m slots of width 1/m on each canonical edge, in sorted order, and a
-    crossing finds its slot by integer division.  The corner-ray
-    construction is kept in ``tests/test_flow.py`` as
+    the m slots of width 1/m on each canonical edge, in sorted order.  The
+    corner-ray construction is kept in ``tests/test_flow.py`` as
     ``_ref_cylinder_decomposition``, the reference this one is tested
     against.
 
     Each cylinder's core leaf starts at the midpoint of the first slot not
     yet visited and is walked until it re-enters that slot in the same
     state.  The return map sends slots isometrically onto slots, so the core
-    crosses every slot at its midpoint.  Every slot is entered at most once
-    ("slot revisited" raises otherwise), and the leaf crosses the
-    transversal at least every other segment, so a core closes within the
-    n m slots and needs no crossing budget.
+    crosses every slot at its midpoint.  By the same computation the lines
+    through the midpoints (0, (k + 1/2)/p) are one line up to Z^2, so every
+    core walks one cutting word, from the letter after the one that enters
+    its start: a transversal letter's slot, within its edge, is read from
+    the word, and the core closes when its sheet is the start's at the end
+    of a unit.  Every slot is entered at most once ("slot revisited" raises
+    otherwise) and every unit crosses the transversal, so a core closes
+    within the n m slots and needs no crossing budget.
     """
     p, q = direction
     if (p, q) == (0, 0) or gcd(abs(p), abs(q)) != 1:
         raise ValueError("direction must be primitive")
     n = surface.n
-    glue = surface.glue
     vertical_transversal = abs(p) >= abs(q)
     transversal = VERTICAL_SIDES if vertical_transversal else HORIZONTAL_SIDES
     m = abs(p) if vertical_transversal else abs(q)
@@ -323,69 +445,94 @@ def cylinder_decomposition(surface, direction: tuple[int, int]) -> Decomposition
     # Twice the tracer's scale, so slot midpoints are integral too.
     sc2 = 4 * max(abs(p), 1) * max(abs(q), 1)
     slot2 = sc2 // m
-    keys = sorted({_canonical_edge(surface, sq, side) for sq in range(n) for side in transversal})
-    slots = [(key, j * slot2, (j + 1) * slot2) for key in keys for j in range(m)]
-    # Per transversal side: the index of its edge's first slot, and whether
-    # the side measures the edge parameter backwards (see _canonical_param).
-    key_base = {key: i * m for i, key in enumerate(keys)}
-    side_slots = {}
+    half = slot2 // 2
+    # Per transversal side, its edge's canonical side and whether it measures
+    # the edge parameter backwards: its point 0 is the canonical side's 1 on
+    # a unit scale (see _canonical_param).
+    canonical = {}
     for sq in range(n):
         for side in transversal:
-            key, back = _canonical_param(surface, sq, side, 0, sc2)
-            side_slots[(sq, side)] = (key_base[key], back == sc2)
+            key, t = _canonical_param(surface, sq, side, 0, 1)
+            canonical[(sq, side)] = key, t == 1
+    keys = sorted({key for key, _ in canonical.values()})
+    bounds = range(0, sc2 + 1, slot2)
+    slots = list(chain.from_iterable(zip(repeat(key, m), bounds, bounds[1:]) for key in keys))
+    key_base = {key: i * m for i, key in enumerate(keys)}
 
-    def entry_state(key, t2):
-        """State just inside the square after crossing the canonical side."""
-        sq_c, side_c = key
-        if side_c == L:
-            d_in = (p, q) if p > 0 else (-p, -q)
-            return (sq_c, 0, t2, d_in[0], d_in[1])
-        if side_c == R:
-            d_in = (p, q) if p < 0 else (-p, -q)
-            return (sq_c, sc2, t2, d_in[0], d_in[1])
-        if side_c == B:
-            d_in = (p, q) if q > 0 else (-p, -q)
-            return (sq_c, t2, 0, d_in[0], d_in[1])
-        d_in = (p, q) if q < 0 else (-p, -q)
-        return (sq_c, t2, sc2, d_in[0], d_in[1])
+    # The word of the line that runs into the canonical L (or B) sides,
+    # from the midpoint of their first slot.
+    dx, dy = (p, q) if (p if vertical_transversal else q) > 0 else (-p, -q)
+    x0, y0 = (0, half) if vertical_transversal else (half, 0)
+    times, kinds, corner = _unit_word(sc2, x0, y0, dx, dy)
+    if corner is not None:
+        raise FlowBudgetError("core leaf hit a cone point")
+    exits, steps = _sheet_steps(surface.glue, n, dx, dy)
+    # The word's transversal letters, in order: the k-th crosses the edge
+    # parameter (its coordinate moves by e per step) at (k + 1) e slots past
+    # the start's midpoint, so at the midpoint of slot (k + 1) e mod m.
+    e = dy if vertical_transversal else dx
+    cross_at = [i for i, kind in enumerate(kinds) if kind == vertical_transversal]
+    offsets = [(k + 1) * e % m for k in range(m)]
+    params = [(half + e * times[i]) % sc2 for i in cross_at]
+    if params != [j * slot2 + half for j in offsets]:
+        if any(u % slot2 == 0 for u in params):
+            raise FlowBudgetError("transversal crossing landed on a cut")
+        raise FlowBudgetError("return map is not measure-preserving")
+    letter_of = dict(zip(offsets, cross_at))  # by slot offset, the letter entering it
+    # Per sheet, its exit edge's slot at offset 0 and the slot order: reversed
+    # for a - sheet and for a side that measures the edge backwards,
+    # forwards when both or neither hold.
+    slot_first, slot_sign = [], []
+    for sheet, side in enumerate(list(exits[vertical_transversal]) * n):
+        key, back = canonical[(sheet >> 1, side)]
+        forwards = back == (sheet & 1)
+        slot_first.append(key_base[key] + (0 if forwards else m - 1))
+        slot_sign.append(1 if forwards else -1)
 
-    half = slot2 // 2
+    tables = [steps[k] for k in kinds]
+    pieces = _pieces(sc2, x0, y0, dx, dy, times, kinds)
+    square_of = [(st >> 1,) for st in range(2 * n)]
+    word_len = len(times)
     width = SqrtLength(Fraction(1, p * p + q * q))
-    visited = [False] * len(slots)
+    visited: set[int] = set()
     cylinders: list[Cylinder] = []
 
-    for k0, slot0 in enumerate(slots):
-        if visited[k0]:
+    for k0, ((sq0, side0), lo, _) in enumerate(slots):
+        if len(visited) == len(slots):
+            break
+        if k0 in visited:
             continue
-        state0 = entry_state(slot0[0], slot0[1] + half)
-        group = []
-        squares = []
-        core_segments = []
-        closing = False
-        for sq, x, y, dx, dy, t, nx, ny, side in _leaf(glue, sc2, *state0):
-            if closing and (sq, x, y, dx, dy) == state0:
-                break
-            if side is None:
-                raise FlowBudgetError("core leaf hit a cone point")
-            core_segments.append((sq, x, y, nx, ny))
-            if side in transversal:
-                base, back = side_slots[(sq, side)]
-                t2 = ny if vertical_transversal else nx
-                j, rem = divmod(sc2 - t2 if back else t2, slot2)
-                if not rem:
-                    raise FlowBudgetError("transversal crossing landed on a cut")
-                if rem != half:
-                    raise FlowBudgetError("return map is not measure-preserving")
-                k = base + j
-                if visited[k]:
-                    raise FlowBudgetError("slot revisited before closure")
-                visited[k] = True
-                group.append(slots[k])
-                squares.append(sq)
-                closing = k == k0
+        # A core entering a canonical R (or T) side runs against the word's
+        # direction: a - sheet, on the reflected slot.  Its units run from
+        # the letter after the one that enters its start.
+        neg0 = side0 in (R, T)
+        last = letter_of[m - 1 - lo // slot2 if neg0 else lo // slot2]
+        sheet0 = 2 * sq0 + neg0
+        sheets = [sheet0]
+        # Each unit crosses m slots, so a core that enters no slot twice
+        # closes within one unit per canonical edge.
+        if not _walk(tables[last + 1:] + tables[: last + 1], sheets, sheet0, len(keys) * word_len):
+            raise FlowBudgetError("slot revisited before closure")
+        # The sheets at each transversal letter, unit by unit, and the slots
+        # they cross.
+        units = (len(sheets) - 1) // word_len
+        marks = sorted(((i - last - 1) % word_len, j) for i, j in zip(cross_at, offsets))
+        crossed = [sheets[g + r] for g in range(0, units * word_len, word_len) for r, _ in marks]
+        ks = [
+            slot_first[st] + slot_sign[st] * j
+            for st, j in zip(crossed, [j for _, j in marks] * units)
+        ]
+        entered = set(ks)
+        if len(entered) < len(ks) or not visited.isdisjoint(entered):
+            raise FlowBudgetError("slot revisited before closure")
+        visited |= entered
+        group = list(map(slots.__getitem__, ks))
+        squares = [st >> 1 for st in crossed]
+        seq = (pieces[last + 1:] + pieces[: last + 1]) * units
+        core_segments = [square_of[st] + pc[st & 1] for st, pc in zip(sheets, seq)]
 
-        steps = len(group)
-        mult, rem = divmod(steps, m)
+        steps_n = len(group)
+        mult, rem = divmod(steps_n, m)
         if rem:
             raise FlowBudgetError("circumference is not an integer multiple")
         cylinders.append(
@@ -393,7 +540,7 @@ def cylinder_decomposition(surface, direction: tuple[int, int]) -> Decomposition
                 direction=(p, q),
                 circumference_multiplier=mult,
                 width=width,
-                area=Fraction(steps, m),
+                area=Fraction(steps_n, m),
                 squares=squares,
                 scale=sc2,
                 scaled_intervals=group,
@@ -402,7 +549,9 @@ def cylinder_decomposition(surface, direction: tuple[int, int]) -> Decomposition
         )
 
     deco = Decomposition(direction=(p, q), cylinders=cylinders)
-    if deco.total_area != n:
+    # The areas are slot counts over m, so they add up to n exactly when the
+    # slot counts add up to n m.
+    if sum(len(c.scaled_intervals) for c in cylinders) != n * m:
         raise FlowBudgetError(
             f"decomposition areas {deco.total_area} do not add up to {n}"
         )

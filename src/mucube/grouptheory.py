@@ -833,6 +833,8 @@ class ContinuedFraction:
     @classmethod
     def fourey(cls, coeffs: Sequence[int], period: Sequence[int] = ()) -> "ContinuedFraction":
         coeffs = list(coeffs)
+        if not coeffs:
+            raise ValueError("a0 is required")
         return cls(4 * coeffs[0], tuple(4 * c for c in coeffs[1:]),
                    tuple(4 * c for c in period))
 

@@ -23,6 +23,7 @@ Coordinate conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import floor, gcd
@@ -470,6 +471,98 @@ def _turn(c2x: Sequence[int], axis: int, w: int, wall2x: int) -> int:
     return da
 
 
+def _wall_steps(sc: int, z: int, d: int) -> range:
+    """Step counts in (0, sc] at which a chart coordinate that starts at
+    ``z`` and moves by ``d`` per step lies on a wall (a multiple of sc)."""
+    if not d:
+        return range(0)
+    first, rem = divmod(sc - z if d > 0 else z, abs(d))
+    if rem:
+        raise InternalGeometryError("non-integral step; scaling invariant broken")
+    return range(first, first + sc, sc // abs(d))
+
+
+def _crossing_word(sc: int, u0: int, v0: int, p: int, q: int):
+    """The walls the leaf from chart point ``(u0, v0)`` (units of ``1/sc``)
+    in chart direction (p, q) crosses in one unit of s, 0 < t <= sc.
+
+    Returns ``(times, kinds, corner)``: per crossing in order its step
+    count, and 1 for a wall u = const or 0 for a wall v = const.  A step
+    count shared by both families is a corner: ``corner`` is the first one,
+    and the lists stop before it; otherwise ``corner`` is None.
+    """
+    u_walls, v_walls = _wall_steps(sc, u0, p), _wall_steps(sc, v0, q)
+    on_u = set(u_walls)
+    ties = on_u.intersection(v_walls)
+    corner = min(ties) if ties else None
+    times = sorted([*u_walls, *v_walls])
+    if corner is not None:
+        times = times[: bisect_left(times, corner)]
+    return times, [1 if t in on_u else 0 for t in times], corner
+
+
+def _center_time(sc: int, u0: int, v0: int, p: int, q: int) -> Optional[int]:
+    """The step count in [0, sc) at which the leaf passes a face center, or
+    None if it never does.
+
+    The leaf passes the center (1/2 + a, 1/2 + b) of the developed square
+    (a, b) when u0 + p t = (1/2 + a) sc and v0 + q t = (1/2 + b) sc, which
+    needs a q - b p = K = (q (u0 - sc/2) - p (v0 - sc/2)) / sc, an integer.
+    Then a = K q^-1 mod |p|, and the solutions for a differ by whole units.
+    """
+    half = sc // 2
+    k, rem = divmod(q * (u0 - half) - p * (v0 - half), sc)
+    if rem:
+        return None
+    if p == 0:
+        return (half - v0) // q % sc
+    a = k * pow(q, -1, abs(p)) % abs(p)
+    return (half - u0 + a * sc) // p % sc
+
+
+def _fold(codes, c, frame, p, q, half, visits, snaps):
+    """Walk the letters ``codes`` from the chart frame ``frame``, folding the
+    face center ``c`` (in place) and the frame across each wall; returns the
+    new frame.
+
+    ``frame`` is ``(axis, au, su, av, sv)``: the face's normal axis and the
+    chart's u = su e_au and v = sv e_av.  Code 1 crosses a wall u = const,
+    on axis au: the center steps by sign(p) su along au and by the memoised
+    turn ``da`` along the old normal, which becomes the chart's u axis with
+    sign da sign(p), since the direction keeps its length.  Code 0 does the
+    same for v.  Code 2 records a pass of the face center; ``snaps`` gets
+    the center and frame after each crossing unless it is None.
+    """
+    axis, au, su, av, sv = frame
+    sp, sq = (1 if p > 0 else -1), (1 if q > 0 else -1)
+    turns = _TURNS
+    for code in codes:
+        if code == 1:
+            side = sp * su
+            da = turns.get((axis, au, c[axis] & 3, c[av] & 3))
+            if da is None:
+                da = _turn(c, axis, au, c[au] + side)
+            c[au] += side
+            c[axis] += da
+            axis, au, su = au, axis, da * sp
+        elif code == 0:
+            side = sq * sv
+            da = turns.get((axis, av, c[axis] & 3, c[au] & 3))
+            if da is None:
+                da = _turn(c, axis, av, c[av] + side)
+            c[av] += side
+            c[axis] += da
+            axis, av, sv = av, axis, da * sq
+        else:
+            d = [0, 0, 0]
+            d[au], d[av] = p * su, q * sv
+            visits.append((tuple(ck * half for ck in c), tuple(d)))
+            continue
+        if snaps is not None:
+            snaps.append((tuple(c), axis, au, su, av, sv))
+    return axis, au, su, av, sv
+
+
 def trace3d(
     start: Point3,
     direction: tuple[int, int],
@@ -490,10 +583,27 @@ def trace3d(
     point up to a translation in (2Z)^3, same direction), at a cone point, or
     when a budget runs out.
 
-    The step loop is integer arithmetic on the doubled face center ``c``, the
-    position ``r`` relative to that center and the direction ``d``, each
-    indexed by axis, in units of ``1/sc``.  The turn at an edge is read from a
-    memo keyed by the face center mod 4 and the axis pair (see ``_turn``).
+    The walk reads the direction's cutting word.  Every edge of the surface
+    is a fold of the plane, so the flow, developed into the start's chart,
+    is the line of slope q/p, and in one unit of s it crosses |p| walls
+    u = const and |q| walls v = const in an order fixed by (p, q) and the
+    start (``_crossing_word``, built once per trace); a tie is a corner, the
+    cone-point stop.  The state is the doubled face center and the chart
+    frame (cu, cv), folded with the memoised turn at each letter
+    (``_fold``); positions come from the word.
+
+    Lemma: a post-crossing state repeats, exactly or up to (2Z)^3, only after
+    a whole number of units.  Proof: two such crossings are the same point
+    of the quotient by (2Z)^3 with the same direction.  The leaf between them
+    develops into the plane from a point z to g(z), where g, the holonomy of
+    the developing map, is z -> +-z + v with v in Z^2; the direction is the
+    same at both ends, so g is the translation by v, and v lies on the line:
+    v = lam (p, q), with lam an integer as gcd(p, q) = 1.  lam is the number
+    of units between the crossings.  So closure and drift are tested once
+    per unit, at the anchor's letter, where equal frames mean equal position
+    and direction.  The budgets and the arc bound are per crossing, from the
+    word's step counts, and a pass of a face center is read from the word
+    too (``_center_time``); from a face center it is every unit boundary.
     """
     p, q = direction
     if gcd(abs(p), abs(q)) != 1:
@@ -506,128 +616,101 @@ def trace3d(
     )
     sc = 2 * den * max(abs(p), 1) * max(abs(q), 1)
     half = sc // 2
-    two_sc = 2 * sc
 
     cu, cv = start.chart
-    amb0 = start.ambient()
-    start_pos = tuple(int(x * sc) for x in amb0)
-    assert all(Fraction(start_pos[k], sc) == amb0[k] for k in AXES)
+    u0 = start.u.numerator * (sc // start.u.denominator)
+    v0 = start.v.numerator * (sc // start.v.denominator)
+    # start.ambient() in units of 1/sc: the center plus (u - 1/2) cu + (v - 1/2) cv.
+    c2x = start.face.center2x
+    start_pos = tuple(c2x[k] * half + (u0 - half) * cu[k] + (v0 - half) * cv[k] for k in AXES)
+    times, kinds, corner = _crossing_word(sc, u0, v0, p, q)
+    n = len(times)
+
+    # The crossing the trace stops at unless it closes, drifts or meets the
+    # corner first; the arc bound wins a tie with the budget.
+    stop, reason = max(max_crossings, 1), "crossing_budget"
+    if max_arc_s is not None and margin_crossings >= 0:
+        # s_scaled > max_arc_s * sc exactly when s_scaled > its floor.
+        bound = floor(Fraction(max_arc_s) * sc)
+        units = max(bound, 0) // sc
+        first = units * n + bisect_right(times, bound - units * sc)
+        if first + 1 + margin_crossings <= stop:
+            stop, reason = first + 1 + margin_crossings, "arc_bound"
+
+    t_c = _center_time(sc, u0, v0, p, q)
+    at = None if t_c is None or corner is not None and t_c > corner else bisect_right(times, t_c)
 
     c = list(start.face.center2x)
-    axis = start.face.axis
-    r = [start_pos[k] - c[k] * half for k in AXES]
-    d = [p * cu[k] + q * cv[k] for k in AXES]
-    i, j = IN_PLANE[axis]
-    if not (d[i] or d[j]):
-        raise InternalGeometryError("direction is normal to the face")
-
-    s_scaled = 0
-    # s_scaled > max_arc_s * sc exactly when s_scaled > its floor.
-    bound = None if max_arc_s is None else floor(Fraction(max_arc_s) * sc)
-    margin_left = margin_crossings
-    anchor = anchor_d = None
-    anchor_s = 0
-    n_crossings = 0
-    turns = _TURNS
+    au = next(k for k in AXES if cu[k])
+    av = next(k for k in AXES if cv[k])
+    frame = (start.face.axis, au, cu[au], av, cv[av])
+    visits: list[tuple[IntTriple, IntTriple]] = []
+    snaps = [] if record_vertices else None
+    drift = None
+    if corner is not None:
+        # The corner lies in the first unit, before any closure.
+        count = min(n, stop)
+        if n < stop:
+            reason = "cone_point"
+        codes = kinds[:count]
+        if at is not None and (at < count or at == count == n < stop):
+            codes.insert(at, 2)
+        frame = _fold(codes, c, frame, p, q, half, visits, snaps)
+        s_scaled = corner if reason == "cone_point" else times[count - 1]
+    else:
+        frame = _fold([2, kinds[0]] if at == 0 else kinds[:1], c, frame, p, q, half, visits, snaps)
+        anchor_c, anchor_frame, count = c[:], frame, 1
+        # Letters 1 .. n-1, then the next unit's letter 0, the anchor's
+        # letter; a center pass in segment ``at`` comes before block
+        # position (at - 1) mod n.
+        unit = kinds[1:] + kinds[:1]
+        mark = None if at is None else (at - 1) % n
+        marked = unit if mark is None else unit[:mark] + [2] + unit[mark:]
+        while count < stop:
+            take = min(n, stop - count)
+            codes = marked[: take + (mark is not None and mark < take)]
+            frame = _fold(codes, c, frame, p, q, half, visits, snaps)
+            count += take
+            if take == n and frame == anchor_frame:
+                diff = [c[k] - anchor_c[k] for k in AXES]
+                if not any(diff):
+                    reason = "closed"
+                    break
+                if all(v % 4 == 0 for v in diff):
+                    reason, drift = "drift", tuple(v // 4 for v in diff)
+                    break
+        s_scaled = (count - 1) // n * sc if reason in ("closed", "drift") else (
+            (count - 1) // n * sc + times[(count - 1) % n]
+        )
 
     vertices: list[tuple[int, ...]] = [start_pos]
-    face_path = [Face(start.face.center2x, axis)]
-    center_visits: list[tuple[IntTriple, IntTriple]] = []
-
-    while True:
-        i, j = IN_PLANE[axis]
-        di, dj, ri, rj = d[i], d[j], r[i], r[j]
-        # Steps to the wall ahead on each in-plane axis; ties go to i.
-        w = None
-        if di:
-            delta, rem = divmod(half - ri if di > 0 else half + ri, abs(di))
-            if rem:
-                raise InternalGeometryError("non-integral step; scaling invariant broken")
-            w, o = i, j
-        if dj:
-            tj, rem = divmod(half - rj if dj > 0 else half + rj, abs(dj))
-            if rem:
-                raise InternalGeometryError("non-integral step; scaling invariant broken")
-            if w is None or tj < delta:
-                w, o, delta = j, i, tj
-
-        # A pass of the face center (r = 0 in the plane), end excluded.
-        if ri * dj == rj * di:
-            k, rem = divmod(-ri, di) if di else divmod(-rj, dj)
-            if not rem and 0 <= k < delta:
-                center_visits.append(
-                    (tuple(ck * half for ck in c), tuple(d))  # type: ignore[arg-type]
-                )
-
-        s_scaled += delta
-        ro = r[o] + d[o] * delta
-        if ro == half or ro == -half:
-            # The other in-plane coordinate is on a wall too: a corner.
-            cone = tuple(c[k] * half + r[k] + d[k] * delta for k in AXES)
-            vertices.append(cone)
-            return _finish(
-                "cone_point", direction, vertices, sc, s_scaled, face_path,
-                center_visits, n_crossings, cone=cone,
-                record_vertices=record_vertices,
-            )
-
-        dw = d[w]
-        side = 1 if dw > 0 else -1
-        da = turns.get((axis, w, c[axis] & 3, c[o] & 3))
-        if da is None:
-            da = _turn(c, axis, w, c[w] + side)
-        c[w] += side
-        c[axis] += da
-        r[w] = 0
-        r[o] = ro
-        r[axis] = -da * half
-        d[axis] = da * abs(dw)
-        d[w] = 0
-        axis = w
-        n_crossings += 1
-        if record_vertices:
-            vertices.append(tuple(c[k] * half + r[k] for k in AXES))
-            face_path.append(Face(tuple(c), axis))  # type: ignore[arg-type]
-
-        # The state after the first crossing is the anchor.  Closure and a
-        # drift revisit both need the anchor's direction, so the flat state
-        # tuple is built only when the direction matches.
-        if anchor is None:
-            anchor = (*c, *r, *d)
-            anchor_d = d[:]
-            anchor_s = s_scaled
-        elif d == anchor_d:
-            state = (*c, *r, *d)
-            if state == anchor:
-                return _finish(
-                    "closed", direction, vertices, sc,
-                    s_scaled - anchor_s, face_path, center_visits, n_crossings,
-                    closed=True, start_pos=start_pos,
-                    record_vertices=record_vertices,
-                )
-            diff = [(c[k] - anchor[k]) * half + r[k] - anchor[3 + k] for k in AXES]
-            if all(v % two_sc == 0 for v in diff) and any(diff):
-                return _finish(
-                    "drift", direction, vertices, sc,
-                    s_scaled - anchor_s, face_path, center_visits, n_crossings,
-                    drift=tuple(v // two_sc for v in diff), start_pos=start_pos,
-                    record_vertices=record_vertices,
-                )
-
-        if bound is not None and s_scaled > bound:
-            if margin_left == 0:
-                return _finish(
-                    "arc_bound", direction, vertices, sc, s_scaled,
-                    face_path, center_visits, n_crossings,
-                    record_vertices=record_vertices,
-                )
-            margin_left -= 1
-        if n_crossings >= max_crossings:
-            return _finish(
-                "crossing_budget", direction, vertices, sc, s_scaled,
-                face_path, center_visits, n_crossings,
-                record_vertices=record_vertices,
-            )
+    face_path = [Face(start.face.center2x, start.face.axis)]
+    if snaps is not None:
+        # The point where crossing g enters its face, in that face's chart.
+        entries = [
+            (0 if p > 0 else sc, (v0 + q * t) % sc) if kind else ((u0 + p * t) % sc, 0 if q > 0 else sc)
+            for t, kind in zip(times, kinds)
+        ]
+        for g, (cc, axis, au, su, av, sv) in enumerate(snaps):
+            eu, ev = entries[g % n]
+            v = [ck * half for ck in cc]
+            v[au] += (eu - half) * su
+            v[av] += (ev - half) * sv
+            vertices.append(tuple(v))
+            face_path.append(Face(cc, axis))
+    cone = None
+    if reason == "cone_point":
+        axis, au, su, av, sv = frame
+        cone = [ck * half for ck in c]
+        cone[au] += (half if p > 0 else -half) * su
+        cone[av] += (half if q > 0 else -half) * sv
+        cone = tuple(cone)
+        vertices.append(cone)
+    return _finish(
+        reason, direction, vertices, sc, s_scaled, face_path, center_visits=visits,
+        n_crossings=count, closed=reason == "closed", drift=drift, cone=cone,
+        start_pos=start_pos, record_vertices=record_vertices,
+    )
 
 
 def _finish(

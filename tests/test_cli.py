@@ -330,6 +330,14 @@ def test_fourey_periodic_tail(capsys):
     assert "slope" not in payload
 
 
+@pytest.mark.parametrize("coeffs", [",", ""])
+def test_fourey_empty_coefficients_usage_error(capsys, coeffs):
+    code, out, err = run_cli(capsys, "fourey", "--coeffs", coeffs)
+    assert code == 2
+    assert out == ""
+    assert err == "error: bad coefficients: a0 is required\n"
+
+
 def test_witness_command(capsys):
     code, out, _ = run_cli(capsys, "witness", "--p", "4", "--q", "1")
     assert code == 0
@@ -440,6 +448,22 @@ def test_console_script_entry():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "periodic"
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    # ``python -m mucube`` runs cli.main: same exit code, same stdout.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["classify", "--p", "5", "--q", "2"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "mucube", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    code, out, _ = run_cli(capsys, *argv)
+    assert proc.returncode == code == 0
+    assert proc.stdout == out
 
 
 def test_gap_statistic_monotone_small():

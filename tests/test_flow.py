@@ -2,9 +2,11 @@
 
 import random
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
+import leaf_reference
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,7 @@ from mucube.flow import (
     trace_surface,
 )
 from mucube.homology import signed_crossings
-from mucube.mucube3d import Point3, SEED_CHART, SEED_FACE, trace3d
+from mucube.mucube3d import Point3, SEED_CHART, SEED_FACE, crossing_budget, seed_start, trace3d
 from mucube.surfaces import minimal_translation_cover
 
 
@@ -191,7 +193,7 @@ def _ref_separatrix_cuts(surface, direction, sc, transversal, once=False):
     cuts = {}
     for sq in range(n):
         for side in transversal:
-            cuts.setdefault(flow._canonical_edge(surface, sq, side), set())
+            cuts.setdefault(leaf_reference._canonical_edge(surface, sq, side), set())
     traced_ends = set()
     for dx, dy in ((p, q), (-p, -q)):
         xs = [0] if dx > 0 else [sc] if dx < 0 else [0, sc]
@@ -202,7 +204,7 @@ def _ref_separatrix_cuts(surface, direction, sc, transversal, once=False):
                     if once and (sq0, cx, cy, dx, dy) in traced_ends:
                         continue
                     for steps, (sq, _, _, ex, ey, _, nx, ny, side) in enumerate(
-                        flow._leaf(surface.glue, sc, sq0, cx, cy, dx, dy)
+                        leaf_reference._leaf(surface.glue, sc, sq0, cx, cy, dx, dy)
                     ):
                         if side is None:
                             traced_ends.add((sq, nx, ny, -ex, -ey))
@@ -280,7 +282,7 @@ def _ref_cylinder_decomposition(surface, direction, separatrix_cuts=_ref_separat
         state0 = entry_state(iv0[0], mid)
         group, squares, core_segments = [], [], []
         steps = 0
-        for sq, x, y, dx, dy, t, nx, ny, side in flow._leaf(surface.glue, sc2, *state0):
+        for sq, x, y, dx, dy, t, nx, ny, side in leaf_reference._leaf(surface.glue, sc2, *state0):
             if steps and (sq, x, y, dx, dy) == state0:
                 break
             if steps > core_budget:
@@ -339,7 +341,7 @@ def _slot_lattice(surface, direction, sc, transversal):
     """The cuts that cylinder_decomposition assumes: every multiple of
     1/max(|p|, |q|) inside every canonical transversal edge."""
     m = max(map(abs, direction))
-    edges = {flow._canonical_edge(surface, sq, side) for sq in range(surface.n) for side in transversal}
+    edges = {leaf_reference._canonical_edge(surface, sq, side) for sq in range(surface.n) for side in transversal}
     return {key: set(range(sc // m, sc, sc // m)) for key in edges}
 
 
@@ -366,8 +368,8 @@ def test_each_saddle_connection_traced_once(X, Y, monkeypatch):
     # edge.  n squares have n corner rays in each of +d and -d off the axes
     # (2n on an axis, where two corners of each square face the flow), and
     # the two ends of each saddle connection are two of them.  The one-way
-    # reference cuts as the two-way one does; the slot decomposition starts
-    # no leaf at a corner at all.
+    # reference cuts as the two-way one does; the slot decomposition traces
+    # no leaf with the reference stepper at all.
     starts = []
 
     def counting_leaf(glue, sc, sq, x, y, dx, dy):
@@ -375,17 +377,79 @@ def test_each_saddle_connection_traced_once(X, Y, monkeypatch):
             starts.append((sq, x, y, dx, dy))
         return leaf(glue, sc, sq, x, y, dx, dy)
 
-    leaf = flow._leaf
-    monkeypatch.setattr(flow, "_leaf", counting_leaf)
+    leaf = leaf_reference._leaf
+    monkeypatch.setattr(leaf_reference, "_leaf", counting_leaf)
     for S in (X, Y):
         for p, q in _primitive(12):
             starts.clear()
-            ref = _ref_cylinder_decomposition(S, (p, q), _ref_separatrix_cuts_once)
+            once = _ref_cylinder_decomposition(S, (p, q), _ref_separatrix_cuts_once)
             assert len(starts) == (S.n if p * q else 2 * S.n), (S.n, p, q)
             assert len(set(starts)) == len(starts)
-            starts.clear()
-            assert cylinder_decomposition(S, (p, q)) == ref, (S.name, p, q)
-            assert starts == [], (S.name, p, q)
+            assert cylinder_decomposition(S, (p, q)) == once, (S.name, p, q)
+
+
+# Three starts for the walk tests; the center meets a corner in every
+# odd/odd direction.
+_WALK_STARTS = (
+    CENTER,
+    SurfacePoint(0, Fraction(1, 2), Fraction(1, 3)),
+    SurfacePoint(3, Fraction(1, 3), Fraction(2, 7)),
+)
+
+
+def test_trace_surface_matches_the_stepper(X, Y):
+    # The cutting-word walk against the wall-to-wall stepper on every signed
+    # primitive |p|, |q| <= 30, on X and Y, from three starts, with the
+    # derived budget and with one that stops halfway through the second
+    # unit, in both record modes.  Dataclass equality covers every field.
+    stops = Counter()
+    for S in (X, Y):
+        for p, q in _primitive(30):
+            n = abs(p) + abs(q)
+            for start in _WALK_STARTS:
+                for budget in (crossing_budget(p, q), n + n // 2 + 1):
+                    for record in (True, False):
+                        got = trace_surface(S, start, (p, q), budget, record_segments=record)
+                        want = leaf_reference.ref_trace_surface(
+                            S, start, (p, q), budget, record_segments=record
+                        )
+                        assert got == want, (S.name, p, q, start, budget, record)
+                        stops[got.stop_reason] += 1
+    assert set(stops) == {"closed", "cone_point", "crossing_budget"}
+
+
+def test_decomposition_matches_the_stepper(X, Y):
+    # The slot-lattice decomposition as it was on the wall-to-wall stepper,
+    # field by field, on every signed primitive |p|, |q| <= 30.
+    for S in (X, Y):
+        for d in _primitive(30):
+            want = leaf_reference.ref_cylinder_decomposition(S, d)
+            assert cylinder_decomposition(S, d) == want, (S.name, d)
+
+
+def test_periods_are_whole_units(X, Y):
+    # A post-crossing state repeats only after a whole number of units (see
+    # the flow module).  So every closed or drifting trace with
+    # |p|, |q| <= 25 has an integral s_total, and its period crosses a
+    # multiple of |p| + |q| walls, on X, on Y and on the 3D surface.
+    periods = Counter()
+    off_center = Point3(SEED_FACE, SEED_CHART, Fraction(1, 3), Fraction(2, 7))
+    for p, q in _primitive(25):
+        n = abs(p) + abs(q)
+        for S in (X, Y):
+            for start in _WALK_STARTS:
+                t = trace_surface(S, start, (p, q), crossing_budget(p, q), record_segments=False)
+                if t.closed:
+                    periods[S.name] += 1
+                    assert t.s_total.denominator == 1, (S.name, p, q, start)
+                    assert len(t.scaled_crossings) % n == 0, (S.name, p, q, start)
+        for start in (seed_start(p, q), off_center):
+            t3 = trace3d(start, (p, q), max_crossings=crossing_budget(p, q), record_vertices=False)
+            if t3.stop_reason in ("closed", "drift"):
+                periods["3d"] += 1
+                assert t3.s_total.denominator == 1, (p, q, start)
+                assert (t3.crossings - 1) % n == 0, (p, q, start)
+    assert min(periods.values()) > 1000 and len(periods) == 3, periods
 
 
 @pytest.fixture(scope="module")

@@ -12,6 +12,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from leaf_reference import _leaf
 
 from mucube.flow import (
     B,
@@ -21,7 +22,6 @@ from mucube.flow import (
     DegenerateIntersection,
     SurfacePoint,
     _fraction_segments,
-    _leaf,
     cylinder_decomposition,
     reverse_chain,
     trace_surface,

@@ -441,6 +441,53 @@ def test_trace3d_matches_reference_on_long_orbits(d):
     assert got == _outcome(_ref_trace3d, seed_start(p, q), d, **kwargs)
 
 
+def _charts(face):
+    """The four right-handed charts of a face."""
+    u, v = default_chart(face)
+    out = []
+    for _ in range(4):
+        out.append((u, v))
+        u, v = v, tuple(-c for c in u)
+    return out
+
+
+_FACE_CHARTS = [
+    (face, chart) for face in sorted(faces_in_box((-1, -1, -1), (1, 1, 1))) for chart in _charts(face)
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(_FACE_CHARTS),
+    st.integers(2, 13).flatmap(lambda den: st.tuples(st.integers(1, den - 1), st.just(den))),
+    st.integers(2, 13).flatmap(lambda den: st.tuples(st.integers(1, den - 1), st.just(den))),
+    st.tuples(st.integers(-40, 40), st.integers(-40, 40)).filter(
+        lambda d: gcd(abs(d[0]), abs(d[1])) == 1
+    ),
+    st.tuples(st.integers(0, 6), st.integers(0, 1000)),
+    st.one_of(st.none(), st.fractions(0, 8, max_denominator=7)),
+    st.integers(0, 3),
+    st.booleans(),
+)
+def test_trace3d_matches_reference_from_any_start(
+    face_chart, u, v, d, units, max_arc_s, margin, record
+):
+    # Any face and chart, any start off the edges, a budget that stops
+    # inside a unit (at crossing ``units`` n + 1 + extra mod n), an arc
+    # bound with its margin, with and without vertices.
+    face, chart = face_chart
+    start = Point3(face, chart, Fraction(*u), Fraction(*v))
+    n = abs(d[0]) + abs(d[1])
+    kwargs = {
+        "max_crossings": units[0] * n + 1 + units[1] % n,
+        "max_arc_s": max_arc_s,
+        "margin_crossings": margin,
+        "record_vertices": record,
+    }
+    got = _outcome(trace3d, start, d, **kwargs)
+    assert got == _outcome(_ref_trace3d, start, d, **kwargs)
+
+
 def test_turn_memo_matches_next_face():
     # Every face center of a window that covers all residues mod 4, negative
     # coordinates included, each wall axis and both wall sides: the memoised
@@ -608,6 +655,35 @@ def test_drift_vector_symmetry_laws():
         assert drift_vector((-p, q)) == (-x, y, z), (p, q)
         assert drift_vector((-p, -q)) == (-x, -y, -z), (p, q)
         assert drift_vector((p, -q)) == (x, -y, -z), (p, q)
+
+
+def test_drift_vector_linear_laws():
+    # T = THETA and A = A_MAT move the drift vector linearly on every drift
+    # direction with |p|, |q| <= 12 that is not odd/odd: with
+    # (x, y, z) = drift_vector(d), T d drifts by (y, -x, z) and A d by
+    # (-x, y, -z).  An odd/odd direction starts in another cylinder, where
+    # only the multiset of absolute entries matches.
+    from math import gcd
+
+    from mucube.grouptheory import A_MAT, THETA
+
+    def act(m, p, q):
+        a, b, c, e = m
+        return (a * p + b * q, c * p + e * q)
+
+    count = 0
+    for p in range(-12, 13):
+        for q in range(-12, 13):
+            if gcd(p, q) != 1 or p % 2 and q % 2:
+                continue
+            try:
+                x, y, z = drift_vector((p, q))
+            except PeriodicDirectionError:
+                continue
+            count += 1
+            assert drift_vector(act(THETA, p, q)) == (y, -x, z), (p, q)
+            assert drift_vector(act(A_MAT, p, q)) == (-x, y, -z), (p, q)
+    assert count == 224
 
 
 def test_drift_vector_swap_law():
