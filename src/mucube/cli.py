@@ -266,7 +266,8 @@ def cmd_scan(args) -> int:
     if args.jobs < 0:
         print("error: --jobs must not be negative", file=sys.stderr)
         return USAGE_ERROR
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
+    cores = os.cpu_count() or 1
+    jobs = min(args.jobs or cores, cores)
     records = scan_records(args.max, method=args.method, jobs=jobs)
     out = _out_path(args.out)
     try:
@@ -570,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--max", type=int, required=True)
     s.add_argument("--out", required=True, help="CSV output path")
     s.add_argument("--svg", help="optional SVG output path")
-    s.add_argument("--jobs", type=int, default=0, help="parallel workers (default: all cores)")
+    s.add_argument("--jobs", type=int, default=0, help="parallel workers (default and cap: all cores)")
     # Y decides the verdict without a drift vector, so it cannot fill a row.
     s.add_argument("--method", choices=("all", "oracle", "x"), default="oracle")
     s.set_defaults(func=cmd_scan)

@@ -454,23 +454,6 @@ def _next_face(face_c2x: IntTriple, axis: int, wall_axis: int, wall2x: int) -> t
     )
 
 
-# Turns at edges, filled from ``_next_face`` on first use.  The turn ``da`` is
-# the step of the face center along the old normal axis when the flow crosses
-# a wall on axis ``w``; ``is_face`` reads only the parities of ``c // 2``, so
-# it depends on the face center mod 4 and the axis pair alone (24 entries).
-_TURNS: dict[tuple[int, int, int, int], int] = {}
-
-
-def _turn(c2x: Sequence[int], axis: int, w: int, wall2x: int) -> int:
-    """The memoised turn at the wall ``wall2x`` on axis ``w`` of a face."""
-    key = (axis, w, c2x[axis] & 3, c2x[3 - axis - w] & 3)
-    da = _TURNS.get(key)
-    if da is None:
-        new_face, _ = _next_face(tuple(c2x), axis, w, wall2x)  # type: ignore[arg-type]
-        da = _TURNS[key] = new_face[axis] - c2x[axis]
-    return da
-
-
 def _wall_steps(sc: int, z: int, d: int) -> range:
     """Step counts in (0, sc] at which a chart coordinate that starts at
     ``z`` and moves by ``d`` per step lies on a wall (a multiple of sc)."""
@@ -520,43 +503,43 @@ def _center_time(sc: int, u0: int, v0: int, p: int, q: int) -> Optional[int]:
     return (half - u0 + a * sc) // p % sc
 
 
-def _fold(codes, c, frame, p, q, half, visits, snaps):
+def _fold(codes, c, frame, p, q, visits, snaps):
     """Walk the letters ``codes`` from the chart frame ``frame``, folding the
     face center ``c`` (in place) and the frame across each wall; returns the
     new frame.
 
     ``frame`` is ``(axis, au, su, av, sv)``: the face's normal axis and the
     chart's u = su e_au and v = sv e_av.  Code 1 crosses a wall u = const,
-    on axis au: the center steps by sign(p) su along au and by the memoised
-    turn ``da`` along the old normal, which becomes the chart's u axis with
-    sign da sign(p), since the direction keeps its length.  Code 0 does the
-    same for v.  Code 2 records a pass of the face center; ``snaps`` gets
-    the center and frame after each crossing unless it is None.
+    on axis au: the center steps by sign(p) su along au and by the turn
+    ``da`` along the old normal, which becomes the chart's u axis with sign
+    da sign(p), since the direction keeps its length.  Code 0 does the same
+    for v.  Code 2 records a pass of the face center; ``snaps`` gets the
+    center and frame after each crossing unless it is None.
+
+    The turn in closed form: the new face has normal w, the wall's axis, and
+    in-plane axes ``axis`` and o, the in-plane axis that is not w.  Its
+    doubled center keeps c[o] and has c[axis] + da, both even, so by
+    ``is_face`` it needs (c[axis] + da)/2 + c[o]/2 odd.  As c[axis] is odd,
+    exactly one da = +-1 does that, and da = +1 when c[axis] + c[o] + 1 is
+    2 mod 4: da = ((c[axis] + c[o] + 1) & 2) - 1.
     """
     axis, au, su, av, sv = frame
     sp, sq = (1 if p > 0 else -1), (1 if q > 0 else -1)
-    turns = _TURNS
     for code in codes:
         if code == 1:
-            side = sp * su
-            da = turns.get((axis, au, c[axis] & 3, c[av] & 3))
-            if da is None:
-                da = _turn(c, axis, au, c[au] + side)
-            c[au] += side
+            da = ((c[axis] + c[av] + 1) & 2) - 1
+            c[au] += sp * su
             c[axis] += da
             axis, au, su = au, axis, da * sp
         elif code == 0:
-            side = sq * sv
-            da = turns.get((axis, av, c[axis] & 3, c[au] & 3))
-            if da is None:
-                da = _turn(c, axis, av, c[av] + side)
-            c[av] += side
+            da = ((c[axis] + c[au] + 1) & 2) - 1
+            c[av] += sq * sv
             c[axis] += da
             axis, av, sv = av, axis, da * sq
         else:
             d = [0, 0, 0]
             d[au], d[av] = p * su, q * sv
-            visits.append((tuple(ck * half for ck in c), tuple(d)))
+            visits.append((tuple(c), tuple(d)))
             continue
         if snaps is not None:
             snaps.append((tuple(c), axis, au, su, av, sv))
@@ -568,7 +551,6 @@ def trace3d(
     direction: tuple[int, int],
     max_arc_s: Optional[Fraction] = None,
     *,
-    margin_crossings: int = 0,
     max_crossings: int = 1_000_000,
     record_vertices: bool = True,
 ) -> Trajectory3D:
@@ -577,8 +559,8 @@ def trace3d(
     ``max_arc_s`` bounds the *unfolded parameter* s (arc length divided by
     sqrt(p^2+q^2)), checked at edge crossings only: the trace stops at the
     first edge crossing past the bound, so its last segment can overshoot
-    it.  ``margin_crossings`` extra crossings are allowed past the bound so
-    that closure occurring exactly at the bound is never missed.
+    it.  A closure exactly at the bound is still found, since closure is
+    tested at that first crossing past it.
     Stops at closure (same point, same direction), at a drift revisit (same
     point up to a translation in (2Z)^3, same direction), at a cone point, or
     when a budget runs out.
@@ -589,7 +571,7 @@ def trace3d(
     u = const and |q| walls v = const in an order fixed by (p, q) and the
     start (``_crossing_word``, built once per trace); a tie is a corner, the
     cone-point stop.  The state is the doubled face center and the chart
-    frame (cu, cv), folded with the memoised turn at each letter
+    frame (cu, cv), folded with the closed-form turn at each letter
     (``_fold``); positions come from the word.
 
     Lemma: a post-crossing state repeats, exactly or up to (2Z)^3, only after
@@ -620,22 +602,19 @@ def trace3d(
     cu, cv = start.chart
     u0 = start.u.numerator * (sc // start.u.denominator)
     v0 = start.v.numerator * (sc // start.v.denominator)
-    # start.ambient() in units of 1/sc: the center plus (u - 1/2) cu + (v - 1/2) cv.
-    c2x = start.face.center2x
-    start_pos = tuple(c2x[k] * half + (u0 - half) * cu[k] + (v0 - half) * cv[k] for k in AXES)
     times, kinds, corner = _crossing_word(sc, u0, v0, p, q)
     n = len(times)
 
     # The crossing the trace stops at unless it closes, drifts or meets the
     # corner first; the arc bound wins a tie with the budget.
     stop, reason = max(max_crossings, 1), "crossing_budget"
-    if max_arc_s is not None and margin_crossings >= 0:
+    if max_arc_s is not None:
         # s_scaled > max_arc_s * sc exactly when s_scaled > its floor.
         bound = floor(Fraction(max_arc_s) * sc)
         units = max(bound, 0) // sc
         first = units * n + bisect_right(times, bound - units * sc)
-        if first + 1 + margin_crossings <= stop:
-            stop, reason = first + 1 + margin_crossings, "arc_bound"
+        if first < stop:
+            stop, reason = first + 1, "arc_bound"
 
     t_c = _center_time(sc, u0, v0, p, q)
     at = None if t_c is None or corner is not None and t_c > corner else bisect_right(times, t_c)
@@ -655,10 +634,10 @@ def trace3d(
         codes = kinds[:count]
         if at is not None and (at < count or at == count == n < stop):
             codes.insert(at, 2)
-        frame = _fold(codes, c, frame, p, q, half, visits, snaps)
+        frame = _fold(codes, c, frame, p, q, visits, snaps)
         s_scaled = corner if reason == "cone_point" else times[count - 1]
     else:
-        frame = _fold([2, kinds[0]] if at == 0 else kinds[:1], c, frame, p, q, half, visits, snaps)
+        frame = _fold([2, kinds[0]] if at == 0 else kinds[:1], c, frame, p, q, visits, snaps)
         anchor_c, anchor_frame, count = c[:], frame, 1
         # Letters 1 .. n-1, then the next unit's letter 0, the anchor's
         # letter; a center pass in segment ``at`` comes before block
@@ -669,7 +648,7 @@ def trace3d(
         while count < stop:
             take = min(n, stop - count)
             codes = marked[: take + (mark is not None and mark < take)]
-            frame = _fold(codes, c, frame, p, q, half, visits, snaps)
+            frame = _fold(codes, c, frame, p, q, visits, snaps)
             count += take
             if take == n and frame == anchor_frame:
                 diff = [c[k] - anchor_c[k] for k in AXES]
@@ -683,9 +662,24 @@ def trace3d(
             (count - 1) // n * sc + times[(count - 1) % n]
         )
 
-    vertices: list[tuple[int, ...]] = [start_pos]
-    face_path = [Face(start.face.center2x, start.face.axis)]
+    def point(v):
+        return tuple(Fraction(x, sc) for x in v)
+
+    cone = None
+    if reason == "cone_point":
+        axis, au, su, av, sv = frame
+        cone = [ck * half for ck in c]
+        cone[au] += (half if p > 0 else -half) * su
+        cone[av] += (half if q > 0 else -half) * sv
+        cone = point(cone)
+    vertices = []
+    face_path = []
     if snaps is not None:
+        # start.ambient() in units of 1/sc: the center plus (u - 1/2) cu + (v - 1/2) cv.
+        c2x = start.face.center2x
+        start_pos = tuple(c2x[k] * half + (u0 - half) * cu[k] + (v0 - half) * cv[k] for k in AXES)
+        scaled = [start_pos]
+        face_path.append(Face(c2x, start.face.axis))
         # The point where crossing g enters its face, in that face's chart.
         entries = [
             (0 if p > 0 else sc, (v0 + q * t) % sc) if kind else ((u0 + p * t) % sc, 0 if q > 0 else sc)
@@ -696,60 +690,32 @@ def trace3d(
             v = [ck * half for ck in cc]
             v[au] += (eu - half) * su
             v[av] += (ev - half) * sv
-            vertices.append(tuple(v))
+            scaled.append(tuple(v))
             face_path.append(Face(cc, axis))
-    cone = None
-    if reason == "cone_point":
-        axis, au, su, av, sv = frame
-        cone = [ck * half for ck in c]
-        cone[au] += (half if p > 0 else -half) * su
-        cone[av] += (half if q > 0 else -half) * sv
-        cone = tuple(cone)
-        vertices.append(cone)
-    return _finish(
-        reason, direction, vertices, sc, s_scaled, face_path, center_visits=visits,
-        n_crossings=count, closed=reason == "closed", drift=drift, cone=cone,
-        start_pos=start_pos, record_vertices=record_vertices,
-    )
-
-
-def _finish(
-    reason, direction, vertices, sc, s_scaled, face_path, center_visits,
-    n_crossings, *, closed=False, drift=None, cone=None, start_pos=None,
-    record_vertices=True,
-):
-    def pt(v):
-        return tuple(Fraction(c, sc) for c in v)
-
-    out_vertices = []
-    if record_vertices:
-        if closed or drift is not None:
+        if reason in ("closed", "drift"):
             # Trim to one period: from the start point back to its image.
-            end = start_pos if closed else tuple(
-                start_pos[k] + 2 * sc * drift[k] for k in AXES
-            )
-            out_vertices = [pt(v) for v in vertices[:n_crossings]] + [pt(end)]
-        else:
-            out_vertices = [pt(v) for v in vertices]
-
-    visits = []
-    seen = set()
-    for c, dvec in center_visits:
-        if c not in seen:
-            seen.add(c)
-            visits.append((pt(c), dvec))
-
+            shift = drift or (0, 0, 0)
+            scaled[count:] = [tuple(start_pos[k] + 2 * sc * shift[k] for k in AXES)]
+        vertices = [point(v) for v in scaled]
+        if cone is not None:
+            vertices.append(cone)
+    # The first direction seen at each center, in the order of first passes.
+    first_pass = {}
+    for cc, dvec in visits:
+        first_pass.setdefault(cc, dvec)
     return Trajectory3D(
         direction=tuple(direction),
-        vertices=out_vertices,
-        closed=closed,
+        vertices=vertices,
+        closed=reason == "closed",
         drift_vector=drift,
         s_total=Fraction(s_scaled, sc),
         stop_reason=reason,
-        cone_point=pt(cone) if cone else None,
-        face_path=face_path if record_vertices else [],
-        center_visits=visits,
-        crossings=n_crossings,
+        cone_point=cone,
+        face_path=face_path,
+        center_visits=[
+            (tuple(Fraction(ck, 2) for ck in cc), dvec) for cc, dvec in first_pass.items()
+        ],
+        crossings=count,
     )
 
 
@@ -772,13 +738,15 @@ def polyline_diameter(vertices: Sequence[Sequence[Fraction]]) -> Fraction:
     )
 
 
+# Lines of odd/odd slope through a square center run into corners; for
+# those the oracle starts at an exactly safe interior point instead.
+_SEED_CENTER = Point3.face_center(SEED_FACE, SEED_CHART)
+_SEED_ODD_ODD = Point3(SEED_FACE, SEED_CHART, Fraction(1, 2), Fraction(1, 3))
+
+
 def seed_start(p: int, q: int) -> Point3:
     """Start point of the oracle's trace in direction (p, q) on the seed face."""
-    # Lines of odd/odd slope through a square center run into corners; for
-    # those we move the start to an exactly safe interior point.
-    if abs(p) % 2 == 1 and abs(q) % 2 == 1:
-        return Point3(SEED_FACE, SEED_CHART, Fraction(1, 2), Fraction(1, 3))
-    return Point3.face_center(SEED_FACE, SEED_CHART)
+    return _SEED_ODD_ODD if p % 2 and q % 2 else _SEED_CENTER
 
 
 def crossing_budget(p: int, q: int) -> int:
@@ -829,24 +797,29 @@ class PeriodicDirectionError(ValueError):
 
 def find_quarter_symmetry(traj: Trajectory3D) -> Optional[RigidMotion]:
     """An order-4 rigid motion cycling the four face centers of a closed core
-    trajectory by a quarter period, or None if no certificate exists."""
+    trajectory by a quarter period, or None if no certificate exists.
+
+    The search runs on doubled centers, where g is c -> R c + 4 t.  A motion
+    that cycles c0 -> c1 -> c2 -> c3 -> c0 has order exactly 4: g^4 is a
+    translation (R^4 = 1 for a quarter turn R) fixing c0, so the identity,
+    and g^2 moves c0 to c2, another center, as the four are distinct.
+    """
     if not traj.closed or len(traj.center_visits) != 4:
         return None
-    centers = [c for c, _ in traj.center_visits]
+    # Centers are half-integral: doubling makes each an integer.
+    centers = [tuple(x.numerator * (2 // x.denominator) for x in c) for c, _ in traj.center_visits]
     dirs = [d for _, d in traj.center_visits]
     for rot in QUARTER_TURNS:
         img = mat_vec(rot, centers[0])
-        tt = [(centers[1][k] - img[k]) for k in AXES]
-        if any(v.denominator != 1 or v.numerator % 2 for v in map(Fraction, tt)):
+        t4 = [centers[1][k] - img[k] for k in AXES]
+        if any(v % 4 for v in t4):
             continue
-        g = RigidMotion(rot, tuple(int(v) // 2 for v in tt))
-        ok = all(
-            g.apply_point(centers[m]) == centers[(m + 1) % 4]
+        if all(
+            tuple(x + t for x, t in zip(mat_vec(rot, centers[m]), t4)) == centers[(m + 1) % 4]
             and mat_vec(rot, dirs[m]) == dirs[(m + 1) % 4]
             for m in range(4)
-        )
-        if ok and g.order() == 4:
-            return g
+        ):
+            return RigidMotion(rot, tuple(v // 4 for v in t4))
     return None
 
 

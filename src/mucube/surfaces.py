@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional
 
 from .mucube3d import (
@@ -57,7 +58,7 @@ class Surface:
     marked_curves: dict[str, list[Segment]] = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, repr=False)
 
-    @property
+    @cached_property
     def n(self) -> int:
         return 1 + max(sq for sq, _ in self.glue)
 

@@ -86,6 +86,35 @@ def test_symmetry_invariance_sampled():
             assert classify_oracle(image).verdict == base, (p, q, image)
 
 
+
+def test_oracle_separates_the_veech_subgroup():
+    # Gamma = {h in H : rho(h) = +-[[1, k], [0, 1]]} maps periodic directions
+    # to periodic ones: h w is a witness with column h d when w is one with
+    # column d.  B is not in Gamma: its words with first column B (1, 0) are
+    # +-B A^k, none with unipotent rho, so B sends the periodic (1, 0) to a
+    # drift direction.  On the 368 primitive |p|, |q| <= 12 the oracle sees
+    # this: T, A and the witness words of (18, 13) and (4, 1), all in Gamma,
+    # change no verdict, and B changes 40.
+    from mucube.grouptheory import A_MAT, B_MAT, THETA, column_witness, eval_word, is_in_gamma
+
+    def act(m, d):
+        a, b, c, e = m
+        return (a * d[0] + b * d[1], c * d[0] + e * d[1])
+
+    dirs = [(p, q) for p in range(-12, 13) for q in range(-12, 13) if gcd(p, q) == 1]
+    assert len(dirs) == 368
+    verdict = {d: classify_oracle(d).verdict for d in dirs}
+
+    def changed(m):
+        return sum(classify_oracle(act(m, d)).verdict != verdict[d] for d in dirs)
+
+    witnesses = [column_witness(18, 13), column_witness(4, 1)]
+    assert all(is_in_gamma(w) for w in witnesses)
+    for m in (THETA, A_MAT, *map(eval_word, witnesses)):
+        assert changed(m) == 0, m
+    assert changed(B_MAT) == 40
+    assert classify_oracle(act(B_MAT, (1, 0))).verdict == "drift"
+
 def test_certificates_replay():
     for d in ((1, 0), (4, 1), (8, 1), (1, 2), (5, 2), (3, 1)):
         c = classify_oracle(d)

@@ -173,6 +173,36 @@ def test_scan_pool_has_no_more_workers_than_tasks(monkeypatch):
     assert sizes == [3]
 
 
+
+def test_scan_jobs_are_capped_at_the_core_count(tmp_path, capsys, monkeypatch):
+    # --jobs asks for at most one worker per core: on two cores a request
+    # for a million workers opens one pool of 2 for the three canonical
+    # classes up to 2, and none for the one drift swap.
+    import multiprocessing
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    out = tmp_path / "capped.csv"
+    code, _, _ = run_cli(capsys, "scan", "--max", "2", "--out", str(out), "--jobs", "1000000")
+    assert code == 0
+    assert sizes == [2]
+    assert out.read_text() == records_to_csv(scan_records(2, jobs=1))
+
 def test_scan_unwritable_path(capsys):
     code, _, err = run_cli(
         capsys, "scan", "--max", "1", "--out", "/nonexistent-dir/x.csv", "--jobs", "1"

@@ -26,10 +26,9 @@ from mucube.mucube3d import (
     SEED_CHART,
     SEED_FACE,
     InternalGeometryError,
-    _TURNS,
-    _finish,
+    Trajectory3D,
+    _fold,
     _next_face,
-    _turn,
     cone_points_in_box,
     crossing_budget,
     default_chart,
@@ -215,7 +214,9 @@ def test_horizontal_core_orbit():
 
 
 def test_slope_quarter_orbit_closes():
-    t = trace3d(center_start(), (4, 1), max_arc_s=Fraction(4), margin_crossings=1)
+    # Closure is tested at the first crossing past the arc bound, so a
+    # bound of exactly one period still finds it.
+    t = trace3d(center_start(), (4, 1), max_arc_s=Fraction(4))
     assert t.closed
     assert t.arc_length == SqrtLength.of(4, 17)
     assert len(t.center_visits) == 4
@@ -251,12 +252,53 @@ def test_odd_odd_center_start_hits_cone_point():
     assert all(2 * c % 2 == 1 for c in t.cone_point)
 
 
-# The step loop as it was before the turn memo: a ``record_centers`` closure,
-# list positions and a face lookup through ``_next_face`` at every crossing.
-# Kept as the reference for trace3d's lean loop.
-def _ref_trace3d(
-    start, direction, max_arc_s=None, *, margin_crossings=0, max_crossings=1_000_000,
+def _ref_finish(
+    reason, direction, vertices, sc, s_scaled, face_path, center_visits,
+    n_crossings, *, closed=False, drift=None, cone=None, start_pos=None,
     record_vertices=True,
+):
+    """The reference's output step: positions in units of 1/sc to a
+    Trajectory3D, each center kept at its first pass."""
+    def pt(v):
+        return tuple(Fraction(c, sc) for c in v)
+
+    out_vertices = []
+    if record_vertices:
+        if closed or drift is not None:
+            # Trim to one period: from the start point back to its image.
+            end = start_pos if closed else tuple(
+                start_pos[k] + 2 * sc * drift[k] for k in AXES
+            )
+            out_vertices = [pt(v) for v in vertices[:n_crossings]] + [pt(end)]
+        else:
+            out_vertices = [pt(v) for v in vertices]
+
+    visits = []
+    seen = set()
+    for c, dvec in center_visits:
+        if c not in seen:
+            seen.add(c)
+            visits.append((pt(c), dvec))
+
+    return Trajectory3D(
+        direction=tuple(direction),
+        vertices=out_vertices,
+        closed=closed,
+        drift_vector=drift,
+        s_total=Fraction(s_scaled, sc),
+        stop_reason=reason,
+        cone_point=pt(cone) if cone else None,
+        face_path=face_path if record_vertices else [],
+        center_visits=visits,
+        crossings=n_crossings,
+    )
+
+
+# A per-crossing step loop: a ``record_centers`` closure, list positions and
+# a face lookup through ``_next_face`` at every crossing.  Kept as the
+# reference for trace3d's cutting-word walk.
+def _ref_trace3d(
+    start, direction, max_arc_s=None, *, max_crossings=1_000_000, record_vertices=True,
 ):
     p, q = direction
     if gcd(abs(p), abs(q)) != 1:
@@ -279,7 +321,6 @@ def _ref_trace3d(
     d = list(d_amb)
     s_scaled = 0
     bound_scaled = None if max_arc_s is None else Fraction(max_arc_s) * sc
-    margin_left = margin_crossings
 
     start_pos = tuple(pos)
     anchor = None
@@ -311,7 +352,7 @@ def _ref_trace3d(
         center_visits.append((tuple(ci), tuple(dvec)))
 
     def finish(reason, s, **kw):
-        return _finish(
+        return _ref_finish(
             reason, direction, vertices, sc, s, face_path, center_visits,
             n_crossings, record_vertices=record_vertices, **kw,
         )
@@ -384,9 +425,7 @@ def _ref_trace3d(
                     )
 
         if bound_scaled is not None and s_scaled > bound_scaled:
-            if margin_left == 0:
-                return finish("arc_bound", s_scaled)
-            margin_left -= 1
+            return finish("arc_bound", s_scaled)
         if n_crossings >= max_crossings:
             return finish("crossing_budget", s_scaled)
 
@@ -402,7 +441,7 @@ def _outcome(tracer, *args, **kwargs):
 _GRID_BUDGETS = {
     "crossing_budget": lambda p, q: {"max_crossings": crossing_budget(p, q)},
     "max_crossings_37": lambda p, q: {"max_crossings": 37},
-    "arc_bound_3": lambda p, q: {"max_arc_s": Fraction(3), "margin_crossings": 2},
+    "arc_bound_3": lambda p, q: {"max_arc_s": Fraction(3)},
 }
 
 
@@ -466,50 +505,48 @@ _FACE_CHARTS = [
     ),
     st.tuples(st.integers(0, 6), st.integers(0, 1000)),
     st.one_of(st.none(), st.fractions(0, 8, max_denominator=7)),
-    st.integers(0, 3),
     st.booleans(),
 )
-def test_trace3d_matches_reference_from_any_start(
-    face_chart, u, v, d, units, max_arc_s, margin, record
-):
+def test_trace3d_matches_reference_from_any_start(face_chart, u, v, d, units, max_arc_s, record):
     # Any face and chart, any start off the edges, a budget that stops
     # inside a unit (at crossing ``units`` n + 1 + extra mod n), an arc
-    # bound with its margin, with and without vertices.
+    # bound, with and without vertices.
     face, chart = face_chart
     start = Point3(face, chart, Fraction(*u), Fraction(*v))
     n = abs(d[0]) + abs(d[1])
     kwargs = {
         "max_crossings": units[0] * n + 1 + units[1] % n,
         "max_arc_s": max_arc_s,
-        "margin_crossings": margin,
         "record_vertices": record,
     }
     got = _outcome(trace3d, start, d, **kwargs)
     assert got == _outcome(_ref_trace3d, start, d, **kwargs)
 
 
-def test_turn_memo_matches_next_face():
+def test_turn_closed_form_matches_next_face():
     # Every face center of a window that covers all residues mod 4, negative
-    # coordinates included, each wall axis and both wall sides: the memoised
-    # turn is the step _next_face takes along the old normal axis.
+    # coordinates included, each wall axis, both wall sides and both letters:
+    # one letter of _fold lands on the face _next_face finds across the wall.
     faces = 0
+    residues = set()
     for c, axis in iter_candidates(-4, 4):
         if not is_face(c, axis):
             continue
         faces += 1
         for w in IN_PLANE[axis]:
+            o = 3 - axis - w
+            residues.add((axis, w, c[axis] % 4, c[o] % 4))
             for side in (1, -1):
-                wall2x = c[w] + side
-                new_face, new_axis = _next_face(c, axis, w, wall2x)
-                assert new_axis == w
-                assert _turn(c, axis, w, wall2x) == new_face[axis] - c[axis], (c, axis, w)
+                want = _next_face(c, axis, w, c[w] + side)
+                # Code 1 crosses a wall u = const (u along w), code 0 a wall
+                # v = const (v along w); p = q = 1, so the side is the sign.
+                for code, frame in ((1, (axis, w, side, o, 1)), (0, (axis, o, 1, w, side))):
+                    got = list(c)
+                    new_frame = _fold([code], got, frame, 1, 1, [], None)
+                    assert (tuple(got), new_frame[0]) == want, (c, axis, w, side, code)
     assert faces > 100
-    # Six axis pairs, two residues of the normal coordinate, two of the other.
-    assert len(_TURNS) == 24
-    for (axis, w, ra, ro), da in _TURNS.items():
-        c = [0, 0, 0]
-        c[axis], c[w], c[3 - axis - w] = ra, 2 - ro, ro
-        assert _next_face(tuple(c), axis, w, 1)[0][axis] - ra == da
+    # The turn reads c[axis] and c[o] mod 4: six axis pairs, two residues each.
+    assert len(residues) == 24
 
 
 def _chart_direction(face, traj, k):
@@ -568,6 +605,85 @@ def test_periodic_length_law_sample():
         assert len(t.center_visits) == 4
         assert find_quarter_symmetry(t) is not None
 
+
+def _ref_find_quarter_symmetry(traj):
+    """The quarter-symmetry search in Fractions, with a validated motion per
+    candidate rotation and an order check: the reference for the integer
+    search."""
+    if not traj.closed or len(traj.center_visits) != 4:
+        return None
+    centers = [c for c, _ in traj.center_visits]
+    dirs = [d for _, d in traj.center_visits]
+    for rot in QUARTER_TURNS:
+        img = mat_vec(rot, centers[0])
+        tt = [(centers[1][k] - img[k]) for k in AXES]
+        if any(v.denominator != 1 or v.numerator % 2 for v in map(Fraction, tt)):
+            continue
+        g = RigidMotion(rot, tuple(int(v) // 2 for v in tt))
+        ok = all(
+            g.apply_point(centers[m]) == centers[(m + 1) % 4]
+            and mat_vec(rot, dirs[m]) == dirs[(m + 1) % 4]
+            for m in range(4)
+        )
+        if ok and g.order() == 4:
+            return g
+    return None
+
+
+def test_quarter_symmetry_matches_reference():
+    # Every primitive |p|, |q| <= 40 from seed_start: the integer search and
+    # the reference return equal motions on the 156 closed cores, and None
+    # on every other trace.
+    closed = 0
+    for p in range(-40, 41):
+        for q in range(-40, 41):
+            if gcd(abs(p), abs(q)) != 1:
+                continue
+            t = trace3d(seed_start(p, q), (p, q), max_crossings=crossing_budget(p, q),
+                        record_vertices=False)
+            got = find_quarter_symmetry(t)
+            assert got == _ref_find_quarter_symmetry(t), (p, q)
+            if t.closed:
+                closed += 1
+                assert got is not None and got.order() == 4, (p, q)
+    assert closed == 156
+
+
+
+def test_quarter_symmetry_rejects_broken_cycles():
+    # Core data that no rigid motion of the surface cycles: two centers
+    # swapped, one direction reversed, or centers cycled by a quarter turn
+    # with a translation outside Z^3, which closes up but moves the surface
+    # off itself.  Both searches return None; the unbroken cycle they find.
+    import dataclasses
+
+    t = trace3d(center_start(), (4, 1))
+    g = find_quarter_symmetry(t)
+    assert g is not None
+    (c0, d0), *_ = t.center_visits
+    # g followed by a unit step across the rotation axis, so the four steps
+    # still sum to zero.
+    unit = next(e for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)) if mat_vec(g.rotation, e) != e)
+
+    def step(c):
+        return tuple(x + e for x, e in zip(g.apply_point(c), unit))
+
+    visits = [(c0, d0)]
+    for _ in range(3):
+        c, d = visits[-1]
+        visits.append((step(c), mat_vec(g.rotation, d)))
+    assert step(visits[3][0]) == c0
+    cv = t.center_visits
+    broken = {
+        "swapped": [cv[0], cv[2], cv[1], cv[3]],
+        "reversed": cv[:2] + [(cv[2][0], tuple(-x for x in cv[2][1]))] + cv[3:],
+        "half_translation": visits,
+    }
+    for name, data in broken.items():
+        u = dataclasses.replace(t, center_visits=data)
+        assert find_quarter_symmetry(u) is None, name
+        assert _ref_find_quarter_symmetry(u) is None, name
+    assert find_quarter_symmetry(dataclasses.replace(t, center_visits=list(cv))) == g
 
 def test_drift_law_revisit_translation():
     from math import gcd
