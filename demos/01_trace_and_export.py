@@ -25,7 +25,9 @@ print()
 print("== slope 1/4: the first twisted trajectory ==")
 t = trace3d(center, (4, 1))
 print("closed:", t.closed, " arc length:", t.arc_length)
-print("face centers visited:", [tuple(frac_str(c) for c in pt) for pt, _ in t.center_visits])
+# Centers are stored doubled, so that they are integer triples.
+print("face centers visited:",
+      [tuple(frac_str(Fraction(c, 2)) for c in pt) for pt, _ in t.center_visits])
 
 print()
 print("== slope 2 drifts ==")

@@ -133,7 +133,7 @@ def classify_oracle(d) -> Classification:
             certificate={
                 "core_multiplier": 4,
                 "norm_sq": p * p + q * q,
-                "centers": [pt for pt, _ in centers],
+                "centers": [tuple(Fraction(c, 2) for c in pt) for pt, _ in centers],
                 "center_directions": [dv for _, dv in centers],
                 "order4_motion": motion,
                 "start": start,
@@ -151,16 +151,18 @@ def classify_oracle(d) -> Classification:
     )
 
 
+# As for the oracle's ``seed_start``: odd/odd lines through a square center
+# run into corners, so they start at an exactly safe interior point.
+_X_CENTER = SurfacePoint(0, Fraction(1, 2), Fraction(1, 2))
+_X_ODD_ODD = SurfacePoint(0, Fraction(1, 2), Fraction(1, 3))
+
+
 def classify_x(d) -> Classification:
     """Decide periodicity from the cocycle displacement on the 12-square
     quotient."""
     p, q = _as_pair(d)
-    surf = build_x()
-    if abs(p) % 2 == 1 and abs(q) % 2 == 1:
-        start = SurfacePoint(0, Fraction(1, 2), Fraction(1, 3))
-    else:
-        start = SurfacePoint(0, Fraction(1, 2), Fraction(1, 2))
-    trace = trace_surface(surf, start, (p, q), crossing_budget(p, q), record_segments=False)
+    start = _X_ODD_ODD if p % 2 and q % 2 else _X_CENTER
+    trace = trace_surface(build_x(), start, (p, q), crossing_budget(p, q), record_segments=False)
     if not trace.closed:
         raise ClassificationError(
             f"projected orbit of {(p, q)} stopped with {trace.stop_reason}"
@@ -233,9 +235,9 @@ def verify_certificate(c: Classification) -> bool:
         g: RigidMotion = c.certificate["order4_motion"]
         if g.order() != 4:
             return False
-        centers = [pt for pt, _ in traj.center_visits]
+        centers = [c for c, _ in traj.center_visits]
         return all(
-            g.apply_point(centers[i]) == centers[(i + 1) % 4] for i in range(4)
+            g.apply_doubled(centers[i]) == centers[(i + 1) % 4] for i in range(4)
         )
     v = c.certificate["drift_vector"]
     if v == (0, 0, 0) or traj.stop_reason != "drift":

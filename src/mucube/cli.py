@@ -72,11 +72,19 @@ _CLASSIFIERS = {
 }
 
 
-def _out_path(path: str) -> str:
-    base = os.environ.get("MUCUBE_OUTDIR")
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
+class UsageError(Exception):
+    """A bad argument; ``main`` reports it as one ``error:`` line, exit 2."""
+
+
+def _write(path: str, text: str) -> None:
+    """Write an output file; a relative path is taken under $MUCUBE_OUTDIR
+    when that is set (``os.path.join`` keeps an absolute path as it is)."""
+    out = os.path.join(os.environ.get("MUCUBE_OUTDIR", ""), path)
+    try:
+        with open(out, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc}") from None
 
 
 def _emit(obj) -> None:
@@ -104,14 +112,12 @@ def _serialize_certificate(cert: dict) -> dict:
     return out
 
 
-def _direction(args) -> Optional[tuple[int, int]]:
+def _direction(args) -> tuple[int, int]:
     """The primitive direction of ``args.p`` and ``args.q``, with a warning
-    when it had to be reduced; None, after an error line, for the zero
-    vector."""
+    when it had to be reduced."""
     p, q = args.p, args.q
     if (p, q) == (0, 0):
-        print("error: the zero vector is not a direction", file=sys.stderr)
-        return None
+        raise UsageError("the zero vector is not a direction")
     g = gcd(abs(p), abs(q))
     if g != 1:
         print(f"warning: ({p}, {q}) is not primitive; reduced to ({p // g}, {q // g})",
@@ -124,10 +130,7 @@ def _direction(args) -> Optional[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 def cmd_classify(args) -> int:
-    d = _direction(args)
-    if d is None:
-        return USAGE_ERROR
-    p, q = d
+    p, q = _direction(args)
     result = _CLASSIFIERS[args.method]((p, q))
     _emit(
         {
@@ -261,29 +264,15 @@ def records_to_svg(records) -> str:
 
 def cmd_scan(args) -> int:
     if args.max < 1:
-        print("error: --max must be at least 1", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError("--max must be at least 1")
     if args.jobs < 0:
-        print("error: --jobs must not be negative", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError("--jobs must not be negative")
     cores = os.cpu_count() or 1
     jobs = min(args.jobs or cores, cores)
     records = scan_records(args.max, method=args.method, jobs=jobs)
-    out = _out_path(args.out)
-    try:
-        with open(out, "w") as fh:
-            fh.write(records_to_csv(records))
-    except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    _write(args.out, records_to_csv(records))
     if args.svg:
-        svg_path = _out_path(args.svg)
-        try:
-            with open(svg_path, "w") as fh:
-                fh.write(records_to_svg(records))
-        except OSError as exc:
-            print(f"error: cannot write {svg_path}: {exc}", file=sys.stderr)
-            return USAGE_ERROR
+        _write(args.svg, records_to_svg(records))
     n_periodic = sum(1 for r in records if r[2] == PERIODIC)
     print(
         f"scanned {len(records)} directions up to {args.max}: "
@@ -299,33 +288,25 @@ def cmd_scan(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_trace(args) -> int:
-    d = _direction(args)
-    if d is None:
-        return USAGE_ERROR
-    p, q = d
+    p, q = _direction(args)
     try:
         u = Fraction(args.u)
         v = Fraction(args.v)
         start = Point3(SEED_FACE, SEED_CHART, u, v)
     except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: bad start point: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError(f"bad start point: {exc}") from None
     try:
         max_s = Fraction(args.max_s) if args.max_s else None
     except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: bad --max-s: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError(f"bad --max-s: {exc}") from None
     if max_s is not None and max_s < 0:
-        print("error: --max-s must not be negative", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError("--max-s must not be negative")
     if args.max_crossings < 0:
-        print("error: --max-crossings must not be negative", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError("--max-crossings must not be negative")
     try:
         traj = trace3d(start, (p, q), max_arc_s=max_s, max_crossings=args.max_crossings)
     except ConePointStart as exc:
-        print(f"error: bad start point: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError(f"bad start point: {exc}") from None
     payload = {
         "direction": [p, q],
         "closed": traj.closed,
@@ -337,15 +318,8 @@ def cmd_trace(args) -> int:
     if traj.cone_point is not None:
         payload["cone_point"] = [frac_str(c) for c in traj.cone_point]
     if args.csv:
-        path = _out_path(args.csv)
-        try:
-            with open(path, "w") as fh:
-                fh.write("x,y,z\n")
-                for pt in traj.vertices:
-                    fh.write(",".join(frac_str(c) for c in pt) + "\n")
-        except OSError as exc:
-            print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-            return USAGE_ERROR
+        rows = ["x,y,z"] + [",".join(frac_str(c) for c in pt) for pt in traj.vertices]
+        _write(args.csv, "\n".join(rows) + "\n")
     _emit(payload)
     return 0
 
@@ -355,10 +329,7 @@ def cmd_trace(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_cylinders(args) -> int:
-    d = _direction(args)
-    if d is None:
-        return USAGE_ERROR
-    p, q = d
+    p, q = _direction(args)
     surf = build_x() if args.surface == "x" else build_y()
     deco = cylinder_decomposition(surf, (p, q))
     _emit(
@@ -399,8 +370,7 @@ def cmd_fourey(args) -> int:
         period = _parse_int_list(args.period) if args.period else []
         cf = ContinuedFraction.fourey(coeffs, period)
     except ValueError as exc:
-        print(f"error: bad coefficients: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError(f"bad coefficients: {exc}") from None
     payload = {
         "coefficients": coeffs,
         "period": period,
@@ -432,13 +402,9 @@ def cmd_fourey(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_witness(args) -> int:
-    d = _direction(args)
-    if d is None:
-        return USAGE_ERROR
-    p, q = d
+    p, q = _direction(args)
     if args.max_depth < 0:
-        print("error: --max-depth must not be negative", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError("--max-depth must not be negative")
     if args.complete:
         _emit(_complete_witness(p, q))
         return 0
@@ -508,22 +474,17 @@ def cmd_twist(args) -> int:
     try:
         slope = _parse_slope(args.slope)
     except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: bad slope: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError(f"bad slope: {exc}") from None
     direction = _slope_direction(slope)
-    before = classify_all(direction)
-    if before.verdict != PERIODIC:
-        print(
-            f"error: slope {args.slope} is not a periodic slope "
-            "(the twist is defined on periodic trajectories)",
-            file=sys.stderr,
+    if classify_all(direction).verdict != PERIODIC:
+        raise UsageError(
+            f"slope {args.slope} is not a periodic slope "
+            "(the twist is defined on periodic trajectories)"
         )
-        return USAGE_ERROR
     try:
         out_slope = twist_slope(slope, args.axis, args.k)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError(str(exc)) from None
     out_dir = _slope_direction(out_slope)
     after = classify_all(out_dir)
     axis_dir = (0, 1) if args.axis == "vertical" else (1, 0)
@@ -622,6 +583,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     except MethodDisagreement as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         for r in exc.results:

@@ -432,7 +432,8 @@ class Trajectory3D:
     stop_reason: str  # closed | drift | cone_point | arc_bound | crossing_budget
     cone_point: Optional[tuple[Fraction, Fraction, Fraction]] = None
     face_path: list[Face] = field(default_factory=list)
-    center_visits: list[tuple[tuple[Fraction, Fraction, Fraction], IntTriple]] = field(default_factory=list)
+    # The first pass at each face center: doubled center, direction vector.
+    center_visits: list[tuple[IntTriple, IntTriple]] = field(default_factory=list)
     crossings: int = 0
 
     @property
@@ -712,9 +713,7 @@ def trace3d(
         stop_reason=reason,
         cone_point=cone,
         face_path=face_path,
-        center_visits=[
-            (tuple(Fraction(ck, 2) for ck in cc), dvec) for cc, dvec in first_pass.items()
-        ],
+        center_visits=list(first_pass.items()),
         crossings=count,
     )
 
@@ -806,8 +805,7 @@ def find_quarter_symmetry(traj: Trajectory3D) -> Optional[RigidMotion]:
     """
     if not traj.closed or len(traj.center_visits) != 4:
         return None
-    # Centers are half-integral: doubling makes each an integer.
-    centers = [tuple(x.numerator * (2 // x.denominator) for x in c) for c, _ in traj.center_visits]
+    centers = [c for c, _ in traj.center_visits]
     dirs = [d for _, d in traj.center_visits]
     for rot in QUARTER_TURNS:
         img = mat_vec(rot, centers[0])

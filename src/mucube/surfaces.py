@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Optional
 
 from .mucube3d import (
@@ -383,29 +383,21 @@ def _build_quotient(
     return surf
 
 
-_X_CACHE: Optional[Surface] = None
-_Y_CACHE: Optional[Surface] = None
-
-
+@cache
 def build_x() -> Surface:
     """The 12-square quotient by even translations, with its Z^3 cocycle."""
-    global _X_CACHE
-    if _X_CACHE is None:
-        surf = _build_quotient("X", _x_canonical, 12, with_cocycle=True)
-        if surf.genus() != 3:
-            raise SurfaceConstructionError("X must have genus 3")
-        if surf.singularity_signature() != (3,) * 8:
-            raise SurfaceConstructionError("X must have eight cone points of angle 3*pi")
-        _X_CACHE = surf
-    return _X_CACHE
+    surf = _build_quotient("X", _x_canonical, 12, with_cocycle=True)
+    if surf.genus() != 3:
+        raise SurfaceConstructionError("X must have genus 3")
+    if surf.singularity_signature() != (3,) * 8:
+        raise SurfaceConstructionError("X must have eight cone points of angle 3*pi")
+    return surf
 
 
+@cache
 def build_y() -> Surface:
     """The 4-square quotient of X by the order-3 rotation, with the
     horizontal mid-height curve marked."""
-    global _Y_CACHE
-    if _Y_CACHE is not None:
-        return _Y_CACHE
     surf = _build_quotient("Y", _y_canonical, 4, with_cocycle=False)
     if surf.genus() != 1:
         raise SurfaceConstructionError("Y must have genus 1")
@@ -452,8 +444,7 @@ def build_y() -> Surface:
         break
     else:
         raise SurfaceConstructionError("no usable calibration probe")
-    _Y_CACHE = surf
-    return _Y_CACHE
+    return surf
 
 
 # ---------------------------------------------------------------------------

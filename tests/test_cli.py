@@ -67,6 +67,35 @@ def test_direction_parsing_is_shared(capsys, argv):
     assert err == "error: the zero vector is not a direction\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("scan", "--max", "0", "--out", "never.csv"), "--max must be at least 1"),
+    (("scan", "--max", "1", "--out", "ok.csv", "--svg", "missing/d.svg", "--jobs", "1"),
+     "cannot write missing/d.svg: [Errno 2] No such file or directory: 'missing/d.svg'"),
+    (("trace", "--p", "1", "--q", "2", "--u", "2"),
+     "bad start point: chart coordinates must lie in [0, 1]"),
+    (("trace", "--p", "1", "--q", "2", "--u", "1/0"), "bad start point: Fraction(1, 0)"),
+    (("trace", "--p", "1", "--q", "2", "--u", "x"),
+     "bad start point: Invalid literal for Fraction: 'x'"),
+    (("trace", "--p", "0", "--q", "0"), "the zero vector is not a direction"),
+    (("cylinders", "--surface", "x", "--p", "0", "--q", "0"), "the zero vector is not a direction"),
+    (("witness", "--p", "0", "--q", "0"), "the zero vector is not a direction"),
+    (("fourey", "--coeffs", "a"),
+     "bad coefficients: invalid literal for int() with base 10: 'a'"),
+    (("fourey", "--coeffs", "0", "--period", "0"),
+     "bad coefficients: partial quotients beyond a0 must be nonzero"),
+    (("twist", "--slope", "x", "--axis", "vertical", "--k", "1"),
+     "bad slope: Invalid literal for Fraction: 'x'"),
+    (("twist", "--slope", "1/0", "--axis", "vertical", "--k", "1"), "bad slope: Fraction(1, 0)"),
+])
+def test_usage_error_is_one_stderr_line(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("MUCUBE_OUTDIR", raising=False)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "never.csv").exists()
+
+
 def test_classify_zero_vector_usage_error(capsys):
     code, _, err = run_cli(capsys, "classify", "--p", "0", "--q", "0")
     assert code == 2

@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every private module-level name of the package is read somewhere in it.
+"""Every name a module of the package imports is used in that module, every
+private module-level name of the package is read somewhere in it, and the
+CLI reports usage errors in ``main`` alone.
 
 The package ``__init__`` is left out of the import check: importing names to
 re-export them is its purpose.
@@ -79,3 +80,37 @@ def test_detects_an_unreferenced_private_name():
 def test_private_names_are_referenced():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unreferenced_private_names(sources) == []
+
+
+def usage_error_sites(source: str) -> list[tuple[str, int]]:
+    """(enclosing function, line) of each ``return USAGE_ERROR`` and of each
+    string that starts with ``error:`` in ``source``."""
+    sites = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Return) and isinstance(node.value, ast.Name):
+            if node.value.id == "USAGE_ERROR":
+                sites.append((scope, node.lineno))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.startswith("error:"):
+                sites.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return sites
+
+
+def test_detects_a_usage_error_site():
+    source = (
+        'def f(x):\n    print(f"error: {x}")\n    return USAGE_ERROR\n'
+        'def main():\n    return USAGE_ERROR\n'
+    )
+    assert usage_error_sites(source) == [("f", 2), ("f", 3), ("main", 5)]
+
+
+def test_usage_errors_are_reported_in_main_only():
+    sites = usage_error_sites((SRC / "cli.py").read_text())
+    assert sites and {scope for scope, _ in sites} == {"main"}

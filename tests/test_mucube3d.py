@@ -258,7 +258,7 @@ def _ref_finish(
     record_vertices=True,
 ):
     """The reference's output step: positions in units of 1/sc to a
-    Trajectory3D, each center kept at its first pass."""
+    Trajectory3D, each center kept, doubled, at its first pass."""
     def pt(v):
         return tuple(Fraction(c, sc) for c in v)
 
@@ -278,7 +278,7 @@ def _ref_finish(
     for c, dvec in center_visits:
         if c not in seen:
             seen.add(c)
-            visits.append((pt(c), dvec))
+            visits.append((tuple(x // (sc // 2) for x in c), dvec))
 
     return Trajectory3D(
         direction=tuple(direction),
@@ -612,7 +612,7 @@ def _ref_find_quarter_symmetry(traj):
     search."""
     if not traj.closed or len(traj.center_visits) != 4:
         return None
-    centers = [c for c, _ in traj.center_visits]
+    centers = [tuple(Fraction(x, 2) for x in c) for c, _ in traj.center_visits]
     dirs = [d for _, d in traj.center_visits]
     for rot in QUARTER_TURNS:
         img = mat_vec(rot, centers[0])
@@ -662,11 +662,11 @@ def test_quarter_symmetry_rejects_broken_cycles():
     assert g is not None
     (c0, d0), *_ = t.center_visits
     # g followed by a unit step across the rotation axis, so the four steps
-    # still sum to zero.
-    unit = next(e for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)) if mat_vec(g.rotation, e) != e)
+    # still sum to zero.  Centers are doubled: a unit step adds 2.
+    unit = next(e for e in ((2, 0, 0), (0, 2, 0), (0, 0, 2)) if mat_vec(g.rotation, e) != e)
 
     def step(c):
-        return tuple(x + e for x, e in zip(g.apply_point(c), unit))
+        return tuple(x + e for x, e in zip(g.apply_doubled(c), unit))
 
     visits = [(c0, d0)]
     for _ in range(3):
