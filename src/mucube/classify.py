@@ -110,7 +110,7 @@ def classify_oracle(d) -> Classification:
     p, q = _as_pair(d)
     odd_odd = abs(p) % 2 == 1 and abs(q) % 2 == 1
     start = seed_start(p, q)
-    traj = trace3d(start, (p, q), max_crossings=crossing_budget(p, q), record_vertices=False)
+    traj = trace3d(start, (p, q), max_crossings=crossing_budget(p, q))
     if traj.stop_reason == "closed":
         if odd_odd:
             raise ClassificationError(f"odd/odd direction {(p, q)} closed in 3D")
@@ -162,14 +162,15 @@ def classify_x(d) -> Classification:
     quotient."""
     p, q = _as_pair(d)
     start = _X_ODD_ODD if p % 2 and q % 2 else _X_CENTER
-    trace = trace_surface(build_x(), start, (p, q), crossing_budget(p, q), record_segments=False)
+    trace = trace_surface(build_x(), start, (p, q), crossing_budget(p, q))
     if not trace.closed:
         raise ClassificationError(
             f"projected orbit of {(p, q)} stopped with {trace.stop_reason}"
         )
     disp = trace.displacement
     verdict = PERIODIC if disp == (0, 0, 0) else DRIFT
-    cert = {"displacement": disp, "crossings": len(trace.scaled_crossings) + 1}
+    # A closed trace crosses |p| + |q| walls per unit, plus its closing one.
+    cert = {"displacement": disp, "crossings": trace.s_total.numerator * (abs(p) + abs(q)) + 1}
     if verdict == DRIFT:
         cert["drift_vector"] = disp
     return Classification((p, q), verdict, "x", cert)
@@ -223,10 +224,13 @@ def classify_all(d) -> Classification:
 
 
 def verify_certificate(c: Classification) -> bool:
-    """Replay a classification certificate against a fresh trace."""
+    """Replay a certificate against a fresh trace; ValueError if it holds nothing to replay."""
+    key = "order4_motion" if c.verdict == PERIODIC else "drift_vector"
+    if key not in c.certificate:
+        raise ValueError(f"the {c.method} certificate of {c.direction} has no {key} to replay")
     p, q = c.direction
     start = c.certificate.get("start") or seed_start(p, q)
-    traj = trace3d(start, (p, q), max_crossings=crossing_budget(p, q), record_vertices=False)
+    traj = trace3d(start, (p, q), max_crossings=crossing_budget(p, q))
     if c.verdict == PERIODIC:
         if traj.stop_reason != "closed" or traj.s_total != 4:
             return False

@@ -88,8 +88,14 @@ def _write(path: str, text: str) -> None:
 
 
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, sort_keys=True, indent=2)
-    sys.stdout.write("\n")
+    try:
+        print(json.dumps(obj, sort_keys=True, indent=2), flush=True)
+    except OSError as exc:
+        # What is still buffered goes to /dev/null at exit, with no second error.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise UsageError(f"cannot write stdout: {exc}") from None
 
 
 def _serialize_certificate(cert: dict) -> dict:

@@ -46,10 +46,10 @@ per cylinder is walked.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat, zip_longest
+from itertools import chain, cycle, repeat, zip_longest
 from math import gcd
 from operator import getitem
 from typing import Optional, Sequence
@@ -102,17 +102,50 @@ class SurfaceTrace:
     stop_reason: str  # closed | cone_point | crossing_budget
     s_total: Fraction
     displacement: tuple[int, int, int]
-    # Arc parameters and chart coordinates of the lists below are integers in
-    # units of 1/scale; each list covers one period if closed.
+    # Arc parameters and chart coordinates of the views below are integers in
+    # units of 1/scale; each view covers one period if closed.
     scale: int
-    scaled_crossings: list[tuple[int, int, int]]  # (s, square, side) exited
-    scaled_segments: list[tuple[int, int, int, int, int]]
     cone_point: Optional[SurfacePoint] = None
+    # What the trace walked, which the views are read from on first use: the
+    # start square and point, the cutting word (step counts and kinds), the
+    # exit sides per kind (see ``_sheet_steps``) and the sheet of each segment.
+    walk: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
     def arc_length(self) -> SqrtLength:
         p, q = self.direction
         return SqrtLength.of(self.s_total, p * p + q * q)
+
+    @cached_property
+    def scaled_crossings(self) -> list[tuple[int, int, int]]:
+        """(s, square, side exited) per crossing; a closed trace keeps
+        crossings 0 .. count-2, which lie in (0, s_total)."""
+        _, _, _, times, kinds, exits, sheets = self.walk
+        n, sc = len(times), self.scale
+        return [
+            (g // n * sc + times[g % n], st >> 1, exits[kinds[g % n]][st & 1])
+            for g, st in enumerate(sheets[: len(sheets) - 1 - self.closed])
+        ]
+
+    @cached_property
+    def scaled_segments(self) -> list[tuple[int, int, int, int, int]]:
+        """(square, x0, y0, x1, y1) per segment; a closed trace's run from
+        the start point back to itself."""
+        square, x0, y0, times, kinds, _, sheets = self.walk
+        sc, (p, q), n = self.scale, self.direction, len(times)
+        # Piece i starts where letter i - 1 entered its square.
+        pieces = _pieces(sc, x0, y0, p, q, times, kinds)
+        segments = [(st >> 1,) + pc[st & 1] for st, pc in zip(sheets[:-1], cycle(pieces))]
+        if segments:
+            segments[0] = (square, x0, y0, *pieces[0][0][2:])
+        if self.closed:
+            segments[-1] = (*segments[-1][:3], x0, y0)
+        cone = self.cone_point
+        if cone is not None:
+            # The corner ends the first unit's letters, on the last sheet.
+            x, y = pieces[0][sheets[-1] & 1][:2] if n else (x0, y0)
+            segments.append((cone.square, x, y, int(cone.x * sc), int(cone.y * sc)))
+        return segments
 
     @cached_property
     def crossings(self) -> list[tuple[Fraction, int, int]]:
@@ -240,8 +273,6 @@ def trace_surface(
     start: SurfacePoint,
     direction: tuple[int, int],
     max_crossings: int = 100_000,
-    *,
-    record_segments: bool = True,
 ) -> SurfaceTrace:
     """Trace the flow from an interior point until it closes up.
 
@@ -287,53 +318,27 @@ def trace_surface(
     sheet = sheets[-1]
 
     closed = reason == "closed"
-    # A closed trace keeps one period: crossings 0 .. count-2, which lie in
-    # (0, s_total), and the segments from the start point back to itself.
-    kept = count - 1 if closed else count
-    units = -(-count // n) if n else 0
-    svals = [t + u * sc for u in range(units) for t in times]
-    crossed = sheets[:kept]
-    side_of = [list(pair) * n_squares for pair in exits]  # per kind and sheet
-    crossings = list(zip(
-        svals,
-        [st >> 1 for st in crossed],
-        map(getitem, [side_of[k] for k in kinds] * units, crossed),
-    ))
     if closed:
         s_total = (count - 1) // n * sc
     elif reason == "cone_point":
         s_total = corner
     else:
-        s_total = svals[count - 1]
+        s_total = (count - 1) // n * sc + times[(count - 1) % n]
     # The closing crossing repeats crossing 0 (same sheet, same letter), so
     # the crossings after the anchor weigh what the kept ones weigh.
+    kept = count - closed
     disp = (0, 0, 0)
     cocycle = getattr(surface, "cocycle", None)
     if cocycle is not None and kept:
         weights = _per_sheet(cocycle, n_squares, exits)
-        disp = tuple(map(sum, zip(*map(getitem, [weights[k] for k in kinds] * units, crossed))))
+        disp = tuple(map(sum, zip(*map(getitem, cycle(weights[k] for k in kinds), sheets[:kept]))))
 
-    segments: list[tuple[int, int, int, int, int]] = []
     cone_point = None
-    if record_segments or reason == "cone_point":
-        # Piece i starts where letter i - 1 entered its square.
-        pieces = _pieces(sc, x0, y0, p, q, times, kinds)
-    if record_segments and n:
-        square_of = [(st >> 1,) for st in range(2 * n_squares)]
-        segments = [square_of[st] + pc[st & 1] for st, pc in zip(sheets[:count], pieces * units)]
-        segments[0] = (start.square, x0, y0, *pieces[0][0][2:])
-        if closed:
-            segments[-1] = (*segments[-1][:3], x0, y0)
     if reason == "cone_point":
-        sq, neg = sheet >> 1, sheet & 1
         cx, cy = (sc if p > 0 else 0), (sc if q > 0 else 0)
-        # The corner ends the first unit's letters: count == n.
-        x, y = pieces[0][0][:2] if n else (x0, y0)
-        if neg:
-            cx, cy, x, y = sc - cx, sc - cy, sc - x, sc - y
-        if record_segments:
-            segments.append((sq, x, y, cx, cy))
-        cone_point = SurfacePoint(sq, Fraction(cx, sc), Fraction(cy, sc))
+        if sheet & 1:
+            cx, cy = sc - cx, sc - cy
+        cone_point = SurfacePoint(sheet >> 1, Fraction(cx, sc), Fraction(cy, sc))
     return SurfaceTrace(
         direction=(p, q),
         closed=closed,
@@ -341,9 +346,8 @@ def trace_surface(
         s_total=Fraction(s_total, sc),
         displacement=disp,
         scale=sc,
-        scaled_crossings=crossings,
-        scaled_segments=segments,
         cone_point=cone_point,
+        walk=(start.square, x0, y0, times, kinds, exits, sheets),
     )
 
 

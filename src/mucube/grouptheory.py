@@ -692,9 +692,10 @@ def find_witness(d, max_depth: int = 14, entry_cap: Optional[int] = None) -> Opt
     Otherwise the search's first word is the shortest one,
     ``column_witness``'s, if the search reaches it at all (``_reachable``),
     and nothing is walked; a None then only means that the witness lies
-    beyond the depth or the cap.  The cost is one Euclid path,
-    walked through the coset table once with rho images and once with
-    words, plus O(max_depth) matrix products for the reachability test.
+    beyond the depth or the cap.  The cost is one Euclid path walked
+    through the coset table with rho images and, for a periodic column, with
+    words: that builds the whole witness before testing its length, and it
+    has 2n + 1 letters on the path [0, (-2, n), -3, -(n + 1)], n = 3k + 2.
     """
     p, q = (d.p, d.q) if hasattr(d, "p") else d
     if gcd(abs(p), abs(q)) != 1:
@@ -859,8 +860,9 @@ class ContinuedFraction:
     def value(self) -> Fraction:
         if not self.finite:
             raise ValueError("infinite continued fraction")
-        val = Fraction(self.quotients(self.depth())[-1])
-        for a in reversed(self.quotients(self.depth())[:-1]):
+        *head, last = self.quotients(self.depth())
+        val = Fraction(last)
+        for a in reversed(head):
             val = a + 1 / val
         return val
 
@@ -991,8 +993,7 @@ def recurrence_classify(cf: ContinuedFraction) -> str:
     """
     if cf.finite:
         return PERIODIC_SLOPE
-    prefix, period = cf.fourey_coefficients()
-    cycle = list(period)
+    cycle = cf.fourey_coefficients()[1]
     # Consecutive products over the eventual cycle, including the wrap.
     products = [cycle[i] * cycle[(i + 1) % len(cycle)] for i in range(len(cycle))]
     lim_inf = min(cycle)

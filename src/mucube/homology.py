@@ -52,8 +52,6 @@ def _as_chain(surface, c) -> list[Segment]:
     if isinstance(c, SurfaceTrace):
         if not c.closed:
             raise ValueError("homology needs a closed curve")
-        if not c.scaled_segments:
-            raise ValueError("the trace was recorded without its segments")
         return c.segments
     return list(c)
 

@@ -26,6 +26,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import floor, gcd
 from typing import Optional, Sequence
 
@@ -425,21 +426,63 @@ class Trajectory3D:
     """Polygonal trajectory of the straight-line flow, embedded in R^3."""
 
     direction: tuple[int, int]
-    vertices: list[tuple[Fraction, Fraction, Fraction]]
     closed: bool
     drift_vector: Optional[IntTriple]
     s_total: Fraction  # arc length is s_total * sqrt(p^2 + q^2)
     stop_reason: str  # closed | drift | cone_point | arc_bound | crossing_budget
     cone_point: Optional[tuple[Fraction, Fraction, Fraction]] = None
-    face_path: list[Face] = field(default_factory=list)
     # The first pass at each face center: doubled center, direction vector.
     center_visits: list[tuple[IntTriple, IntTriple]] = field(default_factory=list)
     crossings: int = 0
+    # What the trace walked, which the views below fold again on first use:
+    # the start's doubled face center, chart frame (see ``_fold``) and chart
+    # position (in units of 1/scale), the scale and the cutting word.
+    walk: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
     def arc_length(self) -> SqrtLength:
         p, q = self.direction
         return SqrtLength.of(self.s_total, p * p + q * q)
+
+    def _frames(self):
+        """The doubled face center and chart frame at the start and after each crossing."""
+        c0, frame, *_, kinds = self.walk
+        c = list(c0)
+        yield c0, frame
+        for g in range(self.crossings):
+            frame = _fold([kinds[g % len(kinds)]], c, frame, *self.direction, [])
+            yield tuple(c), frame
+
+    @cached_property
+    def vertices(self) -> list[tuple[Fraction, Fraction, Fraction]]:
+        """The start, each crossing and the stop; one period if closed or drifting."""
+        _, _, u0, v0, sc, times, kinds = self.walk
+        (p, q), half = self.direction, sc // 2
+        # The point where crossing g enters its face, in that face's chart.
+        entries = [
+            (0 if p > 0 else sc, (v0 + q * t) % sc) if kind else ((u0 + p * t) % sc, 0 if q > 0 else sc)
+            for t, kind in zip(times, kinds)
+        ]
+        scaled = []
+        for g, (cc, (_, au, su, av, sv)) in enumerate(self._frames()):
+            eu, ev = entries[(g - 1) % len(times)] if g else (u0, v0)
+            v = [ck * half for ck in cc]
+            v[au] += (eu - half) * su
+            v[av] += (ev - half) * sv
+            scaled.append(tuple(v))
+        if self.stop_reason in ("closed", "drift"):
+            # Trim to one period: from the start point back to its image.
+            shift = self.drift_vector or (0, 0, 0)
+            scaled[self.crossings:] = [tuple(x + 2 * sc * t for x, t in zip(scaled[0], shift))]
+        vertices = [tuple(Fraction(x, sc) for x in v) for v in scaled]
+        if self.cone_point is not None:
+            vertices.append(self.cone_point)
+        return vertices
+
+    @cached_property
+    def face_path(self) -> list[Face]:
+        """The start's face and the face entered at each crossing."""
+        return [Face(cc, frame[0]) for cc, frame in self._frames()]
 
 
 def _next_face(face_c2x: IntTriple, axis: int, wall_axis: int, wall2x: int) -> tuple[IntTriple, int]:
@@ -504,7 +547,7 @@ def _center_time(sc: int, u0: int, v0: int, p: int, q: int) -> Optional[int]:
     return (half - u0 + a * sc) // p % sc
 
 
-def _fold(codes, c, frame, p, q, visits, snaps):
+def _fold(codes, c, frame, p, q, visits):
     """Walk the letters ``codes`` from the chart frame ``frame``, folding the
     face center ``c`` (in place) and the frame across each wall; returns the
     new frame.
@@ -514,8 +557,7 @@ def _fold(codes, c, frame, p, q, visits, snaps):
     on axis au: the center steps by sign(p) su along au and by the turn
     ``da`` along the old normal, which becomes the chart's u axis with sign
     da sign(p), since the direction keeps its length.  Code 0 does the same
-    for v.  Code 2 records a pass of the face center; ``snaps`` gets the
-    center and frame after each crossing unless it is None.
+    for v.  Code 2 records a pass of the face center in ``visits``.
 
     The turn in closed form: the new face has normal w, the wall's axis, and
     in-plane axes ``axis`` and o, the in-plane axis that is not w.  Its
@@ -541,9 +583,6 @@ def _fold(codes, c, frame, p, q, visits, snaps):
             d = [0, 0, 0]
             d[au], d[av] = p * su, q * sv
             visits.append((tuple(c), tuple(d)))
-            continue
-        if snaps is not None:
-            snaps.append((tuple(c), axis, au, su, av, sv))
     return axis, au, su, av, sv
 
 
@@ -553,7 +592,6 @@ def trace3d(
     max_arc_s: Optional[Fraction] = None,
     *,
     max_crossings: int = 1_000_000,
-    record_vertices: bool = True,
 ) -> Trajectory3D:
     """Trace the straight-line flow from ``start`` in chart direction (p, q).
 
@@ -623,9 +661,8 @@ def trace3d(
     c = list(start.face.center2x)
     au = next(k for k in AXES if cu[k])
     av = next(k for k in AXES if cv[k])
-    frame = (start.face.axis, au, cu[au], av, cv[av])
+    start_frame = frame = (start.face.axis, au, cu[au], av, cv[av])
     visits: list[tuple[IntTriple, IntTriple]] = []
-    snaps = [] if record_vertices else None
     drift = None
     if corner is not None:
         # The corner lies in the first unit, before any closure.
@@ -635,10 +672,10 @@ def trace3d(
         codes = kinds[:count]
         if at is not None and (at < count or at == count == n < stop):
             codes.insert(at, 2)
-        frame = _fold(codes, c, frame, p, q, visits, snaps)
+        frame = _fold(codes, c, frame, p, q, visits)
         s_scaled = corner if reason == "cone_point" else times[count - 1]
     else:
-        frame = _fold([2, kinds[0]] if at == 0 else kinds[:1], c, frame, p, q, visits, snaps)
+        frame = _fold([2, kinds[0]] if at == 0 else kinds[:1], c, frame, p, q, visits)
         anchor_c, anchor_frame, count = c[:], frame, 1
         # Letters 1 .. n-1, then the next unit's letter 0, the anchor's
         # letter; a center pass in segment ``at`` comes before block
@@ -649,7 +686,7 @@ def trace3d(
         while count < stop:
             take = min(n, stop - count)
             codes = marked[: take + (mark is not None and mark < take)]
-            frame = _fold(codes, c, frame, p, q, visits, snaps)
+            frame = _fold(codes, c, frame, p, q, visits)
             count += take
             if take == n and frame == anchor_frame:
                 diff = [c[k] - anchor_c[k] for k in AXES]
@@ -663,58 +700,27 @@ def trace3d(
             (count - 1) // n * sc + times[(count - 1) % n]
         )
 
-    def point(v):
-        return tuple(Fraction(x, sc) for x in v)
-
     cone = None
     if reason == "cone_point":
         axis, au, su, av, sv = frame
         cone = [ck * half for ck in c]
         cone[au] += (half if p > 0 else -half) * su
         cone[av] += (half if q > 0 else -half) * sv
-        cone = point(cone)
-    vertices = []
-    face_path = []
-    if snaps is not None:
-        # start.ambient() in units of 1/sc: the center plus (u - 1/2) cu + (v - 1/2) cv.
-        c2x = start.face.center2x
-        start_pos = tuple(c2x[k] * half + (u0 - half) * cu[k] + (v0 - half) * cv[k] for k in AXES)
-        scaled = [start_pos]
-        face_path.append(Face(c2x, start.face.axis))
-        # The point where crossing g enters its face, in that face's chart.
-        entries = [
-            (0 if p > 0 else sc, (v0 + q * t) % sc) if kind else ((u0 + p * t) % sc, 0 if q > 0 else sc)
-            for t, kind in zip(times, kinds)
-        ]
-        for g, (cc, axis, au, su, av, sv) in enumerate(snaps):
-            eu, ev = entries[g % n]
-            v = [ck * half for ck in cc]
-            v[au] += (eu - half) * su
-            v[av] += (ev - half) * sv
-            scaled.append(tuple(v))
-            face_path.append(Face(cc, axis))
-        if reason in ("closed", "drift"):
-            # Trim to one period: from the start point back to its image.
-            shift = drift or (0, 0, 0)
-            scaled[count:] = [tuple(start_pos[k] + 2 * sc * shift[k] for k in AXES)]
-        vertices = [point(v) for v in scaled]
-        if cone is not None:
-            vertices.append(cone)
+        cone = tuple(Fraction(x, sc) for x in cone)
     # The first direction seen at each center, in the order of first passes.
     first_pass = {}
     for cc, dvec in visits:
         first_pass.setdefault(cc, dvec)
     return Trajectory3D(
         direction=tuple(direction),
-        vertices=vertices,
         closed=reason == "closed",
         drift_vector=drift,
         s_total=Fraction(s_scaled, sc),
         stop_reason=reason,
         cone_point=cone,
-        face_path=face_path,
         center_visits=list(first_pass.items()),
         crossings=count,
+        walk=(start.face.center2x, start_frame, u0, v0, sc, times, kinds),
     )
 
 
@@ -779,8 +785,7 @@ def drift_vector(direction: tuple[int, int]) -> IntTriple:
     p, q = direction
     if gcd(abs(p), abs(q)) != 1:
         raise ValueError("direction must be primitive")
-    traj = trace3d(seed_start(p, q), direction, max_crossings=crossing_budget(p, q),
-                   record_vertices=False)
+    traj = trace3d(seed_start(p, q), direction, max_crossings=crossing_budget(p, q))
     if traj.stop_reason == "closed":
         raise PeriodicDirectionError(f"direction {direction} is periodic")
     if traj.stop_reason != "drift":

@@ -82,14 +82,13 @@ def ref_trace_surface(
     start: SurfacePoint,
     direction: tuple[int, int],
     max_crossings: int = 100_000,
-    *,
-    record_segments: bool = True,
-) -> SurfaceTrace:
+):
     """Trace the flow from an interior point until it closes up.
 
     Closure means returning to the same point of the same square with the
     same direction.  Flip gluings negate the direction, so orientation
-    bookkeeping is a single sign.
+    bookkeeping is a single sign.  Returns a ``SurfaceTrace`` without its
+    walk, then the crossings and the segments its views must give.
     """
     p, q = direction
     if p == 0 and q == 0 or gcd(abs(p), abs(q)) != 1:
@@ -117,9 +116,8 @@ def ref_trace_surface(
             # Trim everything to one period [0, s_total): crossings 1 .. n-1
             # and the segments from the start point back to itself.
             crossings = crossings[: n_cross - 1]
-            if segments:
-                last = segments[n_cross - 1]
-                segments = segments[: n_cross - 1] + [(*last[:3], x0, y0)]
+            last = segments[n_cross - 1]
+            segments = segments[: n_cross - 1] + [(*last[:3], x0, y0)]
         return SurfaceTrace(
             direction=(p, q),
             closed=closed,
@@ -127,10 +125,8 @@ def ref_trace_surface(
             s_total=Fraction(s, sc),
             displacement=disp,
             scale=sc,
-            scaled_crossings=crossings,
-            scaled_segments=segments,
             cone_point=cone_point,
-        )
+        ), crossings, segments
 
     for sq, x, y, dx, dy, t, nx, ny, side in _leaf(surface.glue, sc, start.square, x0, y0, p, q):
         if n_cross:
@@ -146,8 +142,7 @@ def ref_trace_surface(
             if n_cross >= max_crossings:
                 return finish("crossing_budget", s_scaled, acc)
         s_scaled += t
-        if record_segments:
-            segments.append((sq, x, y, nx, ny))
+        segments.append((sq, x, y, nx, ny))
         if side is None:
             cone = SurfacePoint(sq, Fraction(nx, sc), Fraction(ny, sc))
             return finish("cone_point", s_scaled, acc, cone)

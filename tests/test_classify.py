@@ -6,9 +6,11 @@ from math import gcd
 
 import pytest
 
+from mucube import classify
 from mucube.classify import (
     Direction,
     classify_all,
+    classify_group,
     classify_oracle,
     classify_x,
     classify_y,
@@ -119,6 +121,36 @@ def test_certificates_replay():
     for d in ((1, 0), (4, 1), (8, 1), (1, 2), (5, 2), (3, 1)):
         c = classify_oracle(d)
         assert verify_certificate(c)
+
+
+@pytest.mark.parametrize("d", [(4, 1), (5, 2)])
+def test_certificates_without_a_replay_are_refused(d):
+    # Only the oracle's certificates and X's drift vector can be replayed;
+    # the others hold nothing to replay and name their method.
+    replayable = {"oracle", "all"} | ({"x"} if d == (5, 2) else set())
+    for decide in (classify_oracle, classify_x, classify_y, classify_group, classify_all):
+        c = decide(d)
+        if c.method in replayable:
+            assert verify_certificate(c) is True
+        else:
+            with pytest.raises(ValueError, match=f"the {c.method} certificate"):
+                verify_certificate(c)
+
+
+def test_deciders_build_no_trace_view(monkeypatch):
+    # The oracle and X read a trace's summary only, so its lists stay unbuilt.
+    traces = []
+    for name in ("trace3d", "trace_surface"):
+        def traced(*args, _tracer=getattr(classify, name), **kwargs):
+            traces.append(_tracer(*args, **kwargs))
+            return traces[-1]
+        monkeypatch.setattr(classify, name, traced)
+    for d in ((4, 1), (5, 2)):
+        verify_certificate(classify_oracle(d))
+        classify_x(d)
+    assert len(traces) == 6
+    for t in traces:
+        assert not {"vertices", "face_path", "scaled_segments"} & set(vars(t)), t
 
 
 def test_periodic_certificate_contents():

@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, schemas, determinism."""
 
+import errno
+import io
 import json
 import os
 import subprocess
@@ -494,35 +496,58 @@ def test_twist_parallel_axis_usage_error(capsys):
     assert code == 2
 
 
-def test_console_script_entry():
-    # The child process imports the same package as this suite, also when
-    # pytest put src/ on sys.path itself (pyproject's pythonpath setting).
+def _run_module(*argv, **kwargs):
+    """``python -m`` in a child process that imports the same package as this
+    suite, also when pytest put src/ on sys.path itself (pyproject's
+    pythonpath setting)."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "mucube.cli", "classify", "--p", "1", "--q", "0"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-m", *argv], text=True, env=env, **kwargs)
+
+
+def test_console_script_entry():
+    proc = _run_module("mucube.cli", "classify", "--p", "1", "--q", "0", capture_output=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "periodic"
 
 
 def test_python_dash_m_runs_the_cli(capsys):
     # ``python -m mucube`` runs cli.main: same exit code, same stdout.
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     argv = ["classify", "--p", "5", "--q", "2"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "mucube", *argv],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = _run_module("mucube", *argv, capture_output=True)
     code, out, _ = run_cli(capsys, *argv)
     assert proc.returncode == code == 0
     assert proc.stdout == out
+
+
+def test_closed_stdout_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # A stdout whose reader has gone: one error line, exit 2, and the
+    # descriptor behind stdout now points at the null device, so the flush
+    # at exit writes nothing more.
+    fd = os.open(tmp_path / "out", os.O_WRONLY | os.O_CREAT)
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        def fileno(self):
+            return fd
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["classify", "--p", "5", "--q", "2"]) == 2
+    assert capsys.readouterr().err == "error: cannot write stdout: [Errno 32] Broken pipe\n"
+    assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    os.close(fd)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_full_stdout_exits_2_without_a_traceback():
+    with open("/dev/full", "w") as full:
+        proc = _run_module("mucube", "classify", "--p", "5", "--q", "2", stdout=full,
+                           stderr=subprocess.PIPE)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write stdout: [Errno 28] No space left on device\n"
 
 
 def test_gap_statistic_monotone_small():

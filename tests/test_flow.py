@@ -401,20 +401,20 @@ def test_trace_surface_matches_the_stepper(X, Y):
     # The cutting-word walk against the wall-to-wall stepper on every signed
     # primitive |p|, |q| <= 30, on X and Y, from three starts, with the
     # derived budget and with one that stops halfway through the second
-    # unit, in both record modes.  Dataclass equality covers every field.
+    # unit.  Dataclass equality covers every field; the views are compared
+    # with the stepper's lists.
     stops = Counter()
     for S in (X, Y):
         for p, q in _primitive(30):
             n = abs(p) + abs(q)
             for start in _WALK_STARTS:
                 for budget in (crossing_budget(p, q), n + n // 2 + 1):
-                    for record in (True, False):
-                        got = trace_surface(S, start, (p, q), budget, record_segments=record)
-                        want = leaf_reference.ref_trace_surface(
-                            S, start, (p, q), budget, record_segments=record
-                        )
-                        assert got == want, (S.name, p, q, start, budget, record)
-                        stops[got.stop_reason] += 1
+                    got = trace_surface(S, start, (p, q), budget)
+                    want = leaf_reference.ref_trace_surface(S, start, (p, q), budget)
+                    assert (got, got.scaled_crossings, got.scaled_segments) == want, (
+                        S.name, p, q, start, budget
+                    )
+                    stops[got.stop_reason] += 1
     assert set(stops) == {"closed", "cone_point", "crossing_budget"}
 
 
@@ -438,13 +438,13 @@ def test_periods_are_whole_units(X, Y):
         n = abs(p) + abs(q)
         for S in (X, Y):
             for start in _WALK_STARTS:
-                t = trace_surface(S, start, (p, q), crossing_budget(p, q), record_segments=False)
+                t = trace_surface(S, start, (p, q), crossing_budget(p, q))
                 if t.closed:
                     periods[S.name] += 1
                     assert t.s_total.denominator == 1, (S.name, p, q, start)
                     assert len(t.scaled_crossings) % n == 0, (S.name, p, q, start)
         for start in (seed_start(p, q), off_center):
-            t3 = trace3d(start, (p, q), max_crossings=crossing_budget(p, q), record_vertices=False)
+            t3 = trace3d(start, (p, q), max_crossings=crossing_budget(p, q))
             if t3.stop_reason in ("closed", "drift"):
                 periods["3d"] += 1
                 assert t3.s_total.denominator == 1, (p, q, start)

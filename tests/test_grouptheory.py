@@ -948,6 +948,25 @@ def test_column_witness_up_to_60():
         column_witness(2, 4)
 
 
+@pytest.mark.parametrize("n", [2, 5, 8, 26, 302])
+def test_third_cusp_runs_give_long_witnesses(n):
+    # For n = 3k + 2, this Euclid path runs n steps through the V-cycle of
+    # cosets 0, 2 and 4 (loop word T A^-1 B), and its column is periodic
+    # with a shortest witness of 2n + 1 = |q| - |p| letters.  (145, 162), at
+    # n = 8, is the smallest column with such a run found up to 400.
+    path = [0, (-2, n), -3, -(n + 1)]
+    m = grouptheory._su_matrix(path + [0])
+    p, q = m[0], m[2]
+    assert grouptheory._euclid(p, q) == path
+    w = column_witness(p, q)
+    assert sum(abs(e) for _, e in w.letters) == 2 * n + 1 == abs(q) - abs(p)
+    assert eval_word(w)[0::2] in ((p, q), (-p, -q))
+    if n <= 26:
+        assert classify_all((p, q)).verdict == "periodic"
+    if n == 8:
+        assert (p, q) == (145, 162) and find_witness((p, q), 14) is None
+
+
 def test_rewriters_agree_up_to_60():
     # _rewrite carries rho images and _rewrite_word carries T/A/B words
     # through the same coset table.  The word of h = G U^j, before its

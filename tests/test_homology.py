@@ -221,11 +221,8 @@ def test_count_matches_pushoffs_on_large_cores(Y, d):
 
 
 @pytest.mark.parametrize("d, coords", [((3, 1), (-1, -1)), ((2, 3), (1, -4))])
-def test_trace_without_segments_is_refused(Y, d, coords):
-    # Without its segments a trace would count no pass of the marked curve.
+def test_trace_counts_the_marked_curve_from_its_walk(Y, d, coords):
+    # The second coordinate counts the passes of the marked curve in the
+    # segments the trace reads from its walk.
     start = SurfacePoint(0, Fraction(1, 2), Fraction(1, 3))
     assert homology_coordinates(Y, trace_surface(Y, start, d)) == coords
-    bare = trace_surface(Y, start, d, record_segments=False)
-    for count in (homology_coordinates, gamma0_intersection):
-        with pytest.raises(ValueError, match="without its segments"):
-            count(Y, bare)

@@ -255,23 +255,17 @@ def test_odd_odd_center_start_hits_cone_point():
 def _ref_finish(
     reason, direction, vertices, sc, s_scaled, face_path, center_visits,
     n_crossings, *, closed=False, drift=None, cone=None, start_pos=None,
-    record_vertices=True,
 ):
     """The reference's output step: positions in units of 1/sc to a
-    Trajectory3D, each center kept, doubled, at its first pass."""
+    Trajectory3D without its walk, each center kept, doubled, at its first
+    pass, then the vertices and the face path its views must give."""
     def pt(v):
         return tuple(Fraction(c, sc) for c in v)
 
-    out_vertices = []
-    if record_vertices:
-        if closed or drift is not None:
-            # Trim to one period: from the start point back to its image.
-            end = start_pos if closed else tuple(
-                start_pos[k] + 2 * sc * drift[k] for k in AXES
-            )
-            out_vertices = [pt(v) for v in vertices[:n_crossings]] + [pt(end)]
-        else:
-            out_vertices = [pt(v) for v in vertices]
+    if closed or drift is not None:
+        # Trim to one period: from the start point back to its image.
+        end = start_pos if closed else tuple(start_pos[k] + 2 * sc * drift[k] for k in AXES)
+        vertices = vertices[:n_crossings] + [end]
 
     visits = []
     seen = set()
@@ -282,23 +276,21 @@ def _ref_finish(
 
     return Trajectory3D(
         direction=tuple(direction),
-        vertices=out_vertices,
         closed=closed,
         drift_vector=drift,
         s_total=Fraction(s_scaled, sc),
         stop_reason=reason,
         cone_point=pt(cone) if cone else None,
-        face_path=face_path if record_vertices else [],
         center_visits=visits,
         crossings=n_crossings,
-    )
+    ), [pt(v) for v in vertices], face_path
 
 
 # A per-crossing step loop: a ``record_centers`` closure, list positions and
 # a face lookup through ``_next_face`` at every crossing.  Kept as the
 # reference for trace3d's cutting-word walk.
 def _ref_trace3d(
-    start, direction, max_arc_s=None, *, max_crossings=1_000_000, record_vertices=True,
+    start, direction, max_arc_s=None, *, max_crossings=1_000_000,
 ):
     p, q = direction
     if gcd(abs(p), abs(q)) != 1:
@@ -353,8 +345,7 @@ def _ref_trace3d(
 
     def finish(reason, s, **kw):
         return _ref_finish(
-            reason, direction, vertices, sc, s, face_path, center_visits,
-            n_crossings, record_vertices=record_vertices, **kw,
+            reason, direction, vertices, sc, s, face_path, center_visits, n_crossings, **kw,
         )
 
     while True:
@@ -405,9 +396,8 @@ def _ref_trace3d(
         face_c2x, axis = new_face, new_axis
         d = new_d
         n_crossings += 1
-        if record_vertices:
-            vertices.append(tuple(pos))
-            face_path.append(Face(face_c2x, axis))
+        vertices.append(tuple(pos))
+        face_path.append(Face(face_c2x, axis))
 
         state = (face_c2x, tuple(pos), tuple(d))
         if anchor is None:
@@ -430,8 +420,15 @@ def _ref_trace3d(
             return finish("crossing_budget", s_scaled)
 
 
+def _with_views(*args, **kwargs):
+    """A trace3d trajectory with its vertices and face path, as the
+    reference returns them."""
+    t = trace3d(*args, **kwargs)
+    return t, t.vertices, t.face_path
+
+
 def _outcome(tracer, *args, **kwargs):
-    """The trajectory, or the type of the exception raised instead."""
+    """The tracer's result, or the type of the exception raised instead."""
     try:
         return tracer(*args, **kwargs)
     except Exception as exc:  # compared by type against the reference
@@ -448,9 +445,9 @@ _GRID_BUDGETS = {
 @pytest.mark.parametrize("budget", sorted(_GRID_BUDGETS))
 @pytest.mark.parametrize("start", ["seed_start", "third_two_sevenths"])
 def test_trace3d_matches_reference_grid(start, budget):
-    # Every primitive |p|, |q| <= 30, with and without vertices: the lean
-    # loop returns an equal Trajectory3D (vertices, face path, center visits,
-    # stop reason) or raises the same exception type.
+    # Every primitive |p|, |q| <= 30: the lean loop returns an equal
+    # Trajectory3D (center visits, stop reason) with equal vertices and face
+    # path, or raises the same exception type.
     other = Point3(SEED_FACE, SEED_CHART, Fraction(1, 3), Fraction(2, 7))
     stops = set()
     for p in range(-30, 31):
@@ -459,11 +456,9 @@ def test_trace3d_matches_reference_grid(start, budget):
                 continue
             pt = seed_start(p, q) if start == "seed_start" else other
             kwargs = _GRID_BUDGETS[budget](p, q)
-            for record in (True, False):
-                got = _outcome(trace3d, pt, (p, q), record_vertices=record, **kwargs)
-                want = _outcome(_ref_trace3d, pt, (p, q), record_vertices=record, **kwargs)
-                assert got == want, (p, q, record)
-                stops.add(getattr(got, "stop_reason", got))
+            got = _outcome(_with_views, pt, (p, q), **kwargs)
+            assert got == _outcome(_ref_trace3d, pt, (p, q), **kwargs), (p, q)
+            stops.add(got[0].stop_reason if isinstance(got, tuple) else got)
     assert len(stops) >= 2
 
 
@@ -475,8 +470,8 @@ def test_trace3d_matches_reference_grid(start, budget):
 )
 def test_trace3d_matches_reference_on_long_orbits(d):
     p, q = d
-    kwargs = {"max_crossings": crossing_budget(p, q), "record_vertices": False}
-    got = _outcome(trace3d, seed_start(p, q), d, **kwargs)
+    kwargs = {"max_crossings": crossing_budget(p, q)}
+    got = _outcome(_with_views, seed_start(p, q), d, **kwargs)
     assert got == _outcome(_ref_trace3d, seed_start(p, q), d, **kwargs)
 
 
@@ -505,21 +500,19 @@ _FACE_CHARTS = [
     ),
     st.tuples(st.integers(0, 6), st.integers(0, 1000)),
     st.one_of(st.none(), st.fractions(0, 8, max_denominator=7)),
-    st.booleans(),
 )
-def test_trace3d_matches_reference_from_any_start(face_chart, u, v, d, units, max_arc_s, record):
+def test_trace3d_matches_reference_from_any_start(face_chart, u, v, d, units, max_arc_s):
     # Any face and chart, any start off the edges, a budget that stops
     # inside a unit (at crossing ``units`` n + 1 + extra mod n), an arc
-    # bound, with and without vertices.
+    # bound.
     face, chart = face_chart
     start = Point3(face, chart, Fraction(*u), Fraction(*v))
     n = abs(d[0]) + abs(d[1])
     kwargs = {
         "max_crossings": units[0] * n + 1 + units[1] % n,
         "max_arc_s": max_arc_s,
-        "record_vertices": record,
     }
-    got = _outcome(trace3d, start, d, **kwargs)
+    got = _outcome(_with_views, start, d, **kwargs)
     assert got == _outcome(_ref_trace3d, start, d, **kwargs)
 
 
@@ -542,7 +535,7 @@ def test_turn_closed_form_matches_next_face():
                 # v = const (v along w); p = q = 1, so the side is the sign.
                 for code, frame in ((1, (axis, w, side, o, 1)), (0, (axis, o, 1, w, side))):
                     got = list(c)
-                    new_frame = _fold([code], got, frame, 1, 1, [], None)
+                    new_frame = _fold([code], got, frame, 1, 1, [])
                     assert (tuple(got), new_frame[0]) == want, (c, axis, w, side, code)
     assert faces > 100
     # The turn reads c[axis] and c[o] mod 4: six axis pairs, two residues each.
@@ -639,8 +632,7 @@ def test_quarter_symmetry_matches_reference():
         for q in range(-40, 41):
             if gcd(abs(p), abs(q)) != 1:
                 continue
-            t = trace3d(seed_start(p, q), (p, q), max_crossings=crossing_budget(p, q),
-                        record_vertices=False)
+            t = trace3d(seed_start(p, q), (p, q), max_crossings=crossing_budget(p, q))
             got = find_quarter_symmetry(t)
             assert got == _ref_find_quarter_symmetry(t), (p, q)
             if t.closed:
@@ -848,13 +840,13 @@ def test_crossing_budget_bounds_every_trace():
             assert budget == 24 * n + 1, (p, q)
             used = []
             for start in (seed_start(p, q), other):
-                t = trace3d(start, (p, q), max_crossings=budget, record_vertices=False)
+                t = trace3d(start, (p, q), max_crossings=budget)
                 stops.add(t.stop_reason)
                 assert t.stop_reason in ("closed", "drift", "cone_point"), (p, q, start)
                 used.append(t.crossings)
             y0 = Fraction(1, 3) if p % 2 and q % 2 else Fraction(1, 2)
             for start in (SurfacePoint(0, Fraction(1, 2), y0), SurfacePoint(0, other.u, other.v)):
-                t = trace_surface(X, start, (p, q), budget, record_segments=False)
+                t = trace_surface(X, start, (p, q), budget)
                 stops.add(t.stop_reason)
                 assert t.stop_reason in ("closed", "cone_point"), (p, q, start)
                 used.append(len(t.scaled_crossings) + t.closed)  # closure trims one
