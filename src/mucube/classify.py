@@ -162,7 +162,7 @@ def classify_x(d) -> Classification:
     quotient."""
     p, q = _as_pair(d)
     start = _X_ODD_ODD if p % 2 and q % 2 else _X_CENTER
-    trace = trace_surface(build_x(), start, (p, q), crossing_budget(p, q))
+    trace = trace_surface(build_x(), start, (p, q))
     if not trace.closed:
         raise ClassificationError(
             f"projected orbit of {(p, q)} stopped with {trace.stop_reason}"

@@ -87,15 +87,29 @@ def _write(path: str, text: str) -> None:
         raise UsageError(f"cannot write {out}: {exc}") from None
 
 
+def _to_devnull(stream) -> None:
+    """Point ``stream``'s descriptor at the null device, so what is still
+    buffered goes there at exit, with no second error."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
 def _emit(obj) -> None:
     try:
         print(json.dumps(obj, sort_keys=True, indent=2), flush=True)
     except OSError as exc:
-        # What is still buffered goes to /dev/null at exit, with no second error.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _to_devnull(sys.stdout)
         raise UsageError(f"cannot write stdout: {exc}") from None
+
+
+def _say(*lines: str) -> None:
+    """Write lines to stderr.  A failed write is dropped, as there is no
+    stream left to report it on, and the exit code stays the command's."""
+    try:
+        print(*lines, sep="\n", file=sys.stderr, flush=True)
+    except OSError:
+        _to_devnull(sys.stderr)
 
 
 def _serialize_certificate(cert: dict) -> dict:
@@ -126,8 +140,7 @@ def _direction(args) -> tuple[int, int]:
         raise UsageError("the zero vector is not a direction")
     g = gcd(abs(p), abs(q))
     if g != 1:
-        print(f"warning: ({p}, {q}) is not primitive; reduced to ({p // g}, {q // g})",
-              file=sys.stderr)
+        _say(f"warning: ({p}, {q}) is not primitive; reduced to ({p // g}, {q // g})")
     return p // g, q // g
 
 
@@ -280,11 +293,10 @@ def cmd_scan(args) -> int:
     if args.svg:
         _write(args.svg, records_to_svg(records))
     n_periodic = sum(1 for r in records if r[2] == PERIODIC)
-    print(
+    _say(
         f"scanned {len(records)} directions up to {args.max}: "
         f"{n_periodic} periodic, {len(records) - n_periodic} drift; "
-        f"max periodic-ray gap {max_angular_gap(records):.6f} rad",
-        file=sys.stderr,
+        f"max periodic-ray gap {max_angular_gap(records):.6f} rad"
     )
     return 0
 
@@ -590,12 +602,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return USAGE_ERROR
     except MethodDisagreement as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        for r in exc.results:
-            print(f"  {r.method}: {r.verdict} {r.certificate}", file=sys.stderr)
+        _say(f"internal error: {exc}",
+             *(f"  {r.method}: {r.verdict} {r.certificate}" for r in exc.results))
         return INTERNAL_ERROR
     except (
         ClassificationError,
@@ -606,7 +617,7 @@ def main(argv=None) -> int:
         PeriodicDirectionError,
         SurfaceConstructionError,
     ) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+        _say(f"internal error: {exc}")
         return INTERNAL_ERROR
 
 

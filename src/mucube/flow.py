@@ -35,7 +35,10 @@ in Z^2.  The direction is the same at both ends, so g is the translation by
 v, and v lies on the line: v = lam (p, q), with lam an integer because
 gcd(p, q) = 1.  lam is the number of units between the crossings.  So
 closure is tested once per unit, at the same letter of the word, and the
-leaf has closed exactly when its sheet there is the same.
+leaf has closed exactly when its sheet there is the same.  Every sheet
+walks the same word, so when it has no corner, one unit maps the 2n sheets
+of the n squares injectively to themselves: it permutes them, the leaf
+closes within 2n units, and a walk past them breaks an invariant.
 
 The decomposition traces no separatrix: in a primitive direction (p, q),
 the separatrices cut every transversal edge at the multiples of
@@ -69,8 +72,9 @@ class DegenerateIntersection(Exception):
 
 class FlowBudgetError(RuntimeError):
     """A leaf broke an invariant of the integer tracer or of the cylinder
-    decomposition (a core leaf that hits a corner or revisits a slot, a
-    crossing off the scale or on a cut)."""
+    decomposition (a leaf that does not close within 2n units, a core leaf
+    that hits a corner or revisits a slot, a crossing off the scale or on a
+    cut)."""
 
 
 @dataclass(frozen=True)
@@ -99,7 +103,7 @@ def _fraction_segments(scaled, sc: int) -> list[Segment]:
 class SurfaceTrace:
     direction: tuple[int, int]
     closed: bool
-    stop_reason: str  # closed | cone_point | crossing_budget
+    stop_reason: str  # closed | cone_point; a leaf that does neither raises
     s_total: Fraction
     displacement: tuple[int, int, int]
     # Arc parameters and chart coordinates of the views below are integers in
@@ -250,39 +254,32 @@ def _sheet_steps(glue, n: int, dx: int, dy: int):
     return exits, steps
 
 
-def _walk(unit: list, sheets: list, home, limit: int) -> bool:
+def _walk(unit: list, sheets: list, home, units: int) -> bool:
     """The stepping kernel: walk the letters of ``unit`` (their sheet
-    tables) round and round from the last sheet of ``sheets``, appending the
-    sheet after each crossing, for at most ``limit`` letters.  After each
-    whole unit it stops if the sheet is ``home``, and returns True then."""
+    tables) from the last sheet of ``sheets``, appending the sheet after
+    each crossing, for at most ``units`` rounds.  It stops after a round
+    that ends on the sheet ``home``, and returns True then."""
     sheet = sheets[-1]
     append = sheets.append
-    while limit > 0:
-        block = unit[:limit]
-        for step in block:
+    for _ in range(units):
+        for step in unit:
             sheet = step[sheet]
             append(sheet)
-        limit -= len(block)
-        if sheet == home and len(block) == len(unit):
+        if sheet == home:
             return True
     return False
 
 
-def trace_surface(
-    surface,
-    start: SurfacePoint,
-    direction: tuple[int, int],
-    max_crossings: int = 100_000,
-) -> SurfaceTrace:
-    """Trace the flow from an interior point until it closes up.
+def trace_surface(surface, start: SurfacePoint, direction: tuple[int, int]) -> SurfaceTrace:
+    """Trace the flow from an interior point until it closes up or meets a
+    corner.
 
     Closure means returning to the same point of the same square with the
     same direction.  The leaf walks the direction's cutting word, one sheet
     lookup per crossing (see the module docstring), and the closure test,
     the sheet after a unit's first crossing against the first unit's, runs
-    once per unit.  The budget is checked per crossing: a trace stops at its
-    ``max_crossings``-th crossing (at least its first) unless it closed or
-    met a corner first.
+    once per unit.  A leaf that meets no corner closes within 2n units on n
+    squares (the module lemma); one that has not raises FlowBudgetError.
     """
     p, q = direction
     if p == 0 and q == 0 or gcd(abs(p), abs(q)) != 1:
@@ -298,32 +295,26 @@ def trace_surface(
     n_squares = surface.n
     exits, steps = _sheet_steps(surface.glue, n_squares, p, q)
     n = len(times)
-    budget = max(max_crossings, 1)
     tables = [steps[k] for k in kinds]
 
     # sheets[g] is the sheet of segment g, the one that ends at crossing g.
     sheets = [2 * start.square]
-    if corner is not None:
-        # The corner lies in the first unit, before any closure can happen.
-        _walk(tables[: min(n, budget)], sheets, None, min(n, budget))
-        reason = "cone_point" if n < budget else "crossing_budget"
-    else:
-        # The anchor is the sheet after crossing 0; a block runs over
+    closed = corner is None
+    if closed:
+        # The anchor is the sheet after crossing 0; a round runs over
         # letters 1 .. n-1 and the next unit's letter 0, where the sheet is
         # compared with it.
-        _walk(tables[:1], sheets, None, 1)
-        closes = _walk(tables[1:] + tables[:1], sheets, sheets[1], budget - 1)
-        reason = "closed" if closes else "crossing_budget"
+        sheets.append(tables[0][sheets[0]])
+        if not _walk(tables[1:] + tables[:1], sheets, sheets[1], 2 * n_squares):
+            raise FlowBudgetError(
+                f"leaf in direction {(p, q)} did not close within {2 * n_squares} units"
+            )
+    else:
+        # The corner lies in the first unit, before any closure can happen.
+        _walk(tables, sheets, None, 1)
     count = len(sheets) - 1
     sheet = sheets[-1]
-
-    closed = reason == "closed"
-    if closed:
-        s_total = (count - 1) // n * sc
-    elif reason == "cone_point":
-        s_total = corner
-    else:
-        s_total = (count - 1) // n * sc + times[(count - 1) % n]
+    s_total = (count - 1) // n * sc if closed else corner
     # The closing crossing repeats crossing 0 (same sheet, same letter), so
     # the crossings after the anchor weigh what the kept ones weigh.
     kept = count - closed
@@ -334,7 +325,7 @@ def trace_surface(
         disp = tuple(map(sum, zip(*map(getitem, cycle(weights[k] for k in kinds), sheets[:kept]))))
 
     cone_point = None
-    if reason == "cone_point":
+    if not closed:
         cx, cy = (sc if p > 0 else 0), (sc if q > 0 else 0)
         if sheet & 1:
             cx, cy = sc - cx, sc - cy
@@ -342,7 +333,7 @@ def trace_surface(
     return SurfaceTrace(
         direction=(p, q),
         closed=closed,
-        stop_reason=reason,
+        stop_reason="closed" if closed else "cone_point",
         s_total=Fraction(s_total, sc),
         displacement=disp,
         scale=sc,
@@ -515,7 +506,7 @@ def cylinder_decomposition(surface, direction: tuple[int, int]) -> Decomposition
         sheets = [sheet0]
         # Each unit crosses m slots, so a core that enters no slot twice
         # closes within one unit per canonical edge.
-        if not _walk(tables[last + 1:] + tables[: last + 1], sheets, sheet0, len(keys) * word_len):
+        if not _walk(tables[last + 1:] + tables[: last + 1], sheets, sheet0, len(keys)):
             raise FlowBudgetError("slot revisited before closure")
         # The sheets at each transversal letter, unit by unit, and the slots
         # they cross.

@@ -48,12 +48,10 @@ class HomologyError(RuntimeError):
     pass
 
 
-def _as_chain(surface, c) -> list[Segment]:
-    if isinstance(c, SurfaceTrace):
-        if not c.closed:
-            raise ValueError("homology needs a closed curve")
-        return c.segments
-    return list(c)
+def _closed(trace: SurfaceTrace) -> SurfaceTrace:
+    if not trace.closed:
+        raise ValueError("homology needs a closed curve")
+    return trace
 
 
 def _exits(c: Union[SurfaceTrace, Sequence[Segment]]) -> list[tuple[int, int]]:
@@ -61,9 +59,7 @@ def _exits(c: Union[SurfaceTrace, Sequence[Segment]]) -> list[tuple[int, int]]:
     the crossings of a trace, or the segment ends of a chain that lie on a
     wall."""
     if isinstance(c, SurfaceTrace):
-        if not c.closed:
-            raise ValueError("homology needs a closed curve")
-        return [(sq, side) for _, sq, side in c.scaled_crossings]
+        return [(sq, side) for _, sq, side in _closed(c).scaled_crossings]
     exits = []
     for sq, _, _, x, y in c:
         if x in (0, 1) and y in (0, 1):
@@ -122,13 +118,15 @@ def gamma0_intersection(surface, c: Union[Cylinder, SurfaceTrace, Sequence[Segme
     The marked curve runs at height 1/2 in every square, with x-direction
     ``eps[sq]``.  A pass of ``y = 1/2`` counts ``+eps[sq]`` upward and
     ``-eps[sq]`` downward; a pass at a segment endpoint is counted once, on
-    the segment that leaves the endpoint.  A cylinder is counted on the
-    integer form of its core.
+    the segment that leaves the endpoint.  A cylinder and a trace are
+    counted on their integer segments, in units of 1/scale.
     """
     if isinstance(c, Cylinder):
         chain, half = c.core_segments, c.scale // 2
+    elif isinstance(c, SurfaceTrace):
+        chain, half = _closed(c).scaled_segments, c.scale // 2
     else:
-        chain, half = _as_chain(surface, c), Fraction(1, 2)
+        chain, half = c, Fraction(1, 2)
     eps = {sq: 1 if x1 > x0 else -1 for sq, x0, _, x1, _ in surface.marked_curves["gamma0"]}
     total = 0
     for sq, _, y0, _, y1 in chain:

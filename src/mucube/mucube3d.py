@@ -755,26 +755,22 @@ def seed_start(p: int, q: int) -> Point3:
 
 
 def crossing_budget(p: int, q: int) -> int:
-    """Crossing budget of a trace in direction (p, q): 24(|p| + |q|) + 1.
+    """Crossing budget of an oracle trace in direction (p, q):
+    24(|p| + |q|) + 1.
 
-    Both tracers that read it stop within it, so running out of it means
-    an invariant was violated.  Let (p, q) be primitive and take a leaf of
-    the 12-square quotient X that meets no corner.  In one unit of the
-    parameter s it moves by the vector (p, q), passing |p| vertical and |q|
-    horizontal grid lines, so |p| + |q| edge crossings, and returns to its
-    position within a square.  It lands on one of the 24 sheets (square,
-    orientation) of X's orientation double cover.  For a fixed position,
-    the flow for one unit is an injective map between those 24 sheets: a
-    permutation, or a partial one if some leaf meets a corner.  So within
-    24 units the leaf either reaches a corner or comes back to its sheet
-    and position, which is ``trace_surface``'s closure.  X is the quotient
-    of the surface by the even translations (2Z)^3, and a face's direction
-    vector in space fixes its sheet.  So ``trace3d``'s drift revisit (the
-    same point up to (2Z)^3, the same direction), or its closure, is exactly
-    X's closure.  Both tracers compare with the state after their first
-    crossing, the anchor, so both stop within 24(|p| + |q|) crossings after
-    it.  On all primitive |p|, |q| <= 40, from ``seed_start``, from
-    (1/3, 2/7) and on X, no trace used more than 4(|p| + |q|) + 1.
+    ``trace3d`` stops within it, so running out of it means an invariant
+    was violated.  Let (p, q) be primitive.  A leaf of the 12-square
+    quotient X crosses |p| + |q| walls per unit of s, and one unit permutes
+    X's 24 sheets (square and orientation) for a fixed position, so the
+    leaf meets a corner in its first unit or closes within 24 units (the
+    lemma of the ``flow`` module).  X is the quotient of the surface by the
+    even translations (2Z)^3, and a face's direction vector in space fixes
+    its sheet.  So ``trace3d``'s drift revisit (the same point up to
+    (2Z)^3, the same direction), or its closure, is exactly X's closure.
+    It compares with the state after its first crossing, the anchor, so it
+    stops within 24(|p| + |q|) crossings after it.  On all primitive
+    |p|, |q| <= 40, from ``seed_start``, from (1/3, 2/7) and on X, no trace
+    used more than 4(|p| + |q|) + 1.
     """
     return 24 * (abs(p) + abs(q)) + 1
 

@@ -408,9 +408,7 @@ def build_y() -> Surface:
 
     from .flow import SurfacePoint, trace_surface
 
-    mid = trace_surface(
-        surf, SurfacePoint(0, Fraction(1, 2), Fraction(1, 2)), (1, 0), 64
-    )
+    mid = trace_surface(surf, SurfacePoint(0, Fraction(1, 2), Fraction(1, 2)), (1, 0))
     if not mid.closed:
         raise SurfaceConstructionError("horizontal mid-height curve does not close")
     if len({seg[0] for seg in mid.segments}) != 4 or mid.s_total != 4:
@@ -425,14 +423,13 @@ def build_y() -> Surface:
     x_surf = build_x()
     center = SurfacePoint(0, Fraction(1, 2), Fraction(1, 2))
     for probe_dir in ((1, 2), (2, 1), (1, 6), (2, 5), (5, 2), (6, 1)):
-        probe = trace_surface(x_surf, center, probe_dir, 4096)
+        probe = trace_surface(x_surf, center, probe_dir)
         if not probe.closed:
             continue
         abc = sum(probe.displacement)
         if abc == 0:
             continue
-        y_probe = trace_surface(surf, center, probe_dir, 4096)
-        i_val = gamma0_intersection(surf, y_probe.segments)
+        i_val = gamma0_intersection(surf, trace_surface(surf, center, probe_dir))
         if abs(i_val) != abs(abc):
             raise SurfaceConstructionError(
                 f"marked-curve calibration failed: i={i_val}, a+b+c={abc}"

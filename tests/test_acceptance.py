@@ -294,8 +294,8 @@ def test_criterion_12_drift_vectors():
         assert tuple(cx.certificate["displacement"]) == v3
         if not odd_odd:
             center = SurfacePoint(0, Fraction(1, 2), Fraction(1, 2))
-            tx = trace_surface(x_surf, center, (p, q), 60000)
-            ty = trace_surface(y_surf, center, (p, q), 60000)
+            tx = trace_surface(x_surf, center, (p, q))
+            ty = trace_surface(y_surf, center, (p, q))
             assert gamma0_intersection(y_surf, ty) == sum(tx.displacement)
     print(
         "ACCEPTANCE 12 PASS: 100 sampled drift directions have matching "

@@ -186,8 +186,8 @@ def test_i_abc_on_drift_sample(X, Y):
         if gcd(p, q) != 1 or (p % 2 and q % 2):
             continue
         seen += 1
-        tx = trace_surface(X, center, (p, q), 50000)
-        ty = trace_surface(Y, center, (p, q), 50000)
+        tx = trace_surface(X, center, (p, q))
+        ty = trace_surface(Y, center, (p, q))
         assert gamma0_intersection(Y, ty) == sum(tx.displacement)
 
 

@@ -550,6 +550,30 @@ def test_full_stdout_exits_2_without_a_traceback():
     assert proc.stderr == "error: cannot write stdout: [Errno 28] No space left on device\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("argv, code", [
+    (["classify", "--p", "0", "--q", "0"], 2),  # the error line
+    (["classify", "--p", "2", "--q", "4"], 0),  # the reduction warning
+    (["scan", "--max", "3", "--out", "rows.csv", "--jobs", "1"], 0),  # the summary
+], ids=["error", "warning", "summary"])
+def test_full_stderr_keeps_the_exit_code(tmp_path, monkeypatch, argv, code):
+    # A line that cannot be written to stderr is dropped: the exit code,
+    # stdout and the files written are those of a run whose stderr works.
+    monkeypatch.delenv("MUCUBE_OUTDIR", raising=False)
+    lost_dir, kept_dir = tmp_path / "lost", tmp_path / "kept"
+    lost_dir.mkdir()
+    kept_dir.mkdir()
+    with open("/dev/full", "w") as full:
+        lost = _run_module("mucube", *argv, cwd=lost_dir, stdout=subprocess.PIPE, stderr=full)
+    kept = _run_module("mucube", *argv, cwd=kept_dir, capture_output=True)
+    assert kept.stderr.count("\n") == 1
+    assert lost.returncode == kept.returncode == code
+    assert lost.stdout == kept.stdout
+    assert [(f.name, f.read_bytes()) for f in lost_dir.iterdir()] == [
+        (f.name, f.read_bytes()) for f in kept_dir.iterdir()
+    ]
+
+
 def test_gap_statistic_monotone_small():
     recs3 = scan_records(3, jobs=1)
     recs6 = scan_records(6, jobs=1)

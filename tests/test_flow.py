@@ -43,41 +43,36 @@ def canonical_directions(bound):
 # ---------------------------------------------------------------------------
 
 def test_y_horizontal_trace(Y):
-    t = trace_surface(Y, CENTER, (1, 0), 100)
+    t = trace_surface(Y, CENTER, (1, 0))
     assert t.closed
     assert t.s_total == 4
     assert len({seg[0] for seg in t.segments}) == 4
 
 
 def test_x_horizontal_displacement(X):
-    t = trace_surface(X, CENTER, (1, 0), 100)
+    t = trace_surface(X, CENTER, (1, 0))
     assert t.closed and t.displacement == (0, 0, 0)
 
 
 def test_x_one_two_displacement_matches_oracle(X):
-    t = trace_surface(X, CENTER, (1, 2), 10000)
+    t = trace_surface(X, CENTER, (1, 2))
     t3 = trace3d(Point3.face_center(SEED_FACE, SEED_CHART), (1, 2))
     assert t.closed and t.displacement == t3.drift_vector != (0, 0, 0)
 
 
-def test_budget_outcome(Y):
-    t = trace_surface(Y, CENTER, (12, 5), 3)
-    assert not t.closed and t.stop_reason == "crossing_budget"
-
-
 def test_cone_point_outcome(Y):
-    t = trace_surface(Y, CENTER, (1, 1), 100)
+    t = trace_surface(Y, CENTER, (1, 1))
     assert t.stop_reason == "cone_point"
     assert t.cone_point is not None
 
 
 def test_interior_start_required(Y):
     with pytest.raises(ValueError):
-        trace_surface(Y, SurfacePoint(0, Fraction(0), Fraction(1, 2)), (1, 0), 10)
+        trace_surface(Y, SurfacePoint(0, Fraction(0), Fraction(1, 2)), (1, 0))
 
 
 def test_closed_trace_is_one_period(X):
-    t = trace_surface(X, CENTER, (4, 1), 10000)
+    t = trace_surface(X, CENTER, (4, 1))
     assert t.closed
     first = t.segments[0]
     last = t.segments[-1]
@@ -397,25 +392,41 @@ _WALK_STARTS = (
 )
 
 
-def test_trace_surface_matches_the_stepper(X, Y):
+def test_trace_surface_matches_the_stepper(X, Y, cover_y):
     # The cutting-word walk against the wall-to-wall stepper on every signed
-    # primitive |p|, |q| <= 30, on X and Y, from three starts, with the
-    # derived budget and with one that stops halfway through the second
-    # unit.  Dataclass equality covers every field; the views are compared
+    # primitive |p|, |q| <= 30, on X, Y and Y's translation cover, from three
+    # starts.  Dataclass equality covers every field; the views are compared
     # with the stepper's lists.
-    stops = Counter()
-    for S in (X, Y):
+    stops = set()
+    for S in (X, Y, cover_y):
         for p, q in _primitive(30):
-            n = abs(p) + abs(q)
             for start in _WALK_STARTS:
-                for budget in (crossing_budget(p, q), n + n // 2 + 1):
-                    got = trace_surface(S, start, (p, q), budget)
-                    want = leaf_reference.ref_trace_surface(S, start, (p, q), budget)
-                    assert (got, got.scaled_crossings, got.scaled_segments) == want, (
-                        S.name, p, q, start, budget
-                    )
-                    stops[got.stop_reason] += 1
-    assert set(stops) == {"closed", "cone_point", "crossing_budget"}
+                got = trace_surface(S, start, (p, q))
+                want = leaf_reference.ref_trace_surface(S, start, (p, q))
+                assert (got, got.scaled_crossings, got.scaled_segments) == want, (
+                    S.name, p, q, start
+                )
+                stops.add(got.stop_reason)
+    assert stops == {"closed", "cone_point"}
+
+
+def test_a_leaf_that_does_not_close_is_an_invariant_violation(X, monkeypatch, capsys):
+    # A unit permutes the 2n sheets, so a leaf that meets no corner closes
+    # within 2n units.  A kernel that never reports closure runs past them:
+    # the trace raises, and the CLI reports one internal error, exit 3.
+    from mucube.cli import main
+
+    walk = flow._walk
+
+    def never_home(unit, sheets, home, units):
+        return walk(unit, sheets, None, units)
+
+    monkeypatch.setattr(flow, "_walk", never_home)
+    with pytest.raises(FlowBudgetError, match="within 24 units"):
+        trace_surface(X, CENTER, (2, 1))
+    assert main(["classify", "--p", "3", "--q", "1", "--method", "x"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith("internal error: ")
 
 
 def test_decomposition_matches_the_stepper(X, Y):
@@ -438,7 +449,7 @@ def test_periods_are_whole_units(X, Y):
         n = abs(p) + abs(q)
         for S in (X, Y):
             for start in _WALK_STARTS:
-                t = trace_surface(S, start, (p, q), crossing_budget(p, q))
+                t = trace_surface(S, start, (p, q))
                 if t.closed:
                     periods[S.name] += 1
                     assert t.s_total.denominator == 1, (S.name, p, q, start)
@@ -479,11 +490,10 @@ def test_slot_lattice_beyond_the_gate_sizes(X, Y, cover_y, which, d):
 
 
 def test_closure_implies_rational_slope_contrapositive(X):
-    # Closure always happens within the combinatorial budget for rational
-    # directions; the budget guard is the contrapositive hook for
-    # irrational-slope surrogates, which cannot close.
+    # A rational direction closes within 2n units; a leaf that ran past them
+    # (as an irrational slope's would) raises instead of closing.
     for d in ((3, 2), (7, 4), (9, 4)):
-        t = trace_surface(X, CENTER, d, 200 * (d[0] + d[1]) + 400)
+        t = trace_surface(X, CENTER, d)
         assert t.closed
 
 
@@ -494,7 +504,7 @@ def test_closure_implies_rational_slope_contrapositive(X):
 def test_quarter_check_examples(X):
     cases = {(1, 0): True, (4, 1): True, (1, 2): False, (5, 2): False}
     for d, expected in cases.items():
-        t = trace_surface(X, CENTER, d, 20000)
+        t = trace_surface(X, CENTER, d)
         ok, rot = quarter_displacement_check(X, t)
         assert ok is expected, d
         if expected:
@@ -516,7 +526,7 @@ def test_quarter_check_matches_verdicts(X):
     for d in canonical_directions(12):
         periodic = classify_oracle(d).verdict == "periodic"
         for start in starts:
-            t = trace_surface(X, start, d, 60000)
+            t = trace_surface(X, start, d)
             if t.closed:
                 closed += 1
                 ok, _ = quarter_displacement_check(X, t)

@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module, every
-private module-level name of the package is read somewhere in it, and the
-CLI reports usage errors in ``main`` alone.
+private module-level name of the package is read somewhere in it, the CLI
+reports usage errors in ``main`` alone, and no decider reads another's
+modules.
 
 The package ``__init__`` is left out of the import check: importing names to
 re-export them is its purpose.
@@ -114,3 +115,59 @@ def test_detects_a_usage_error_site():
 def test_usage_errors_are_reported_in_main_only():
     sites = usage_error_sites((SRC / "cli.py").read_text())
     assert sites and {scope for scope, _ in sites} == {"main"}
+
+
+def sibling_imports(source: str) -> dict[str, str]:
+    """Per name that ``source`` imports from a module of the package, at any
+    depth, that module's name."""
+    names = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("mucube.")):
+            for alias in node.names:
+                # ``from . import flow`` binds the module itself.
+                module = node.module.rsplit(".", 1)[-1] if node.module else alias.name
+                names[alias.asname or alias.name] = module
+    return names
+
+
+def sibling_reads(source: str, function: str) -> list[tuple[str, str]]:
+    """(module, name) of each name ``function`` reads that ``source``
+    imports from a module of the package."""
+    imported = sibling_imports(source)
+    node = next(
+        n for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.FunctionDef) and n.name == function
+    )
+    read = {
+        n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    return sorted((imported[name], name) for name in read if name in imported)
+
+
+def test_detects_a_read_of_another_module():
+    source = (
+        "from .flow import trace_surface\nfrom . import mucube3d\n"
+        "def f():\n    from .mucube3d import crossing_budget\n"
+        "    return trace_surface, crossing_budget(1, 0)\n"
+        "def g():\n    return mucube3d\n"
+    )
+    assert sibling_reads(source, "f") == [("flow", "trace_surface"), ("mucube3d", "crossing_budget")]
+    assert sibling_reads(source, "g") == [("mucube3d", "mucube3d")]
+
+
+# The deciders stay independent: their agreement is the cross-check.
+_NOT_READ = {
+    "classify_oracle": {"flow", "homology", "surfaces"},
+    "classify_x": {"mucube3d"},
+    "classify_y": {"mucube3d"},
+}
+
+
+@pytest.mark.parametrize("function", sorted(_NOT_READ))
+def test_deciders_read_nothing_of_each_other(function):
+    reads = sibling_reads((SRC / "classify.py").read_text(), function)
+    assert [r for r in reads if r[0] in _NOT_READ[function]] == []
+
+
+def test_grouptheory_imports_no_sibling_module():
+    assert sibling_imports((SRC / "grouptheory.py").read_text()) == {}

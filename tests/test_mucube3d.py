@@ -846,7 +846,7 @@ def test_crossing_budget_bounds_every_trace():
                 used.append(t.crossings)
             y0 = Fraction(1, 3) if p % 2 and q % 2 else Fraction(1, 2)
             for start in (SurfacePoint(0, Fraction(1, 2), y0), SurfacePoint(0, other.u, other.v)):
-                t = trace_surface(X, start, (p, q), budget)
+                t = trace_surface(X, start, (p, q))
                 stops.add(t.stop_reason)
                 assert t.stop_reason in ("closed", "cone_point"), (p, q, start)
                 used.append(len(t.scaled_crossings) + t.closed)  # closure trims one

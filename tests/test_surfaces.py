@@ -100,8 +100,8 @@ def test_cocycle_antisymmetry(X):
 
 def test_cocycle_core_holonomies(X):
     center = SurfacePoint(0, Fraction(1, 2), Fraction(1, 2))
-    th = trace_surface(X, center, (1, 0), 100)
-    tv = trace_surface(X, center, (0, 1), 100)
+    th = trace_surface(X, center, (1, 0))
+    tv = trace_surface(X, center, (0, 1))
     assert th.closed and th.displacement == (0, 0, 0)
     assert tv.closed and tv.displacement == (0, 0, 0)
 
@@ -141,9 +141,7 @@ def test_quotient_consistency_projection(X):
         assert X.reps is not None
         index = {rep: k for k, rep in enumerate(X.reps)}
         projected = [index[_x_canonical(f)[0]] for f in t3.face_path]
-        t2 = trace_surface(
-            X, SurfacePoint(0, Fraction(1, 2), Fraction(1, 2)), d, 20000
-        )
+        t2 = trace_surface(X, SurfacePoint(0, Fraction(1, 2), Fraction(1, 2)), d)
         squares = [t2.segments[0][0]] + [
             X.glue[(sq, side)][0] for _, sq, side in t2.crossings
         ]
@@ -154,9 +152,7 @@ def test_x_displacement_equals_3d_drift(X):
     for d in ((1, 2), (2, 1), (5, 2), (2, 5), (1, 6), (3, 2)):
         t3 = trace3d(Point3.face_center(SEED_FACE, SEED_CHART), d,
                      max_crossings=20000)
-        t2 = trace_surface(
-            X, SurfacePoint(0, Fraction(1, 2), Fraction(1, 2)), d, 20000
-        )
+        t2 = trace_surface(X, SurfacePoint(0, Fraction(1, 2), Fraction(1, 2)), d)
         assert t2.closed
         assert t3.stop_reason == "drift"
         assert t2.displacement == t3.drift_vector
@@ -221,16 +217,14 @@ def test_two_one_core_class(Y):
 
 
 def test_homology_requires_closed(Y):
-    t = trace_surface(Y, SurfacePoint(0, Fraction(1, 2), Fraction(1, 2)),
-                      (1, 1), 10)
+    t = trace_surface(Y, SurfacePoint(0, Fraction(1, 2), Fraction(1, 2)), (1, 1))
     assert not t.closed
     with pytest.raises(ValueError):
         homology_coordinates(Y, t)
 
 
 def test_gamma0_parallel_curve(Y):
-    t = trace_surface(Y, SurfacePoint(0, Fraction(1, 2), Fraction(1, 2)),
-                      (1, 0), 100)
+    t = trace_surface(Y, SurfacePoint(0, Fraction(1, 2), Fraction(1, 2)), (1, 0))
     assert t.closed
     assert gamma0_intersection(Y, t) == 0
     assert len({seg[0] for seg in t.segments}) == 4
@@ -245,8 +239,8 @@ def test_i_equals_abc(X, Y):
         for q in range(0, 12):
             if gcd(p, q) != 1 or (p % 2 and q % 2):
                 continue
-            tx = trace_surface(X, center, (p, q), 50000)
-            ty = trace_surface(Y, center, (p, q), 50000)
+            tx = trace_surface(X, center, (p, q))
+            ty = trace_surface(Y, center, (p, q))
             assert tx.closed and ty.closed
             assert gamma0_intersection(Y, ty) == sum(tx.displacement)
             checked += 1
