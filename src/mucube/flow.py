@@ -1,9 +1,13 @@
 """Exact straight-line flow on finite square-tiled half-translation surfaces.
 
 A surface here is anything with attributes ``n`` (number of unit squares),
-``glue`` (a dict mapping (square, side) to (square', side', flip)) and
+``glue`` (a dict mapping (square, side) to (square', side', flip)),
 optionally ``cocycle`` (a dict mapping (square, side) to an integer triple,
-added up whenever the flow exits through that side).
+added up whenever the flow exits through that side), and ``_cache``, a dict
+in which the tracers keep the tables they read from ``glue`` and
+``cocycle``: one entry per sign quadrant of the direction (``_sheet_tables``)
+and one per transversal (``_transversal_edges``), built on first use and
+shared by every later call as tuples.
 
 Sides are 0=L, 1=R, 2=B, 3=T in the chart [0,1]^2 of each square.  A gluing
 without flip identifies a side with the opposite side of the partner square
@@ -23,7 +27,7 @@ crosses |p| vertical and |q| horizontal walls.  Their order depends only on
 call; a tie in it is a corner, where the leaf stops at a cone point.  Along
 the walk the leaf's only state is its sheet: the square and the sign of the
 direction in that square's chart.  A letter moves the sheet by one lookup in
-flat gluing lists (``_sheet_steps``); a flip switches the sign, and the
+flat gluing tables (``_sheet_tables``); a flip switches the sign, and the
 chart coordinates are then the word's, reflected through the square's
 center.
 
@@ -43,7 +47,9 @@ closes within 2n units, and a walk past them breaks an invariant.
 The decomposition traces no separatrix: in a primitive direction (p, q),
 the separatrices cut every transversal edge at the multiples of
 1/max(|p|, |q|), so its intervals are known slots, and only one core leaf
-per cylinder is walked.
+per cylinder is walked.  A trace and a cylinder keep their summary and what
+they walked; their lists of crossings, segments, squares and intervals are
+views read from the walk on first use.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, cycle, repeat, zip_longest
+from itertools import chain, cycle, zip_longest
 from math import gcd
 from operator import getitem
 from typing import Optional, Sequence
@@ -112,8 +118,20 @@ class SurfaceTrace:
     cone_point: Optional[SurfacePoint] = None
     # What the trace walked, which the views are read from on first use: the
     # start square and point, the cutting word (step counts and kinds), the
-    # exit sides per kind (see ``_sheet_steps``) and the sheet of each segment.
+    # exit sides per kind (see ``_sheet_tables``) and the sheet of each segment.
     walk: Optional[tuple] = field(default=None, repr=False, compare=False)
+
+    def _period(self):
+        """A closed period as whole letters of the cutting word:
+        ``(word, first, sheets, count)``, where segment g < count runs along
+        the piece (see ``_pieces``) of letter (first + g) mod n of the word
+        ``(x0, y0, dx, dy, times, kinds)`` of n letters, on sheet
+        ``sheets[g]``.  The period's first and last segments are the two
+        halves of letter 0's piece, on the start's sheet, and count as that
+        piece."""
+        _, x0, y0, times, kinds, _, sheets = self.walk
+        p, q = self.direction
+        return (x0, y0, p, q, times, kinds), 0, sheets, len(sheets) - 2
 
     @property
     def arc_length(self) -> SqrtLength:
@@ -222,7 +240,7 @@ def _pieces(sc: int, x0: int, y0: int, dx: int, dy: int, times, kinds) -> list:
 def _per_sheet(table, n: int, exits) -> list:
     """Per letter kind and sheet, the value of ``table`` (keyed by square and
     side) at the side the leaf leaves by: ``exits[kind]`` for a + and a -
-    sheet (see ``_sheet_steps``)."""
+    sheet (see ``_sheet_tables``)."""
     flat = [None] * (4 * n)
     for (sq, side), value in table.items():
         flat[4 * sq + side] = value
@@ -235,23 +253,32 @@ def _per_sheet(table, n: int, exits) -> list:
     return rows
 
 
-def _sheet_steps(glue, n: int, dx: int, dy: int):
-    """The gluings as flat lists over the sheets.
+def _sheet_tables(surface, dx: int, dy: int):
+    """The gluings as flat tables over the sheets, for the sign quadrant of
+    ``(dx, dy)``: built once per quadrant and kept in ``surface._cache``.
 
     Sheet ``2 sq + neg`` is square ``sq`` with the leaf running along
     ``(dx, dy)`` in its chart, or along ``-(dx, dy)`` when ``neg`` is 1.
-    Returns ``(exits, steps)``, each indexed by the letter kind (1 for a
-    vertical wall): the side the leaf leaves a + sheet by and a - sheet by,
-    and per sheet the sheet it enters.  A flip gluing switches ``neg`` and
-    keeps the side type, so the side of the next square follows from the
-    next letter.
+    Returns ``(exits, steps, weights)``, each indexed by the letter kind (1
+    for a vertical wall): the side the leaf leaves a + sheet by and a -
+    sheet by, per sheet the sheet it enters, and per sheet the cocycle's
+    weight at the side it leaves by (None for a surface without a cocycle).
+    A flip gluing switches ``neg`` and keeps the side type, so the side of
+    the next square follows from the next letter.
     """
-    exits = ((T, B) if dy > 0 else (B, T)), ((R, L) if dx > 0 else (L, R))
-    steps = [
-        [2 * sq2 + (sheet & 1 ^ flip) for sheet, (sq2, _, flip) in enumerate(row)]
-        for row in _per_sheet(glue, n, exits)
-    ]
-    return exits, steps
+    key = ("sheets", dx > 0, dy > 0)
+    tables = surface._cache.get(key)
+    if tables is None:
+        n = surface.n
+        exits = ((T, B) if dy > 0 else (B, T)), ((R, L) if dx > 0 else (L, R))
+        steps = tuple(
+            tuple(2 * sq2 + (sheet & 1 ^ flip) for sheet, (sq2, _, flip) in enumerate(row))
+            for row in _per_sheet(surface.glue, n, exits)
+        )
+        cocycle = getattr(surface, "cocycle", None)
+        weights = None if cocycle is None else tuple(map(tuple, _per_sheet(cocycle, n, exits)))
+        tables = surface._cache[key] = (exits, steps, weights)
+    return tables
 
 
 def _walk(unit: list, sheets: list, home, units: int) -> bool:
@@ -293,7 +320,7 @@ def trace_surface(surface, start: SurfacePoint, direction: tuple[int, int]) -> S
     x0, y0 = start.x.numerator * (sc // den_x), start.y.numerator * (sc // den_y)
     times, kinds, corner = _unit_word(sc, x0, y0, p, q)
     n_squares = surface.n
-    exits, steps = _sheet_steps(surface.glue, n_squares, p, q)
+    exits, steps, weights = _sheet_tables(surface, p, q)
     n = len(times)
     tables = [steps[k] for k in kinds]
 
@@ -319,9 +346,7 @@ def trace_surface(surface, start: SurfacePoint, direction: tuple[int, int]) -> S
     # the crossings after the anchor weigh what the kept ones weigh.
     kept = count - closed
     disp = (0, 0, 0)
-    cocycle = getattr(surface, "cocycle", None)
-    if cocycle is not None and kept:
-        weights = _per_sheet(cocycle, n_squares, exits)
+    if weights is not None and kept:
         disp = tuple(map(sum, zip(*map(getitem, cycle(weights[k] for k in kinds), sheets[:kept]))))
 
     cone_point = None
@@ -352,17 +377,53 @@ class Cylinder:
     circumference_multiplier: int  # circumference = multiplier * sqrt(p^2+q^2)
     width: SqrtLength
     area: Fraction
-    squares: list[int]
-    # Edge parameters and chart coordinates below are integers in units of
-    # 1/scale, an even integer.
+    # Edge parameters and chart coordinates of the views below are integers
+    # in units of 1/scale, an even integer.
     scale: int
-    scaled_intervals: list[tuple[tuple[int, int], int, int]]  # (edge, lo, hi)
-    core_segments: list[tuple[int, int, int, int, int]]  # one period of the core leaf
+    # What the core walked, which the views are read from on first use: the
+    # cutting word every core of the decomposition walks (start point,
+    # direction, step counts and kinds), the transversal's canonical edges,
+    # the letter before the core's first, the sheet of each segment, and per
+    # transversal crossing its sheet and slot index.
+    walk: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
     def circumference(self) -> SqrtLength:
         p, q = self.direction
         return SqrtLength.of(self.circumference_multiplier, p * p + q * q)
+
+    def _period(self):
+        """The core's period as whole letters of the cutting word:
+        ``(word, first, sheets, count)``, where segment g < count runs along
+        the piece (see ``_pieces``) of letter (first + g) mod n of the word
+        ``(x0, y0, dx, dy, times, kinds)`` of n letters, on sheet
+        ``sheets[g]``."""
+        word, _, last, sheets, _, _ = self.walk
+        return word, last + 1, sheets, len(sheets) - 1
+
+    @cached_property
+    def squares(self) -> list[int]:
+        """The square of each transversal crossing of the core, in order."""
+        return [st >> 1 for st in self.walk[4]]
+
+    @cached_property
+    def scaled_intervals(self) -> list[tuple[tuple[int, int], int, int]]:
+        """(edge, lo, hi) per transversal crossing of the core: the slot it
+        crosses, on the edge's canonical side."""
+        _, keys, _, _, _, ks = self.walk
+        m = max(map(abs, self.direction))
+        slot = self.scale // m
+        return [(keys[k // m], k % m * slot, (k % m + 1) * slot) for k in ks]
+
+    @cached_property
+    def core_segments(self) -> list[tuple[int, int, int, int, int]]:
+        """(square, x0, y0, x1, y1) per segment of one period of the core."""
+        word, first, sheets, count = self._period()
+        pieces = _pieces(self.scale, *word)
+        n = len(pieces)
+        return [
+            (st >> 1,) + pieces[(first + g) % n][st & 1] for g, st in enumerate(sheets[:count])
+        ]
 
     @cached_property
     def intervals(self) -> list[tuple[tuple[int, int], Fraction, Fraction]]:
@@ -392,6 +453,29 @@ def _canonical_param(surface, sq, side, t, sc):
     if (sq, side) <= (sq2, side2):
         return (sq, side), t
     return (sq2, side2), (sc - t if flip else t)
+
+
+def _transversal_edges(surface, vertical: bool):
+    """The canonical sides of the vertical (or horizontal) edges, sorted, and
+    per side ``4 sq + side`` of the transversal the index of its edge among
+    them and whether it measures the edge parameter backwards: its point 0
+    is the canonical side's 1 (see ``_canonical_param``).  Built once per
+    transversal and kept in ``surface._cache``."""
+    key = ("transversal", vertical)
+    edges = surface._cache.get(key)
+    if edges is None:
+        canonical = {}
+        for sq in range(surface.n):
+            for side in VERTICAL_SIDES if vertical else HORIZONTAL_SIDES:
+                edge, t = _canonical_param(surface, sq, side, 0, 1)
+                canonical[4 * sq + side] = edge, t == 1
+        keys = tuple(sorted({edge for edge, _ in canonical.values()}))
+        index = {edge: i for i, edge in enumerate(keys)}
+        sides = [None] * (4 * surface.n)
+        for at, (edge, back) in canonical.items():
+            sides[at] = index[edge], back
+        edges = surface._cache[key] = (keys, tuple(sides))
+    return edges
 
 
 def cylinder_decomposition(surface, direction: tuple[int, int]) -> Decomposition:
@@ -428,31 +512,27 @@ def cylinder_decomposition(surface, direction: tuple[int, int]) -> Decomposition
     of a unit.  Every slot is entered at most once ("slot revisited" raises
     otherwise) and every unit crosses the transversal, so a core closes
     within the n m slots and needs no crossing budget.
+
+    A cylinder keeps its summary and its core's walk: the sheet of each
+    segment and the index of each slot crossed, on which the checks run.
+    Its squares, intervals and core segments are views built from the walk
+    on first use, so a caller that reads the summary builds none of them.
+    The gluing tables come from the surface's cache (``_sheet_tables``,
+    ``_transversal_edges``).
     """
     p, q = direction
     if (p, q) == (0, 0) or gcd(abs(p), abs(q)) != 1:
         raise ValueError("direction must be primitive")
     n = surface.n
     vertical_transversal = abs(p) >= abs(q)
-    transversal = VERTICAL_SIDES if vertical_transversal else HORIZONTAL_SIDES
     m = abs(p) if vertical_transversal else abs(q)
 
     # Twice the tracer's scale, so slot midpoints are integral too.
     sc2 = 4 * max(abs(p), 1) * max(abs(q), 1)
     slot2 = sc2 // m
     half = slot2 // 2
-    # Per transversal side, its edge's canonical side and whether it measures
-    # the edge parameter backwards: its point 0 is the canonical side's 1 on
-    # a unit scale (see _canonical_param).
-    canonical = {}
-    for sq in range(n):
-        for side in transversal:
-            key, t = _canonical_param(surface, sq, side, 0, 1)
-            canonical[(sq, side)] = key, t == 1
-    keys = sorted({key for key, _ in canonical.values()})
-    bounds = range(0, sc2 + 1, slot2)
-    slots = list(chain.from_iterable(zip(repeat(key, m), bounds, bounds[1:]) for key in keys))
-    key_base = {key: i * m for i, key in enumerate(keys)}
+    keys, edges = _transversal_edges(surface, vertical_transversal)
+    n_slots = len(keys) * m
 
     # The word of the line that runs into the canonical L (or B) sides,
     # from the midpoint of their first slot.
@@ -461,7 +541,7 @@ def cylinder_decomposition(surface, direction: tuple[int, int]) -> Decomposition
     times, kinds, corner = _unit_word(sc2, x0, y0, dx, dy)
     if corner is not None:
         raise FlowBudgetError("core leaf hit a cone point")
-    exits, steps = _sheet_steps(surface.glue, n, dx, dy)
+    exits, steps, _ = _sheet_tables(surface, dx, dy)
     # The word's transversal letters, in order: the k-th crosses the edge
     # parameter (its coordinate moves by e per step) at (k + 1) e slots past
     # the start's midpoint, so at the midpoint of slot (k + 1) e mod m.
@@ -478,30 +558,31 @@ def cylinder_decomposition(surface, direction: tuple[int, int]) -> Decomposition
     # for a - sheet and for a side that measures the edge backwards,
     # forwards when both or neither hold.
     slot_first, slot_sign = [], []
-    for sheet, side in enumerate(list(exits[vertical_transversal]) * n):
-        key, back = canonical[(sheet >> 1, side)]
+    for sheet, side in enumerate(exits[vertical_transversal] * n):
+        index, back = edges[4 * (sheet >> 1) + side]
         forwards = back == (sheet & 1)
-        slot_first.append(key_base[key] + (0 if forwards else m - 1))
+        slot_first.append(index * m + (0 if forwards else m - 1))
         slot_sign.append(1 if forwards else -1)
 
     tables = [steps[k] for k in kinds]
-    pieces = _pieces(sc2, x0, y0, dx, dy, times, kinds)
-    square_of = [(st >> 1,) for st in range(2 * n)]
     word_len = len(times)
+    word = (x0, y0, dx, dy, times, kinds)
     width = SqrtLength(Fraction(1, p * p + q * q))
     visited: set[int] = set()
     cylinders: list[Cylinder] = []
 
-    for k0, ((sq0, side0), lo, _) in enumerate(slots):
-        if len(visited) == len(slots):
+    for k0 in range(n_slots):
+        if len(visited) == n_slots:
             break
         if k0 in visited:
             continue
-        # A core entering a canonical R (or T) side runs against the word's
-        # direction: a - sheet, on the reflected slot.  Its units run from
-        # the letter after the one that enters its start.
+        # Slot k0 is slot k0 mod m of edge k0 // m.  A core entering a
+        # canonical R (or T) side runs against the word's direction: a -
+        # sheet, on the reflected slot.  Its units run from the letter after
+        # the one that enters its start.
+        sq0, side0 = keys[k0 // m]
         neg0 = side0 in (R, T)
-        last = letter_of[m - 1 - lo // slot2 if neg0 else lo // slot2]
+        last = letter_of[m - 1 - k0 % m if neg0 else k0 % m]
         sheet0 = 2 * sq0 + neg0
         sheets = [sheet0]
         # Each unit crosses m slots, so a core that enters no slot twice
@@ -509,25 +590,24 @@ def cylinder_decomposition(surface, direction: tuple[int, int]) -> Decomposition
         if not _walk(tables[last + 1:] + tables[: last + 1], sheets, sheet0, len(keys)):
             raise FlowBudgetError("slot revisited before closure")
         # The sheets at each transversal letter, unit by unit, and the slots
-        # they cross.
+        # they cross.  From the letter after ``last`` the transversal letters
+        # are ``cross_at`` rotated to the first one past ``last``.
         units = (len(sheets) - 1) // word_len
-        marks = sorted(((i - last - 1) % word_len, j) for i, j in zip(cross_at, offsets))
-        crossed = [sheets[g + r] for g in range(0, units * word_len, word_len) for r, _ in marks]
+        turn = bisect_left(cross_at, last + 1)
+        at = [i - last - 1 for i in cross_at[turn:]] + [
+            i + word_len - last - 1 for i in cross_at[:turn]
+        ]
+        crossed = [sheets[g + r] for g in range(0, units * word_len, word_len) for r in at]
         ks = [
             slot_first[st] + slot_sign[st] * j
-            for st, j in zip(crossed, [j for _, j in marks] * units)
+            for st, j in zip(crossed, (offsets[turn:] + offsets[:turn]) * units)
         ]
         entered = set(ks)
         if len(entered) < len(ks) or not visited.isdisjoint(entered):
             raise FlowBudgetError("slot revisited before closure")
         visited |= entered
-        group = list(map(slots.__getitem__, ks))
-        squares = [st >> 1 for st in crossed]
-        seq = (pieces[last + 1:] + pieces[: last + 1]) * units
-        core_segments = [square_of[st] + pc[st & 1] for st, pc in zip(sheets, seq)]
 
-        steps_n = len(group)
-        mult, rem = divmod(steps_n, m)
+        mult, rem = divmod(len(ks), m)
         if rem:
             raise FlowBudgetError("circumference is not an integer multiple")
         cylinders.append(
@@ -535,18 +615,16 @@ def cylinder_decomposition(surface, direction: tuple[int, int]) -> Decomposition
                 direction=(p, q),
                 circumference_multiplier=mult,
                 width=width,
-                area=Fraction(steps_n, m),
-                squares=squares,
+                area=Fraction(len(ks), m),
                 scale=sc2,
-                scaled_intervals=group,
-                core_segments=core_segments,
+                walk=(word, keys, last, sheets, crossed, ks),
             )
         )
 
     deco = Decomposition(direction=(p, q), cylinders=cylinders)
-    # The areas are slot counts over m, so they add up to n exactly when the
-    # slot counts add up to n m.
-    if sum(len(c.scaled_intervals) for c in cylinders) != n * m:
+    # The areas are slot counts over m, and the cores enter distinct slots,
+    # so they add up to n exactly when the slots entered number n m.
+    if len(visited) != n * m:
         raise FlowBudgetError(
             f"decomposition areas {deco.total_area} do not add up to {n}"
         )

@@ -26,6 +26,7 @@ displacement cocycle of the 12-square quotient.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
 from typing import Sequence, Union
@@ -111,6 +112,47 @@ def _cocycle(glue, fans, one, zero) -> dict[tuple[int, int], int]:
     raise HomologyError("no edge cocycle in {-1, 0, 1} is 1 on sigma and 0 on eta")
 
 
+def _mid_letters(sc: int, y0: int, dy: int, times) -> list[int]:
+    """The letters of a word (see ``flow._pieces``) whose piece passes height
+    sc / 2.
+
+    The line ``y0 + dy t`` meets the heights sc / 2 + k sc at |dy| steps t
+    per unit, integers at either tracer's scale.  The pieces of a unit tile
+    it half-open, letter i's over ``times[i - 1] <= t < times[i]`` (letter
+    0's from the previous unit's last crossing), and y is monotone along a
+    piece, so a piece passes sc / 2 by the half-open rule of
+    ``gamma0_intersection`` exactly when such a step lies in its range.
+    """
+    if not dy:
+        return []
+    return [
+        bisect_right(times, (sc // 2 - y0 + k * sc) // dy % sc) % len(times)
+        for k in range(abs(dy))
+    ]
+
+
+def _walk_passes(eps, sc: int, word, first: int, sheets, count: int) -> int:
+    """Signed passes of height sc / 2 by a walk whose segment g < count runs
+    along the piece of letter (first + g) mod n of ``word`` on sheet
+    ``sheets[g]`` (``_period`` of a trace or a cylinder); ``eps`` maps each
+    square to the marked curve's direction there.
+
+    Only the letters whose piece passes (``_mid_letters``) are visited, at
+    the sheets the walk holds there, one per unit.  Their + piece passes
+    the way dy points.  A - piece is its + piece reflected through the
+    square's center, which fixes height sc / 2 and swaps the half-open ends
+    of the rule: it passes exactly when the + piece does, the other way, and
+    a piece that ends at mid-height passes on neither sheet, since its pass
+    is the next letter's.
+    """
+    _, y0, _, dy, times, _ = word
+    letters = len(times)
+    up = 1 if dy > 0 else -1
+    weight = [(-up if st & 1 else up) * eps[st >> 1] for st in range(2 * len(eps))]
+    at = [(i - first) % letters for i in _mid_letters(sc, y0, dy, times)]
+    return sum([weight[sheets[g + r]] for g in range(0, count, letters) for r in at])
+
+
 def gamma0_intersection(surface, c: Union[Cylinder, SurfaceTrace, Sequence[Segment]]) -> int:
     """Signed crossing number of a closed curve with the marked horizontal
     curve (upward crossings minus downward crossings).
@@ -118,18 +160,21 @@ def gamma0_intersection(surface, c: Union[Cylinder, SurfaceTrace, Sequence[Segme
     The marked curve runs at height 1/2 in every square, with x-direction
     ``eps[sq]``.  A pass of ``y = 1/2`` counts ``+eps[sq]`` upward and
     ``-eps[sq]`` downward; a pass at a segment endpoint is counted once, on
-    the segment that leaves the endpoint.  A cylinder and a trace are
-    counted on their integer segments, in units of 1/scale.
+    the segment that leaves the endpoint.  A cylinder's core and a closed
+    trace are counted on their walks, in units of 1/scale, with no segment
+    built: the letters of the cutting word whose piece passes height
+    scale / 2 are found once per call from the word (``_mid_letters``), and
+    ``eps`` is summed over the sheets the walk holds there, unit by unit,
+    with the sign each sheet's own piece passes by (``_walk_passes``).
     """
-    if isinstance(c, Cylinder):
-        chain, half = c.core_segments, c.scale // 2
-    elif isinstance(c, SurfaceTrace):
-        chain, half = _closed(c).scaled_segments, c.scale // 2
-    else:
-        chain, half = c, Fraction(1, 2)
     eps = {sq: 1 if x1 > x0 else -1 for sq, x0, _, x1, _ in surface.marked_curves["gamma0"]}
+    if isinstance(c, (Cylinder, SurfaceTrace)):
+        if isinstance(c, SurfaceTrace):
+            _closed(c)
+        return _walk_passes(eps, c.scale, *c._period())
+    half = Fraction(1, 2)
     total = 0
-    for sq, _, y0, _, y1 in chain:
+    for sq, _, y0, _, y1 in c:
         if y0 <= half < y1:
             total += eps[sq]
         elif y1 < half <= y0:

@@ -56,7 +56,7 @@ class Surface:
     reps: Optional[list[Face]] = None
     charts: Optional[list[Chart]] = None
     marked_curves: dict[str, list[Segment]] = field(default_factory=dict)
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @cached_property
     def n(self) -> int:

@@ -4,9 +4,11 @@ walk, and the two tracers built on it, kept as references.
 ``_leaf`` finds every wall by a division and yields each segment with the
 full state it starts in.  ``ref_trace_surface`` and
 ``ref_cylinder_decomposition`` are ``flow.trace_surface`` and
-``flow.cylinder_decomposition`` as they were on top of it; the package's word
-walk is tested against them field by field.  ``_canonical_edge`` names an
-edge by the smaller of its two sides, as the references do.
+``flow.cylinder_decomposition`` as they were on top of it.  Each returns
+its result without a walk, with the lists the result's views must give, and
+the package's word walk is tested against them field by field and view by
+view.  ``_canonical_edge`` names an edge by the smaller of its two sides, as
+the references do.
 """
 
 from fractions import Fraction
@@ -153,9 +155,11 @@ def ref_trace_surface(
             acc = (acc[0] + w[0], acc[1] + w[1], acc[2] + w[2])
 
 
-def ref_cylinder_decomposition(surface, direction: tuple[int, int]) -> Decomposition:
+def ref_cylinder_decomposition(surface, direction: tuple[int, int]):
     """The slot-lattice decomposition with one core leaf per cylinder, each
-    crossing's slot found by integer division."""
+    crossing's slot found by integer division.  Returns the decomposition
+    and, per cylinder, the lists its views should hold: (squares,
+    scaled_intervals, core_segments)."""
     p, q = direction
     if (p, q) == (0, 0) or gcd(abs(p), abs(q)) != 1:
         raise ValueError("direction must be primitive")
@@ -198,6 +202,7 @@ def ref_cylinder_decomposition(surface, direction: tuple[int, int]) -> Decomposi
     width = SqrtLength(Fraction(1, p * p + q * q))
     visited = [False] * len(slots)
     cylinders: list[Cylinder] = []
+    views = []
 
     for k0, slot0 in enumerate(slots):
         if visited[k0]:
@@ -239,16 +244,14 @@ def ref_cylinder_decomposition(surface, direction: tuple[int, int]) -> Decomposi
                 circumference_multiplier=mult,
                 width=width,
                 area=Fraction(steps, m),
-                squares=squares,
                 scale=sc2,
-                scaled_intervals=group,
-                core_segments=core_segments,
             )
         )
+        views.append((squares, group, core_segments))
 
     deco = Decomposition(direction=(p, q), cylinders=cylinders)
     if deco.total_area != n:
         raise FlowBudgetError(
             f"decomposition areas {deco.total_area} do not add up to {n}"
         )
-    return deco
+    return deco, views

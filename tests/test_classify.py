@@ -138,19 +138,32 @@ def test_certificates_without_a_replay_are_refused(d):
 
 
 def test_deciders_build_no_trace_view(monkeypatch):
-    # The oracle and X read a trace's summary only, so its lists stay unbuilt.
-    traces = []
-    for name in ("trace3d", "trace_surface"):
-        def traced(*args, _tracer=getattr(classify, name), **kwargs):
-            traces.append(_tracer(*args, **kwargs))
-            return traces[-1]
+    # The oracle and X read a trace's summary only, and Y a decomposition's
+    # summary and its single core's walk, so their lists stay unbuilt: on a
+    # one-cylinder direction and on a two-cylinder one.
+    traces, decompositions = [], []
+    for name, out in (
+        ("trace3d", traces),
+        ("trace_surface", traces),
+        ("cylinder_decomposition", decompositions),
+    ):
+        def traced(*args, _tracer=getattr(classify, name), _out=out, **kwargs):
+            _out.append(_tracer(*args, **kwargs))
+            return _out[-1]
         monkeypatch.setattr(classify, name, traced)
     for d in ((4, 1), (5, 2)):
         verify_certificate(classify_oracle(d))
         classify_x(d)
+    for d in ((4, 1), (3, 1)):
+        classify_y(d)
     assert len(traces) == 6
     for t in traces:
         assert not {"vertices", "face_path", "scaled_segments"} & set(vars(t)), t
+    assert [len(deco.cylinders) for deco in decompositions] == [1, 2]
+    views = {"squares", "scaled_intervals", "core_segments", "intervals", "core_chain"}
+    for deco in decompositions:
+        for c in deco.cylinders:
+            assert not views & set(vars(c)), c
 
 
 def test_periodic_certificate_contents():

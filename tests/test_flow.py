@@ -1,5 +1,6 @@
 """Tracing, decomposition and intersection machinery on the quotients."""
 
+import dataclasses
 import random
 from bisect import bisect_left
 from collections import Counter
@@ -224,6 +225,8 @@ def _ref_separatrix_cuts_once(surface, direction, sc, transversal):
 # of the corner rays, sorted into intervals located by bisection, and a core
 # leaf per cylinder under a guessed budget.  Kept as the reference for
 # flow.cylinder_decomposition, which reads the cuts off the slot lattice.
+# Returns the decomposition and, per cylinder, the lists its views should
+# hold: (squares, scaled_intervals, core_segments).
 def _ref_cylinder_decomposition(surface, direction, separatrix_cuts=_ref_separatrix_cuts):
     p, q = direction
     if (p, q) == (0, 0) or gcd(abs(p), abs(q)) != 1:
@@ -269,7 +272,7 @@ def _ref_cylinder_decomposition(surface, direction, separatrix_cuts=_ref_separat
 
     core_budget = 16 * n * (abs(p) + abs(q)) + 64
     visited = set()
-    cylinders = []
+    cylinders, views = [], []
     for iv0 in intervals:
         if index[iv0] in visited:
             continue
@@ -311,16 +314,19 @@ def _ref_cylinder_decomposition(surface, direction, separatrix_cuts=_ref_separat
                 circumference_multiplier=mult,
                 width=SqrtLength(length0 * length0 * step_div * step_div / nsq),
                 area=Fraction(steps) * length0,
-                squares=squares,
                 scale=sc2,
-                scaled_intervals=group,
-                core_segments=core_segments,
             )
         )
+        views.append((squares, group, core_segments))
     deco = flow.Decomposition(direction=(p, q), cylinders=cylinders)
     if deco.total_area != n:
         raise FlowBudgetError(f"decomposition areas {deco.total_area} do not add up to {n}")
-    return deco
+    return deco, views
+
+
+def _views(deco):
+    """Per cylinder, its views as a reference returns them."""
+    return [(c.squares, c.scaled_intervals, c.core_segments) for c in deco.cylinders]
 
 
 def _primitive(bound):
@@ -345,15 +351,20 @@ def test_decomposition_matches_two_way_reference(X, Y):
     for S in (X, Y):
         for d in _primitive(25):
             deco = cylinder_decomposition(S, d)
-            ref = _ref_cylinder_decomposition(S, d)
-            # Dataclass equality covers every field, core_segments included.
+            ref, views = _ref_cylinder_decomposition(S, d)
+            # Dataclass equality covers the summary fields; the walk is not
+            # compared, so each view is compared with the reference's lists.
             assert deco == ref, (S.name, d)
+            assert _views(deco) == views, (S.name, d)
             if max(map(abs, d)) <= 12:
-                # The Fraction views derive from the fields compared above;
-                # they are compared where they are cheap to build.
-                for c, rc in zip(deco.cylinders, ref.cylinders):
-                    assert c.intervals == rc.intervals, (S.name, d)
-                    assert c.core_chain == rc.core_chain, (S.name, d)
+                # The Fraction views derive from the integer views compared
+                # above; they are compared where they are cheap to build.
+                for c, (_, group, core) in zip(deco.cylinders, views):
+                    sc = c.scale
+                    assert c.intervals == [
+                        (edge, Fraction(lo, sc), Fraction(hi, sc)) for edge, lo, hi in group
+                    ], (S.name, d)
+                    assert c.core_chain == flow._fraction_segments(core, sc), (S.name, d)
             count += 1
     assert count == 2 * 1600
 
@@ -377,10 +388,11 @@ def test_each_saddle_connection_traced_once(X, Y, monkeypatch):
     for S in (X, Y):
         for p, q in _primitive(12):
             starts.clear()
-            once = _ref_cylinder_decomposition(S, (p, q), _ref_separatrix_cuts_once)
+            once, views = _ref_cylinder_decomposition(S, (p, q), _ref_separatrix_cuts_once)
             assert len(starts) == (S.n if p * q else 2 * S.n), (S.n, p, q)
             assert len(set(starts)) == len(starts)
-            assert cylinder_decomposition(S, (p, q)) == once, (S.name, p, q)
+            deco = cylinder_decomposition(S, (p, q))
+            assert (deco, _views(deco)) == (once, views), (S.name, p, q)
 
 
 # Three starts for the walk tests; the center meets a corner in every
@@ -410,6 +422,39 @@ def test_trace_surface_matches_the_stepper(X, Y, cover_y):
     assert stops == {"closed", "cone_point"}
 
 
+def test_cached_tables_change_no_result(X, Y, cover_y):
+    # A surface keeps its gluing tables per sign quadrant of the direction
+    # and per transversal.  Traces and decompositions read from a warm cache
+    # equal those from an empty one, view by view, and a sweep over all four
+    # quadrants leaves 4 + 2 entries, none per direction, all immutable.
+    tables = {("sheets", sx, sy) for sx in (False, True) for sy in (False, True)}
+    tables |= {("transversal", False), ("transversal", True)}
+
+    def trace_run(surface, d, start):
+        t = trace_surface(surface, start, d)
+        return t, t.scaled_crossings, t.scaled_segments
+
+    def deco_run(surface, d):
+        deco = cylinder_decomposition(surface, d)
+        return deco, _views(deco)
+
+    for S in (X, Y, cover_y):
+        warm = dataclasses.replace(S, _cache={})
+        for d in _primitive(6):
+            deco_run(warm, d)
+            for start in _WALK_STARTS:
+                trace_run(warm, d, start)
+        assert set(warm._cache) == tables, S.name
+        hash(tuple(warm._cache.values()))  # tuples all the way down
+        for d in _primitive(6):
+            cold = dataclasses.replace(S, _cache={})
+            assert deco_run(cold, d) == deco_run(warm, d), (S.name, d)
+            for start in _WALK_STARTS:
+                cold = dataclasses.replace(S, _cache={})
+                assert trace_run(cold, d, start) == trace_run(warm, d, start), (S.name, d)
+        assert set(warm._cache) == tables, S.name
+
+
 def test_a_leaf_that_does_not_close_is_an_invariant_violation(X, monkeypatch, capsys):
     # A unit permutes the 2n sheets, so a leaf that meets no corner closes
     # within 2n units.  A kernel that never reports closure runs past them:
@@ -431,11 +476,13 @@ def test_a_leaf_that_does_not_close_is_an_invariant_violation(X, monkeypatch, ca
 
 def test_decomposition_matches_the_stepper(X, Y):
     # The slot-lattice decomposition as it was on the wall-to-wall stepper,
-    # field by field, on every signed primitive |p|, |q| <= 30.
+    # field by field and view by view, on every signed primitive
+    # |p|, |q| <= 30.
     for S in (X, Y):
         for d in _primitive(30):
+            deco = cylinder_decomposition(S, d)
             want = leaf_reference.ref_cylinder_decomposition(S, d)
-            assert cylinder_decomposition(S, d) == want, (S.name, d)
+            assert (deco, _views(deco)) == want, (S.name, d)
 
 
 def test_periods_are_whole_units(X, Y):
@@ -486,7 +533,8 @@ def test_slot_lattice_beyond_the_gate_sizes(X, Y, cover_y, which, d):
     transversal = flow.VERTICAL_SIDES if abs(p) >= abs(q) else flow.HORIZONTAL_SIDES
     cuts = _ref_separatrix_cuts(S, d, sc, transversal)
     assert cuts == _slot_lattice(S, d, sc, transversal), (S.name, d)
-    assert cylinder_decomposition(S, d) == _ref_cylinder_decomposition(S, d), (S.name, d)
+    deco = cylinder_decomposition(S, d)
+    assert (deco, _views(deco)) == _ref_cylinder_decomposition(S, d), (S.name, d)
 
 
 def test_closure_implies_rational_slope_contrapositive(X):

@@ -22,6 +22,7 @@ from mucube.flow import (
     DegenerateIntersection,
     SurfacePoint,
     _fraction_segments,
+    _pieces,
     cylinder_decomposition,
     reverse_chain,
     trace_surface,
@@ -31,6 +32,7 @@ from mucube.homology import (
     _cocycle,
     _eta_weights,
     _exits,
+    _mid_letters,
     gamma0_intersection,
     homology_coordinates,
     signed_crossings,
@@ -218,6 +220,70 @@ def test_count_matches_pushoffs_on_large_cores(Y, d):
         coords = homology_coordinates(Y, cyl.core_chain)
         assert coords == pushoff_coordinates(Y, cyl.core_chain)
         assert gamma0_intersection(Y, cyl) == coords[1]
+
+
+def _pass(y0, y1, half):
+    """The pass rule: 1 if a segment from height y0 to y1 passes ``half``
+    upward, -1 if downward, else 0; a pass at an endpoint counts on the
+    segment that leaves it."""
+    return 1 if y0 <= half < y1 else -1 if y1 < half <= y0 else 0
+
+
+def _segment_count(surface, segments, half):
+    """The marked-curve count over integer segments, as gamma0_intersection
+    made it on a cylinder's core segments and a trace's segments before it
+    read their walks."""
+    eps = {sq: 1 if x1 > x0 else -1 for sq, x0, _, x1, _ in surface.marked_curves["gamma0"]}
+    return sum(_pass(y0, y1, half) * eps[sq] for sq, _, y0, _, y1 in segments)
+
+
+def _check_pieces_pass(c):
+    # The walk count visits only _mid_letters and signs each sheet by the
+    # direction of dy: on every letter of the word, the pass rule applied to
+    # the + piece and to the - piece gives that sign and its negative there,
+    # and 0 on both elsewhere, pieces that end at mid-height included.
+    word, _, _, _ = c._period()
+    _, y0, _, dy, times, _ = word
+    half, up = c.scale // 2, 1 if dy > 0 else -1
+    mid = set(_mid_letters(c.scale, y0, dy, times))
+    for i, (plus, minus) in enumerate(_pieces(c.scale, *word)):
+        want = up if i in mid else 0
+        assert (_pass(plus[1], plus[3], half), _pass(minus[1], minus[3], half)) == (want, -want)
+
+
+def _check_walk_count(Y, d, starts=()):
+    for cyl in cylinder_decomposition(Y, d).cylinders:
+        assert gamma0_intersection(Y, cyl) == _segment_count(Y, cyl.core_segments, cyl.scale // 2), d
+        _check_pieces_pass(cyl)
+    for start in starts:
+        t = trace_surface(Y, start, d)
+        if t.closed:
+            want = _segment_count(Y, t.scaled_segments, t.scale // 2)
+            assert gamma0_intersection(Y, t) == want, (d, start)
+            _check_pieces_pass(t)
+
+
+def test_walk_count_matches_the_segment_count(Y):
+    # The count on a walk visits whole letters of the cutting word; the
+    # segments it stands for are the views.  Every Y cylinder and every
+    # closed Y trace from three starts, on signed primitive |p|, |q| <= 30.
+    starts = (
+        SurfacePoint(0, Fraction(1, 2), Fraction(1, 2)),
+        SurfacePoint(0, Fraction(1, 2), Fraction(1, 3)),
+        SurfacePoint(3, Fraction(1, 3), Fraction(2, 7)),
+    )
+    for d in primitive(30):
+        _check_walk_count(Y, d, starts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.tuples(st.integers(-300, 300), st.integers(-300, 300)).filter(
+        lambda d: gcd(abs(d[0]), abs(d[1])) == 1
+    )
+)
+def test_walk_count_matches_the_segment_count_far(Y, d):
+    _check_walk_count(Y, d, (SurfacePoint(0, Fraction(1, 2), Fraction(1, 3)),))
 
 
 @pytest.mark.parametrize("d, coords", [((3, 1), (-1, -1)), ((2, 3), (1, -4))])

@@ -268,6 +268,18 @@ def test_roundtrip(X, Y):
         assert clone.singularity_signature() == surf.singularity_signature()
 
 
+def test_a_filled_cache_keeps_equal_surfaces_equal(X):
+    # What a surface caches is derived from its gluings, so two copies stay
+    # equal after one of them has filled its cache.
+    a, b = Surface.from_text(X.to_text()), Surface.from_text(X.to_text())
+    assert a == b
+    a.genus()
+    trace_surface(a, SurfacePoint(0, Fraction(1, 2), Fraction(1, 2)), (2, 1))
+    cylinder_decomposition(a, (2, 1))
+    assert a._cache and not b._cache
+    assert a == b
+
+
 def test_gluing_side_type_rule(X, Y):
     for surf in (X, Y):
         for (sq, side), (sq2, side2, flip) in surf.glue.items():
