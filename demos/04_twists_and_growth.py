@@ -26,7 +26,7 @@ for step in range(6):
     axis = "vertical" if step % 2 == 0 else "horizontal"
     slope = twist_slope(slope, axis, 1)
     d = (slope.denominator, slope.numerator)
-    t = trace3d(Point3.face_center(SEED_FACE, SEED_CHART), d, max_crossings=60000)
+    t = trace3d(Point3.face_center(SEED_FACE, SEED_CHART), d)
     print(f"step {step + 1} ({axis:>10}): slope {str(slope):>8}  "
           f"arc {str(t.arc_length):>14}  diameter {trajectory_diameter(t)}")
 
@@ -36,9 +36,6 @@ for k in (1, 2, 3, 10):
     pred = twist_length_prediction(4, 1, ((1, 0), (0, 1)), k, 4)
     print(f"k = {k:>2}: predicted length {pred}")
     if k <= 3:
-        traced = trace3d(
-            Point3.face_center(SEED_FACE, SEED_CHART), (4 * k, 1),
-            max_crossings=60000,
-        )
+        traced = trace3d(Point3.face_center(SEED_FACE, SEED_CHART), (4 * k, 1))
         assert pred == traced.arc_length
         print(f"        traced length    {traced.arc_length}  (exact match)")

@@ -31,13 +31,7 @@ from math import gcd
 from .flow import SurfacePoint, cylinder_decomposition, trace_surface
 from .grouptheory import column_rho, is_upper_unipotent
 from .homology import gamma0_intersection
-from .mucube3d import (
-    RigidMotion,
-    crossing_budget,
-    find_quarter_symmetry,
-    seed_start,
-    trace3d,
-)
+from .mucube3d import RigidMotion, find_quarter_symmetry, seed_start, trace3d
 from .surfaces import build_x, build_y
 
 PERIODIC = "periodic"
@@ -110,7 +104,7 @@ def classify_oracle(d) -> Classification:
     p, q = _as_pair(d)
     odd_odd = abs(p) % 2 == 1 and abs(q) % 2 == 1
     start = seed_start(p, q)
-    traj = trace3d(start, (p, q), max_crossings=crossing_budget(p, q))
+    traj = trace3d(start, (p, q))
     if traj.stop_reason == "closed":
         if odd_odd:
             raise ClassificationError(f"odd/odd direction {(p, q)} closed in 3D")
@@ -230,7 +224,7 @@ def verify_certificate(c: Classification) -> bool:
         raise ValueError(f"the {c.method} certificate of {c.direction} has no {key} to replay")
     p, q = c.direction
     start = c.certificate.get("start") or seed_start(p, q)
-    traj = trace3d(start, (p, q), max_crossings=crossing_budget(p, q))
+    traj = trace3d(start, (p, q))
     if c.verdict == PERIODIC:
         if traj.stop_reason != "closed" or traj.s_total != 4:
             return False

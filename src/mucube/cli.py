@@ -319,10 +319,8 @@ def cmd_trace(args) -> int:
         raise UsageError(f"bad --max-s: {exc}") from None
     if max_s is not None and max_s < 0:
         raise UsageError("--max-s must not be negative")
-    if args.max_crossings < 0:
-        raise UsageError("--max-crossings must not be negative")
     try:
-        traj = trace3d(start, (p, q), max_arc_s=max_s, max_crossings=args.max_crossings)
+        traj = trace3d(start, (p, q), max_arc_s=max_s)
     except ConePointStart as exc:
         raise UsageError(f"bad start point: {exc}") from None
     payload = {
@@ -564,7 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-s", dest="max_s",
         help="bound on the unfolded parameter; the trace stops at the first edge crossing past it",
     )
-    t.add_argument("--max-crossings", dest="max_crossings", type=int, default=100000)
     t.add_argument("--csv", help="also write vertices as CSV")
     t.set_defaults(func=cmd_trace)
 

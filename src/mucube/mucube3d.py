@@ -296,14 +296,18 @@ class RigidMotion:
             raise InternalGeometryError(f"motion maps face {f} off the surface")
         return out
 
-    def order(self, cap: int = 48) -> Optional[int]:
-        acc = self
-        ident = RigidMotion(IDENTITY_ROT)
-        for n in range(1, cap + 1):
-            if acc == ident:
-                return n
-            acc = acc.compose(self)
-        return None
+    def order(self) -> Optional[int]:
+        """The motion's order, or None when it is infinite.
+
+        The rotation has order k <= 4, so the k-th power is a translation.
+        The motion has order k when that translation is zero; otherwise the
+        powers m k are nonzero translations and the others rotate, so no
+        power is the identity.
+        """
+        acc, k = self, 1
+        while acc.rotation != IDENTITY_ROT:
+            acc, k = acc.compose(self), k + 1
+        return k if acc.translation == (0, 0, 0) else None
 
 
 def _axis_vec(axis: int) -> IntTriple:
@@ -429,7 +433,7 @@ class Trajectory3D:
     closed: bool
     drift_vector: Optional[IntTriple]
     s_total: Fraction  # arc length is s_total * sqrt(p^2 + q^2)
-    stop_reason: str  # closed | drift | cone_point | arc_bound | crossing_budget
+    stop_reason: str  # closed | drift | cone_point | arc_bound
     cone_point: Optional[tuple[Fraction, Fraction, Fraction]] = None
     # The first pass at each face center: doubled center, direction vector.
     center_visits: list[tuple[IntTriple, IntTriple]] = field(default_factory=list)
@@ -590,8 +594,6 @@ def trace3d(
     start: Point3,
     direction: tuple[int, int],
     max_arc_s: Optional[Fraction] = None,
-    *,
-    max_crossings: int = 1_000_000,
 ) -> Trajectory3D:
     """Trace the straight-line flow from ``start`` in chart direction (p, q).
 
@@ -602,7 +604,8 @@ def trace3d(
     tested at that first crossing past it.
     Stops at closure (same point, same direction), at a drift revisit (same
     point up to a translation in (2Z)^3, same direction), at a cone point, or
-    when a budget runs out.
+    at the arc bound.  A leaf that does none of these within 24 units of its
+    first crossing breaks the lemma below and raises InternalGeometryError.
 
     The walk reads the direction's cutting word.  Every edge of the surface
     is a fold of the plane, so the flow, developed into the start's chart,
@@ -621,10 +624,22 @@ def trace3d(
     same at both ends, so g is the translation by v, and v lies on the line:
     v = lam (p, q), with lam an integer as gcd(p, q) = 1.  lam is the number
     of units between the crossings.  So closure and drift are tested once
-    per unit, at the anchor's letter, where equal frames mean equal position
-    and direction.  The budgets and the arc bound are per crossing, from the
-    word's step counts, and a pass of a face center is read from the word
+    per unit, at the anchor's letter (the first crossing), where equal frames
+    mean equal position and direction.  The arc bound is per crossing, from
+    the word's step counts, and a pass of a face center is read from the word
     too (``_center_time``); from a face center it is every unit boundary.
+
+    Lemma: the trace closes or drifts within 24 units of the anchor, unless
+    it meets a corner in its first unit; that is, within 24(|p| + |q|) + 1
+    crossings.  Proof: the 12-square quotient X is the quotient of the
+    surface by the even translations (2Z)^3, and a face's direction vector in
+    space fixes its sheet of X (square and orientation).  So a drift revisit
+    or a closure here is exactly a closure on X.  A leaf of X crosses
+    |p| + |q| walls per unit, and one unit permutes X's 24 sheets for a fixed
+    position, so the leaf meets a corner in its first unit or closes within
+    24 units (the lemma of the ``flow`` module).  On all primitive
+    |p|, |q| <= 40, from ``seed_start``, from (1/3, 2/7) and on X, no trace
+    used more than 4(|p| + |q|) + 1 crossings.
     """
     p, q = direction
     if gcd(abs(p), abs(q)) != 1:
@@ -645,8 +660,8 @@ def trace3d(
     n = len(times)
 
     # The crossing the trace stops at unless it closes, drifts or meets the
-    # corner first; the arc bound wins a tie with the budget.
-    stop, reason = max(max_crossings, 1), "crossing_budget"
+    # corner first: the first one past the arc bound, or the lemma's last.
+    stop, reason = 24 * n + 1, None
     if max_arc_s is not None:
         # s_scaled > max_arc_s * sc exactly when s_scaled > its floor.
         bound = floor(Fraction(max_arc_s) * sc)
@@ -696,6 +711,10 @@ def trace3d(
                 if all(v % 4 == 0 for v in diff):
                     reason, drift = "drift", tuple(v // 4 for v in diff)
                     break
+        if reason is None:
+            raise InternalGeometryError(
+                f"leaf in direction {(p, q)} did not close or drift within 24 units"
+            )
         s_scaled = (count - 1) // n * sc if reason in ("closed", "drift") else (
             (count - 1) // n * sc + times[(count - 1) % n]
         )
@@ -754,34 +773,13 @@ def seed_start(p: int, q: int) -> Point3:
     return _SEED_ODD_ODD if p % 2 and q % 2 else _SEED_CENTER
 
 
-def crossing_budget(p: int, q: int) -> int:
-    """Crossing budget of an oracle trace in direction (p, q):
-    24(|p| + |q|) + 1.
-
-    ``trace3d`` stops within it, so running out of it means an invariant
-    was violated.  Let (p, q) be primitive.  A leaf of the 12-square
-    quotient X crosses |p| + |q| walls per unit of s, and one unit permutes
-    X's 24 sheets (square and orientation) for a fixed position, so the
-    leaf meets a corner in its first unit or closes within 24 units (the
-    lemma of the ``flow`` module).  X is the quotient of the surface by the
-    even translations (2Z)^3, and a face's direction vector in space fixes
-    its sheet.  So ``trace3d``'s drift revisit (the same point up to
-    (2Z)^3, the same direction), or its closure, is exactly X's closure.
-    It compares with the state after its first crossing, the anchor, so it
-    stops within 24(|p| + |q|) crossings after it.  On all primitive
-    |p|, |q| <= 40, from ``seed_start``, from (1/3, 2/7) and on X, no trace
-    used more than 4(|p| + |q|) + 1.
-    """
-    return 24 * (abs(p) + abs(q)) + 1
-
-
 def drift_vector(direction: tuple[int, int]) -> IntTriple:
     """The half-translation (in Z^3) that shifts the maximal strip of a
     drift-periodic direction onto itself.  Errors on periodic directions."""
     p, q = direction
     if gcd(abs(p), abs(q)) != 1:
         raise ValueError("direction must be primitive")
-    traj = trace3d(seed_start(p, q), direction, max_crossings=crossing_budget(p, q))
+    traj = trace3d(seed_start(p, q), direction)
     if traj.stop_reason == "closed":
         raise PeriodicDirectionError(f"direction {direction} is periodic")
     if traj.stop_reason != "drift":

@@ -473,22 +473,3 @@ def minimal_translation_cover(s: Surface) -> Surface:
         if flip:
             raise SurfaceConstructionError("cover still has flip gluings")
     return cover
-
-
-def connected_components(s: Surface) -> int:
-    n = s.n
-    seen = set()
-    comps = 0
-    for start in range(n):
-        if start in seen:
-            continue
-        comps += 1
-        stack = [start]
-        while stack:
-            sq = stack.pop()
-            if sq in seen:
-                continue
-            seen.add(sq)
-            for side in (L, R, B, T):
-                stack.append(s.glue[(sq, side)][0])
-    return comps

@@ -139,10 +139,7 @@ def test_criterion_05_cylinder_laws(verdicts60):
     sample = rng.sample(periodic_vectors, 200)
     x_surf = build_x()
     for p, q in sample:
-        traj = trace3d(
-            Point3.face_center(SEED_FACE, SEED_CHART), (p, q),
-            max_crossings=400 * (abs(p) + abs(q)) + 800,
-        )
+        traj = trace3d(Point3.face_center(SEED_FACE, SEED_CHART), (p, q))
         assert traj.closed, (p, q)
         assert traj.arc_length == SqrtLength.of(4, p * p + q * q)
         assert traj.s_total == 4  # integer multiplier 4 exactly
@@ -258,10 +255,7 @@ def test_criterion_10_continued_fraction_identities():
 def test_criterion_11_twist_lengths():
     for k in (1, 2, 3):
         pred = twist_length_prediction(4, 1, ((1, 0), (0, 1)), k, 4)
-        traced = trace3d(
-            Point3.face_center(SEED_FACE, SEED_CHART), (4 * k, 1),
-            max_crossings=40000,
-        )
+        traced = trace3d(Point3.face_center(SEED_FACE, SEED_CHART), (4 * k, 1))
         assert traced.closed
         assert pred == traced.arc_length, k
     ratio_sq = twist_length_ratio_sq(4, 1, ((1, 0), (0, 1)), 10**6, 4)

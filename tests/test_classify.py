@@ -225,6 +225,6 @@ def test_verdict_independent_of_start_point():
 
     for d, verdict in (((4, 1), "periodic"), ((1, 2), "drift")):
         for uv in ((Fraction(1, 3), Fraction(2, 7)), (Fraction(2, 7), Fraction(1, 3))):
-            t = trace3d(Point3(SEED_FACE, SEED_CHART, *uv), d, max_crossings=40000)
+            t = trace3d(Point3(SEED_FACE, SEED_CHART, *uv), d)
             expected = "closed" if verdict == "periodic" else "drift"
             assert t.stop_reason == expected, (d, uv)

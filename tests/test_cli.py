@@ -2,6 +2,7 @@
 
 import errno
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import sys
 
 import pytest
 
-from mucube import cli
+from mucube import cli, mucube3d
 from mucube.cli import (
     CSV_HEADER,
     main,
@@ -332,10 +333,9 @@ def test_trace_bad_max_s_usage_error(capsys, max_s):
 @pytest.mark.parametrize(
     "argv, option",
     [
-        (("trace", "--p", "1", "--q", "2", "--max-crossings", "-1"), "--max-crossings"),
+        (("trace", "--p", "2", "--q", "1", "--max-s", "-1"), "--max-s"),
         (("witness", "--p", "4", "--q", "1", "--max-depth", "-1"), "--max-depth"),
         (("scan", "--max", "3", "--out", "never.csv", "--jobs", "-1"), "--jobs"),
-        (("trace", "--p", "2", "--q", "1", "--max-s", "-1"), "--max-s"),
     ],
 )
 def test_negative_counts_usage_error(tmp_path, capsys, monkeypatch, argv, option):
@@ -357,6 +357,36 @@ def test_invariant_errors_exit_3(capsys, monkeypatch, error):
     assert code == 3
     assert out == ""
     assert err == "internal error: forced\n"
+
+
+def test_a_leaf_that_never_closes_exits_3(capsys, monkeypatch):
+    # Frames that never come back to the anchor's break trace3d's lemma: the
+    # oracle and the trace raise after 24 units, and the CLI reports it.
+    real, calls = mucube3d._fold, itertools.count()
+
+    def fold(codes, c, frame, p, q, visits):
+        return real(codes, c, frame[:5], p, q, visits) + (next(calls),)
+
+    monkeypatch.setattr(mucube3d, "_fold", fold)
+    for argv in (
+        ("classify", "--p", "3", "--q", "1", "--method", "oracle"),
+        ("trace", "--p", "3", "--q", "1", "--v", "1/3"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: leaf in direction (3, 1) did not close or drift within 24 units\n"
+
+
+def test_trace_runs_to_the_drift_the_oracle_reports(capsys):
+    # The trace drifts at crossing 100 005; no guessed budget cuts it short.
+    code, out, _ = run_cli(capsys, "trace", "--p", "24000", "--q", "1001")
+    assert code == 0
+    traced = json.loads(out)
+    assert traced["stop_reason"] == "drift"
+    code, out, _ = run_cli(capsys, "classify", "--p", "24000", "--q", "1001", "--method", "oracle")
+    assert code == 0
+    assert traced["drift_vector"] == json.loads(out)["certificate"]["drift_vector"] == [-8, 0, 0]
 
 
 def test_cylinders_json(capsys):

@@ -23,7 +23,7 @@ from mucube.flow import (
     trace_surface,
 )
 from mucube.homology import signed_crossings
-from mucube.mucube3d import Point3, SEED_CHART, SEED_FACE, crossing_budget, seed_start, trace3d
+from mucube.mucube3d import Point3, SEED_CHART, SEED_FACE, seed_start, trace3d
 from mucube.surfaces import minimal_translation_cover
 
 
@@ -149,8 +149,7 @@ def test_projection_isometry_m_to_x(X):
     # The cylinder through a face center upstairs maps isometrically to its
     # image cylinder: equal circumference (and hence width, by area 4).
     for d in ((1, 0), (4, 1), (1, 8)):
-        t3 = trace3d(Point3.face_center(SEED_FACE, SEED_CHART), d,
-                     max_crossings=20000)
+        t3 = trace3d(Point3.face_center(SEED_FACE, SEED_CHART), d)
         assert t3.closed
         deco = cylinder_decomposition(X, d)
         core_mults = {c.circumference_multiplier for c in deco.cylinders}
@@ -502,7 +501,7 @@ def test_periods_are_whole_units(X, Y):
                     assert t.s_total.denominator == 1, (S.name, p, q, start)
                     assert len(t.scaled_crossings) % n == 0, (S.name, p, q, start)
         for start in (seed_start(p, q), off_center):
-            t3 = trace3d(start, (p, q), max_crossings=crossing_budget(p, q))
+            t3 = trace3d(start, (p, q))
             if t3.stop_reason in ("closed", "drift"):
                 periods["3d"] += 1
                 assert t3.s_total.denominator == 1, (p, q, start)

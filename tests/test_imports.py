@@ -147,11 +147,11 @@ def sibling_reads(source: str, function: str) -> list[tuple[str, str]]:
 def test_detects_a_read_of_another_module():
     source = (
         "from .flow import trace_surface\nfrom . import mucube3d\n"
-        "def f():\n    from .mucube3d import crossing_budget\n"
-        "    return trace_surface, crossing_budget(1, 0)\n"
+        "def f():\n    from .mucube3d import seed_start\n"
+        "    return trace_surface, seed_start(1, 0)\n"
         "def g():\n    return mucube3d\n"
     )
-    assert sibling_reads(source, "f") == [("flow", "trace_surface"), ("mucube3d", "crossing_budget")]
+    assert sibling_reads(source, "f") == [("flow", "trace_surface"), ("mucube3d", "seed_start")]
     assert sibling_reads(source, "g") == [("mucube3d", "mucube3d")]
 
 

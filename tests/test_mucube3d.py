@@ -30,7 +30,6 @@ from mucube.mucube3d import (
     _fold,
     _next_face,
     cone_points_in_box,
-    crossing_budget,
     default_chart,
     drift_vector,
     face_patch_in_surface,
@@ -179,7 +178,7 @@ def test_torsion_orders():
     orders = {RigidMotion(IDENTITY_ROT).order()}
     for _ in range(200):
         g = RigidMotion(rng.choice(group), tuple(rng.randrange(-2, 3) for _ in range(3)))
-        n = g.order(cap=12)
+        n = g.order()
         if n is not None:
             orders.add(n)
     assert orders <= {1, 2, 3, 4}
@@ -435,16 +434,12 @@ def _outcome(tracer, *args, **kwargs):
         return type(exc)
 
 
-_GRID_BUDGETS = {
-    "crossing_budget": lambda p, q: {"max_crossings": crossing_budget(p, q)},
-    "max_crossings_37": lambda p, q: {"max_crossings": 37},
-    "arc_bound_3": lambda p, q: {"max_arc_s": Fraction(3)},
-}
+_GRID_BOUNDS = {"no_bound": None, "arc_bound_3": Fraction(3)}
 
 
-@pytest.mark.parametrize("budget", sorted(_GRID_BUDGETS))
+@pytest.mark.parametrize("bound", sorted(_GRID_BOUNDS))
 @pytest.mark.parametrize("start", ["seed_start", "third_two_sevenths"])
-def test_trace3d_matches_reference_grid(start, budget):
+def test_trace3d_matches_reference_grid(start, bound):
     # Every primitive |p|, |q| <= 30: the lean loop returns an equal
     # Trajectory3D (center visits, stop reason) with equal vertices and face
     # path, or raises the same exception type.
@@ -455,9 +450,9 @@ def test_trace3d_matches_reference_grid(start, budget):
             if gcd(abs(p), abs(q)) != 1:
                 continue
             pt = seed_start(p, q) if start == "seed_start" else other
-            kwargs = _GRID_BUDGETS[budget](p, q)
-            got = _outcome(_with_views, pt, (p, q), **kwargs)
-            assert got == _outcome(_ref_trace3d, pt, (p, q), **kwargs), (p, q)
+            max_arc_s = _GRID_BOUNDS[bound]
+            got = _outcome(_with_views, pt, (p, q), max_arc_s)
+            assert got == _outcome(_ref_trace3d, pt, (p, q), max_arc_s), (p, q)
             stops.add(got[0].stop_reason if isinstance(got, tuple) else got)
     assert len(stops) >= 2
 
@@ -470,9 +465,8 @@ def test_trace3d_matches_reference_grid(start, budget):
 )
 def test_trace3d_matches_reference_on_long_orbits(d):
     p, q = d
-    kwargs = {"max_crossings": crossing_budget(p, q)}
-    got = _outcome(_with_views, seed_start(p, q), d, **kwargs)
-    assert got == _outcome(_ref_trace3d, seed_start(p, q), d, **kwargs)
+    got = _outcome(_with_views, seed_start(p, q), d)
+    assert got == _outcome(_ref_trace3d, seed_start(p, q), d)
 
 
 def _charts(face):
@@ -498,22 +492,15 @@ _FACE_CHARTS = [
     st.tuples(st.integers(-40, 40), st.integers(-40, 40)).filter(
         lambda d: gcd(abs(d[0]), abs(d[1])) == 1
     ),
-    st.tuples(st.integers(0, 6), st.integers(0, 1000)),
     st.one_of(st.none(), st.fractions(0, 8, max_denominator=7)),
 )
-def test_trace3d_matches_reference_from_any_start(face_chart, u, v, d, units, max_arc_s):
-    # Any face and chart, any start off the edges, a budget that stops
-    # inside a unit (at crossing ``units`` n + 1 + extra mod n), an arc
-    # bound.
+def test_trace3d_matches_reference_from_any_start(face_chart, u, v, d, max_arc_s):
+    # Any face and chart, any start off the edges, with or without an arc
+    # bound, which can stop the trace inside a unit.
     face, chart = face_chart
     start = Point3(face, chart, Fraction(*u), Fraction(*v))
-    n = abs(d[0]) + abs(d[1])
-    kwargs = {
-        "max_crossings": units[0] * n + 1 + units[1] % n,
-        "max_arc_s": max_arc_s,
-    }
-    got = _outcome(_with_views, start, d, **kwargs)
-    assert got == _outcome(_ref_trace3d, start, d, **kwargs)
+    got = _outcome(_with_views, start, d, max_arc_s)
+    assert got == _outcome(_ref_trace3d, start, d, max_arc_s)
 
 
 def test_turn_closed_form_matches_next_face():
@@ -590,7 +577,7 @@ def test_periodic_length_law_sample():
         q = rng.randrange(0, 16)
         if gcd(p, q) != 1:
             continue
-        t = trace3d(center_start(), (p, q), max_crossings=40000)
+        t = trace3d(center_start(), (p, q))
         if t.stop_reason != "closed":
             continue
         count += 1
@@ -632,7 +619,7 @@ def test_quarter_symmetry_matches_reference():
         for q in range(-40, 41):
             if gcd(abs(p), abs(q)) != 1:
                 continue
-            t = trace3d(seed_start(p, q), (p, q), max_crossings=crossing_budget(p, q))
+            t = trace3d(seed_start(p, q), (p, q))
             got = find_quarter_symmetry(t)
             assert got == _ref_find_quarter_symmetry(t), (p, q)
             if t.closed:
@@ -687,7 +674,7 @@ def test_drift_law_revisit_translation():
         q = rng.randrange(1, 20)
         if gcd(p, q) != 1 or (p % 2 and q % 2):
             continue
-        t = trace3d(center_start(), (p, q), max_crossings=60000)
+        t = trace3d(center_start(), (p, q))
         if t.stop_reason != "drift":
             continue
         count += 1
@@ -818,12 +805,13 @@ def test_drift_vector_swap_law():
 
 
 def test_crossing_budget_bounds_every_trace():
-    # crossing_budget's derivation: on X's 24-sheet orientation cover a leaf
-    # is back on its sheet and position, or at a corner, within 24 units of
-    # |p| + |q| crossings each, and the oracle's drift revisit is X's
-    # closure.  Every primitive |p|, |q| <= 40, from seed_start and from
-    # (1/3, 2/7), in 3D and on X: the traces end under the budget, and in
-    # fact within 4(|p| + |q|) + 1 crossings, which some trace attains.
+    # trace3d's lemma: on X's 24-sheet orientation cover a leaf is back on
+    # its sheet and position, or at a corner, within 24 units of |p| + |q|
+    # crossings each, and the oracle's drift revisit is X's closure.  Every
+    # primitive |p|, |q| <= 40, from seed_start and from (1/3, 2/7), in 3D
+    # and on X: the traces end within 24(|p| + |q|) + 1 crossings, or the
+    # tracers would raise, and in fact within 4(|p| + |q|) + 1, which some
+    # trace attains.
     from mucube.flow import SurfacePoint, trace_surface
     from mucube.surfaces import build_x
 
@@ -836,11 +824,9 @@ def test_crossing_budget_bounds_every_trace():
             if gcd(abs(p), abs(q)) != 1:
                 continue
             n = abs(p) + abs(q)
-            budget = crossing_budget(p, q)
-            assert budget == 24 * n + 1, (p, q)
             used = []
             for start in (seed_start(p, q), other):
-                t = trace3d(start, (p, q), max_crossings=budget)
+                t = trace3d(start, (p, q))
                 stops.add(t.stop_reason)
                 assert t.stop_reason in ("closed", "drift", "cone_point"), (p, q, start)
                 used.append(t.crossings)
@@ -854,6 +840,22 @@ def test_crossing_budget_bounds_every_trace():
             worst = max(worst, max(used) - 4 * n - 1)
     assert worst == 0
     assert stops == {"closed", "drift", "cone_point"}
+
+
+def test_a_leaf_that_never_closes_raises(monkeypatch):
+    # Frames that never come back to the anchor's break the lemma: the trace
+    # folds the anchor's letter and 24 units, then raises.
+    from mucube import mucube3d
+
+    real, calls = mucube3d._fold, itertools.count()
+
+    def fold(codes, c, frame, p, q, visits):
+        return real(codes, c, frame[:5], p, q, visits) + (next(calls),)
+
+    monkeypatch.setattr(mucube3d, "_fold", fold)
+    with pytest.raises(InternalGeometryError, match="within 24 units"):
+        trace3d(seed_start(3, 1), (3, 1))
+    assert next(calls) == 25
 
 
 # ---------------------------------------------------------------------------
@@ -886,7 +888,7 @@ def test_alternating_twists_grow_diameter_by_two():
         axis = "vertical" if k % 2 == 0 else "horizontal"
         slope = twist_slope(slope, axis, 1)
         dirs.append((slope.denominator, slope.numerator))
-    diams = [trajectory_diameter(trace3d(center_start(), d, max_crossings=40000))
+    diams = [trajectory_diameter(trace3d(center_start(), d))
              for d in dirs]
     for a, b in zip(diams, diams[1:]):
         assert b - a == 2
@@ -909,7 +911,7 @@ def test_twist_length_matches_trace():
     # slope 1/(4k); its length must match the traced arc length exactly.
     for k in (1, 2, 3):
         pred = twist_length_prediction(4, 1, ((1, 0), (0, 1)), k, 4)
-        t = trace3d(center_start(), (4 * k, 1), max_crossings=20000)
+        t = trace3d(center_start(), (4 * k, 1))
         assert t.closed
         assert pred == t.arc_length
 

@@ -18,11 +18,7 @@ from mucube.flow import (
 )
 from mucube.homology import gamma0_intersection, homology_coordinates
 from mucube.mucube3d import Point3, SEED_CHART, SEED_FACE, trace3d
-from mucube.surfaces import (
-    Surface,
-    connected_components,
-    minimal_translation_cover,
-)
+from mucube.surfaces import Surface, minimal_translation_cover
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -136,8 +132,7 @@ def test_quotient_consistency_projection(X):
     from mucube.surfaces import _x_canonical
 
     for d in ((4, 1), (1, 2), (5, 2)):
-        t3 = trace3d(Point3.face_center(SEED_FACE, SEED_CHART), d,
-                     max_crossings=20000)
+        t3 = trace3d(Point3.face_center(SEED_FACE, SEED_CHART), d)
         assert X.reps is not None
         index = {rep: k for k, rep in enumerate(X.reps)}
         projected = [index[_x_canonical(f)[0]] for f in t3.face_path]
@@ -150,8 +145,7 @@ def test_quotient_consistency_projection(X):
 
 def test_x_displacement_equals_3d_drift(X):
     for d in ((1, 2), (2, 1), (5, 2), (2, 5), (1, 6), (3, 2)):
-        t3 = trace3d(Point3.face_center(SEED_FACE, SEED_CHART), d,
-                     max_crossings=20000)
+        t3 = trace3d(Point3.face_center(SEED_FACE, SEED_CHART), d)
         t2 = trace_surface(X, SurfacePoint(0, Fraction(1, 2), Fraction(1, 2)), d)
         assert t2.closed
         assert t3.stop_reason == "drift"
@@ -161,6 +155,25 @@ def test_x_displacement_equals_3d_drift(X):
 # ---------------------------------------------------------------------------
 # Minimal translation covers
 # ---------------------------------------------------------------------------
+
+def connected_components(s: Surface) -> int:
+    """The number of connected components of a square-tiled surface."""
+    seen = set()
+    comps = 0
+    for start in range(s.n):
+        if start in seen:
+            continue
+        comps += 1
+        stack = [start]
+        while stack:
+            sq = stack.pop()
+            if sq in seen:
+                continue
+            seen.add(sq)
+            for side in (L, R, B, T):
+                stack.append(s.glue[(sq, side)][0])
+    return comps
+
 
 def test_translation_cover_of_y(Y):
     cover = minimal_translation_cover(Y)
