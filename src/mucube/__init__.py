@@ -37,7 +37,6 @@ from .flow import (
     SurfacePoint,
     SurfaceTrace,
     cylinder_decomposition,
-    quarter_displacement_check,
     trace_surface,
 )
 from .homology import gamma0_intersection, homology_coordinates
@@ -50,6 +49,7 @@ from .classify import (
     classify_oracle,
     classify_x,
     classify_y,
+    quarter_displacement_check,
     three_cylinder_check,
     verify_certificate,
 )

@@ -26,13 +26,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd
 
-from .flow import SurfacePoint, cylinder_decomposition, trace_surface
+from .flow import (
+    OPPOSITE,
+    SurfacePoint,
+    SurfaceTrace,
+    _canonical_param,
+    cylinder_decomposition,
+    trace_surface,
+)
 from .grouptheory import column_rho, is_upper_unipotent
 from .homology import gamma0_intersection
-from .mucube3d import RigidMotion, find_quarter_symmetry, seed_start, trace3d
-from .surfaces import build_x, build_y
+from .mucube3d import (
+    QUARTER_TURNS,
+    RigidMotion,
+    find_quarter_symmetry,
+    mat_vec,
+    seed_start,
+    trace3d,
+)
+from .surfaces import build_x, build_y, rotation_square_action
 
 PERIODIC = "periodic"
 DRIFT = "drift"
@@ -247,40 +262,8 @@ def verify_certificate(c: Classification) -> bool:
 # The three-cylinder law on the 12-square quotient
 # ---------------------------------------------------------------------------
 
-def rotation_square_action() -> list[tuple[int, bool]]:
-    """Action induced on the squares of the 12-square quotient by the
-    order-3 coordinate rotation: square index plus a chart-flip bit."""
-    from .mucube3d import mat_mul, mat_transpose, mat_vec
-    from .surfaces import THETA_ROT, _x_canonical
-
-    surf = build_x()
-    rot = RigidMotion(THETA_ROT)
-    assert surf.reps is not None and surf.charts is not None
-    index = {rep: k for k, rep in enumerate(surf.reps)}
-    out = []
-    for rep, chart in zip(surf.reps, surf.charts):
-        img_face = rot.apply_face(rep)
-        rep2, g2 = _x_canonical(img_face)
-        sq2 = index[rep2]
-        rot_total = mat_mul(mat_transpose(g2.rotation), rot.rotation)
-        pulled = (
-            tuple(mat_vec(rot_total, chart[0])),
-            tuple(mat_vec(rot_total, chart[1])),
-        )
-        existing = surf.charts[sq2]
-        if pulled == existing:
-            out.append((sq2, False))
-        elif pulled == tuple(tuple(-c for c in v) for v in existing):
-            out.append((sq2, True))
-        else:
-            raise ClassificationError("rotation action is not +-identity on charts")
-    return out
-
-
 def _map_interval(surf, action, sc: int, edge, lo: int, hi: int):
     """Image of an edge interval in units of ``1/sc``, on its canonical side."""
-    from .flow import OPPOSITE, _canonical_param
-
     sq, side = edge
     sq2, flip = action[sq]
     side2 = OPPOSITE[side] if flip else side
@@ -314,3 +297,77 @@ def three_cylinder_check(d) -> bool:
         return False
     cls = classify_x((p, q))
     return sum(cls.certificate["displacement"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# Quarter-period displacement symmetry on the 12-square quotient
+# ---------------------------------------------------------------------------
+
+def quarter_displacement_check(surface, trace: SurfaceTrace):
+    """Check the displacement quarter-cycling law of a closed traced orbit.
+
+    The lift of a point of square ``sq`` is its point on ``surface.reps[sq]``
+    plus twice the cocycle sum so far, and v(t) is the net count of
+    odd-integer walls the lift has crossed on [0, t], ``floor((x + 1) / 2)``
+    per coordinate.  The orbit may sit on a wall at a quarter mark ``iT/4``,
+    so v is read there as the limit from the right.  Returns
+    (True, rotation) if some coordinate quarter-turn ``theta`` satisfies
+    v((i+1)T/4) - v(iT/4) = theta^i v(T/4); (False, None) otherwise.
+    """
+    if not trace.closed:
+        raise ValueError("quarter check needs a closed trace")
+    p, q = trace.direction
+    sc = trace.scale
+    # Arc parameters and ambient coordinates below are integers in units of
+    # 1/(4 sc), so the quarter marks i * period / 4 are too.
+    starts = []  # (arc parameter, lifted start point, ambient step) per segment
+    s, acc = 0, (0, 0, 0)
+    segments = zip_longest(trace.scaled_segments, trace.scaled_crossings)
+    for (sq, x, y, nx, ny), crossing in segments:
+        c2, (cu, cv) = surface.reps[sq].center2x, surface.charts[sq]
+        t = abs(nx - x) // abs(p) if p else abs(ny - y) // abs(q)
+        dx, dy = (nx - x) // t, (ny - y) // t
+        # center + (x - 1/2) cu + (y - 1/2) cv on the face, plus 2 acc
+        lift = tuple(
+            2 * sc * (c2[m] + 4 * acc[m]) + (4 * x - 2 * sc) * cu[m] + (4 * y - 2 * sc) * cv[m]
+            for m in range(3)
+        )
+        starts.append((s, lift, tuple(dx * cu[m] + dy * cv[m] for m in range(3))))
+        s += 4 * t
+        if crossing is not None:
+            w = surface.cocycle[crossing[1:]]
+            acc = (acc[0] + w[0], acc[1] + w[1], acc[2] + w[2])
+
+    cells = []
+    for i in range(4):
+        mark = i * s // 4
+        s0, a, step = [st for st in starts if st[0] <= mark][-1]
+        # floor((x + 1) / 2) just after the mark: a coordinate moving down
+        # onto a wall has not crossed it yet.
+        cells.append(tuple(
+            (a[m] + (mark - s0) * step[m] + 4 * sc - (step[m] < 0)) // (8 * sc)
+            for m in range(3)
+        ))
+    # The last mark is the first one a period later, moved by the period
+    # displacement of the lift (an even translation, under which the wall
+    # count is exactly equivariant).
+    cells.append(tuple(cells[0][m] + trace.displacement[m] for m in range(3)))
+    v = [tuple(c[m] - cells[0][m] for m in range(3)) for c in cells]
+    quarters = [tuple(v[i + 1][m] - v[i][m] for m in range(3)) for i in range(4)]
+    for rot in QUARTER_TURNS:
+        ok = True
+        expect = quarters[0]
+        total = list(quarters[0])
+        for i in range(1, 4):
+            expect = tuple(mat_vec(rot, expect))
+            if quarters[i] != expect:
+                ok = False
+                break
+            for m in range(3):
+                total[m] += expect[m]
+        # The first quarter vector cannot have a component along the rotation
+        # axis, otherwise the telescoped sum (the period displacement) would
+        # not vanish and the lift would drift.
+        if ok and tuple(total) == (0, 0, 0):
+            return True, rot
+    return False, None

@@ -58,16 +58,17 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, cycle, zip_longest
+from itertools import chain, cycle
 from math import gcd
 from operator import getitem
-from typing import Optional, Sequence
+from typing import Optional
 
 from .exact import SqrtLength
 
 L, R, B, T = 0, 1, 2, 3
 SIDE_NAMES = ("L", "R", "B", "T")
 OPPOSITE = (R, L, T, B)
+_FAN_SIDE = {0: L, 1: B, 2: R, 3: T}  # side crossed when rotating around corner c
 VERTICAL_SIDES = (L, R)
 HORIZONTAL_SIDES = (B, T)
 
@@ -629,83 +630,3 @@ def cylinder_decomposition(surface, direction: tuple[int, int]) -> Decomposition
             f"decomposition areas {deco.total_area} do not add up to {n}"
         )
     return deco
-
-
-def reverse_chain(chain: Sequence[Segment]) -> list[Segment]:
-    return [(sq, x1, y1, x0, y0) for sq, x0, y0, x1, y1 in reversed(chain)]
-
-
-# ---------------------------------------------------------------------------
-# Quarter-period displacement symmetry on the 12-square quotient
-# ---------------------------------------------------------------------------
-
-def quarter_displacement_check(surface, trace: SurfaceTrace):
-    """Check the displacement quarter-cycling law of a closed traced orbit.
-
-    The lift of a point of square ``sq`` is its point on ``surface.reps[sq]``
-    plus twice the cocycle sum so far, and v(t) is the net count of
-    odd-integer walls the lift has crossed on [0, t], ``floor((x + 1) / 2)``
-    per coordinate.  The orbit may sit on a wall at a quarter mark ``iT/4``,
-    so v is read there as the limit from the right.  Returns
-    (True, rotation) if some coordinate quarter-turn ``theta`` satisfies
-    v((i+1)T/4) - v(iT/4) = theta^i v(T/4); (False, None) otherwise.
-    """
-    from .mucube3d import QUARTER_TURNS, mat_vec
-
-    if not trace.closed:
-        raise ValueError("quarter check needs a closed trace")
-    p, q = trace.direction
-    sc = trace.scale
-    # Arc parameters and ambient coordinates below are integers in units of
-    # 1/(4 sc), so the quarter marks i * period / 4 are too.
-    starts = []  # (arc parameter, lifted start point, ambient step) per segment
-    s, acc = 0, (0, 0, 0)
-    segments = zip_longest(trace.scaled_segments, trace.scaled_crossings)
-    for (sq, x, y, nx, ny), crossing in segments:
-        c2, (cu, cv) = surface.reps[sq].center2x, surface.charts[sq]
-        t = abs(nx - x) // abs(p) if p else abs(ny - y) // abs(q)
-        dx, dy = (nx - x) // t, (ny - y) // t
-        # center + (x - 1/2) cu + (y - 1/2) cv on the face, plus 2 acc
-        lift = tuple(
-            2 * sc * (c2[m] + 4 * acc[m]) + (4 * x - 2 * sc) * cu[m] + (4 * y - 2 * sc) * cv[m]
-            for m in range(3)
-        )
-        starts.append((s, lift, tuple(dx * cu[m] + dy * cv[m] for m in range(3))))
-        s += 4 * t
-        if crossing is not None:
-            w = surface.cocycle[crossing[1:]]
-            acc = (acc[0] + w[0], acc[1] + w[1], acc[2] + w[2])
-
-    cells = []
-    for i in range(4):
-        mark = i * s // 4
-        s0, a, step = [st for st in starts if st[0] <= mark][-1]
-        # floor((x + 1) / 2) just after the mark: a coordinate moving down
-        # onto a wall has not crossed it yet.
-        cells.append(tuple(
-            (a[m] + (mark - s0) * step[m] + 4 * sc - (step[m] < 0)) // (8 * sc)
-            for m in range(3)
-        ))
-    # The last mark is the first one a period later, moved by the period
-    # displacement of the lift (an even translation, under which the wall
-    # count is exactly equivariant).
-    cells.append(tuple(cells[0][m] + trace.displacement[m] for m in range(3)))
-    v = [tuple(c[m] - cells[0][m] for m in range(3)) for c in cells]
-    quarters = [tuple(v[i + 1][m] - v[i][m] for m in range(3)) for i in range(4)]
-    for rot in QUARTER_TURNS:
-        ok = True
-        expect = quarters[0]
-        total = list(quarters[0])
-        for i in range(1, 4):
-            expect = tuple(mat_vec(rot, expect))
-            if quarters[i] != expect:
-                ok = False
-                break
-            for m in range(3):
-                total[m] += expect[m]
-        # The first quarter vector cannot have a component along the rotation
-        # axis, otherwise the telescoped sum (the period displacement) would
-        # not vanish and the lift would drift.
-        if ok and tuple(total) == (0, 0, 0):
-            return True, rot
-    return False, None

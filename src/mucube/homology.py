@@ -27,11 +27,12 @@ displacement cocycle of the 12-square quotient.
 from __future__ import annotations
 
 from bisect import bisect_right
-from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Sequence, Union
 
 from .flow import (
+    _FAN_SIDE,
     B,
     Cylinder,
     DegenerateIntersection,
@@ -42,7 +43,6 @@ from .flow import (
     T,
     cylinder_decomposition,
 )
-from .surfaces import _FAN_SIDE
 
 
 class HomologyError(RuntimeError):
@@ -157,8 +157,9 @@ def gamma0_intersection(surface, c: Union[Cylinder, SurfaceTrace, Sequence[Segme
     """Signed crossing number of a closed curve with the marked horizontal
     curve (upward crossings minus downward crossings).
 
-    The marked curve runs at height 1/2 in every square, with x-direction
-    ``eps[sq]``.  A pass of ``y = 1/2`` counts ``+eps[sq]`` upward and
+    The marked curve is a closed horizontal trace at height 1/2 through
+    every square; ``eps[sq]`` is its x-direction there, read from its
+    integer segments.  A pass of ``y = 1/2`` counts ``+eps[sq]`` upward and
     ``-eps[sq]`` downward; a pass at a segment endpoint is counted once, on
     the segment that leaves the endpoint.  A cylinder's core and a closed
     trace are counted on their walks, in units of 1/scale, with no segment
@@ -167,17 +168,17 @@ def gamma0_intersection(surface, c: Union[Cylinder, SurfaceTrace, Sequence[Segme
     ``eps`` is summed over the sheets the walk holds there, unit by unit,
     with the sign each sheet's own piece passes by (``_walk_passes``).
     """
-    eps = {sq: 1 if x1 > x0 else -1 for sq, x0, _, x1, _ in surface.marked_curves["gamma0"]}
+    gamma0 = surface.marked_curves["gamma0"]
+    eps = {sq: 1 if x1 > x0 else -1 for sq, x0, _, x1, _ in gamma0.scaled_segments}
     if isinstance(c, (Cylinder, SurfaceTrace)):
         if isinstance(c, SurfaceTrace):
             _closed(c)
         return _walk_passes(eps, c.scale, *c._period())
-    half = Fraction(1, 2)
     total = 0
     for sq, _, y0, _, y1 in c:
-        if y0 <= half < y1:
+        if 2 * y0 <= 1 < 2 * y1:
             total += eps[sq]
-        elif y1 < half <= y0:
+        elif 2 * y1 < 1 <= 2 * y0:
             total -= eps[sq]
     return total
 
@@ -202,17 +203,21 @@ def signed_crossings(moving: Sequence[Segment], rep: Sequence[Segment]) -> int:
     the representative to its left-hand side.  Crossings at segment endpoints
     or collinear overlaps raise DegenerateIntersection; a caller retries with
     a perturbed representative.  This geometric count is independent of the
-    edge cochain above, which makes it a reference for it.
+    edge cochain above, which makes it a reference for it.  Coordinates
+    (ints or Fractions) are scaled by their common denominator, so the count
+    is exact in integers and divides nothing.
     """
-    by_square: dict[int, list[Segment]] = {}
-    for seg in rep:
-        by_square.setdefault(seg[0], []).append(seg)
+    den = lcm(*(c.denominator for seg in (*moving, *rep) for c in seg[1:]))
+    by_square: dict[int, list] = {}
+    for sq, *xy in rep:
+        by_square.setdefault(sq, []).append([c.numerator * (den // c.denominator) for c in xy])
     total = 0
-    for sq, ax0, ay0, ax1, ay1 in moving:
+    for sq, *xy in moving:
+        ax0, ay0, ax1, ay1 = (c.numerator * (den // c.denominator) for c in xy)
         ux, uy = ax1 - ax0, ay1 - ay0
         if ux == 0 and uy == 0:
             continue
-        for _, bx0, by0, bx1, by1 in by_square.get(sq, ()):
+        for bx0, by0, bx1, by1 in by_square.get(sq, ()):
             vx, vy = bx1 - bx0, by1 - by0
             if vx == 0 and vy == 0:
                 continue
@@ -223,12 +228,15 @@ def signed_crossings(moving: Sequence[Segment], rep: Sequence[Segment]) -> int:
                     # Collinear: overlapping portions are degenerate.
                     raise DegenerateIntersection("collinear segments")
                 continue
-            t = (wx * vy - wy * vx) / denom
-            s = (wx * uy - wy * ux) / denom
-            if 0 < t < 1 and 0 < s < 1:
-                total += 1 if (vx * uy - vy * ux) > 0 else -1
-            elif (t == 0 or t == 1) and 0 <= s <= 1:
+            # The crossing is at t = tn / denom along moving, s = sn / denom
+            # along rep; the sign is that of vx uy - vy ux = -denom.
+            tn, sn, sign = wx * vy - wy * vx, wx * uy - wy * ux, -1
+            if denom < 0:
+                denom, tn, sn, sign = -denom, -tn, -sn, 1
+            if 0 < tn < denom and 0 < sn < denom:
+                total += sign
+            elif tn in (0, denom) and 0 <= sn <= denom:
                 raise DegenerateIntersection("crossing at a segment endpoint")
-            elif (s == 0 or s == 1) and 0 <= t <= 1:
+            elif sn in (0, denom) and 0 <= tn <= denom:
                 raise DegenerateIntersection("crossing at a segment endpoint")
     return total

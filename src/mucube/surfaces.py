@@ -21,23 +21,37 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import Callable, Optional
 
+from .flow import (
+    _FAN_SIDE,
+    B,
+    L,
+    OPPOSITE,
+    R,
+    SIDE_NAMES,
+    SurfacePoint,
+    SurfaceTrace,
+    T,
+    trace_surface,
+)
+from .homology import gamma0_intersection
 from .mucube3d import (
     AXES,
     Chart,
     Face,
+    IDENTITY_ROT,
     IN_PLANE,
     InternalGeometryError,
-    Point3,
+    Mat3,
     RigidMotion,
     ROT3_XYZ,
     SEED_CHART,
     SEED_FACE,
     _next_face,
     chart_is_valid,
+    mat_mul,
     mat_transpose,
     mat_vec,
 )
-from .flow import B, L, OPPOSITE, R, SIDE_NAMES, Segment, T
 
 IntTriple = tuple[int, int, int]
 
@@ -55,7 +69,8 @@ class Surface:
     cocycle: Optional[dict[tuple[int, int], IntTriple]] = None
     reps: Optional[list[Face]] = None
     charts: Optional[list[Chart]] = None
-    marked_curves: dict[str, list[Segment]] = field(default_factory=dict)
+    # gamma0 on Y: the closed horizontal trace through square 0's center.
+    marked_curves: dict[str, SurfaceTrace] = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @cached_property
@@ -189,7 +204,6 @@ class Surface:
         return cls(name=name, glue=glue, cocycle=cocycle or None)
 
 
-_FAN_SIDE = {0: L, 1: B, 2: R, 3: T}  # side crossed when rotating around corner c
 _CORNER_PARAM = {
     (0, L): 0, (3, L): 1, (1, R): 0, (2, R): 1,
     (0, B): 0, (1, B): 1, (3, T): 0, (2, T): 1,
@@ -205,6 +219,22 @@ _CORNER_AT = {
 # ---------------------------------------------------------------------------
 
 THETA_ROT = ROT3_XYZ  # (x, y, z) -> (z, x, y), the order-3 coordinate rotation
+# theta^k for k = 0, 1, 2; theta^-k is _THETA_POWERS[-k].
+_THETA_POWERS = (
+    RigidMotion(IDENTITY_ROT), RigidMotion(THETA_ROT), RigidMotion(mat_mul(THETA_ROT, THETA_ROT)),
+)
+
+
+def _pull_back(rotation: Mat3, chart: Chart) -> Chart:
+    """The chart's two vectors under ``rotation``."""
+    return (mat_vec(rotation, chart[0]), mat_vec(rotation, chart[1]))
+
+
+def _flip(pulled: Chart, existing: Chart) -> Optional[bool]:
+    """False if ``pulled`` is ``existing``, True if it is its negative, else None."""
+    if pulled == existing:
+        return False
+    return True if pulled == tuple(tuple(-c for c in vec) for vec in existing) else None
 
 
 def _x_canonical(face: Face) -> tuple[Face, RigidMotion]:
@@ -212,34 +242,37 @@ def _x_canonical(face: Face) -> tuple[Face, RigidMotion]:
     g with face = g(rep)."""
     rep_c = tuple(v % 4 for v in face.center2x)
     t = tuple((face.center2x[k] - rep_c[k]) // 4 for k in AXES)
-    rep = Face(rep_c, face.axis)  # type: ignore[arg-type]
-    from .mucube3d import IDENTITY_ROT
-
-    return rep, RigidMotion(IDENTITY_ROT, t)  # type: ignore[arg-type]
-
-
-def _rot_motion(k: int) -> RigidMotion:
-    m = RigidMotion(THETA_ROT)
-    out = RigidMotion(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    for _ in range(k % 3):
-        out = m.compose(out)
-    return out
+    return Face(rep_c, face.axis), RigidMotion(IDENTITY_ROT, t)  # type: ignore[arg-type]
 
 
 def _y_canonical(face: Face) -> tuple[Face, RigidMotion]:
     """Representative modulo even translations and the order-3 rotation."""
     best = None
-    for k in range(3):
-        g_rot = _rot_motion(k)
-        pre = g_rot.inverse().apply_face(face)
-        rep, g_tr = _x_canonical(pre)
+    for k, g_rot in enumerate(_THETA_POWERS):
+        rep, g_tr = _x_canonical(_THETA_POWERS[-k].apply_face(face))
         # face = g_rot( g_tr( rep ) )
-        g = g_rot.compose(g_tr)
         key = (rep.axis, rep.center2x)
         if best is None or key < best[0]:
-            best = (key, rep, g)
+            best = (key, rep, g_rot.compose(g_tr))
     _, rep, g = best
     return rep, g
+
+
+def rotation_square_action() -> list[tuple[int, bool]]:
+    """Action induced on the squares of the 12-square quotient by the
+    order-3 coordinate rotation: square index plus a chart-flip bit."""
+    surf = build_x()
+    rot = _THETA_POWERS[1]
+    index = {rep: k for k, rep in enumerate(surf.reps)}
+    out = []
+    for rep, chart in zip(surf.reps, surf.charts):
+        # The image's representative differs from it by a translation only.
+        sq2 = index[_x_canonical(rot.apply_face(rep))[0]]
+        flip = _flip(_pull_back(rot.rotation, chart), surf.charts[sq2])
+        if flip is None:
+            raise SurfaceConstructionError("rotation action is not +-identity on charts")
+        out.append((sq2, flip))
+    return out
 
 
 def _side_wall(face: Face, chart: Chart, side: int):
@@ -273,20 +306,17 @@ def _transport_chart(face: Face, chart: Chart, w: int, s_exit: int, nbr: Face) -
     return (tmap(chart[0]), tmap(chart[1]))
 
 
-def _chart_side_of_edge(rep: Face, chart: Chart, edge_mid) -> int:
-    corner = Point3(rep, chart, Fraction(0), Fraction(0)).corner()
-    u, v = chart
-    x = sum((Fraction(edge_mid[k]) - corner[k]) * u[k] for k in AXES)
-    y = sum((Fraction(edge_mid[k]) - corner[k]) * v[k] for k in AXES)
-    if x == 0:
-        return L
-    if x == 1:
-        return R
-    if y == 0:
-        return B
-    if y == 1:
-        return T
-    raise InternalGeometryError("edge midpoint not on the chart boundary")
+# Side of a chart whose midpoint lies at (x u + y v) / 2 from the center.
+_MID_SIDE = {(-1, 0): L, (1, 0): R, (0, -1): B, (0, 1): T}
+
+
+def _chart_side_of_edge(rep: Face, chart: Chart, mid2x) -> int:
+    """The chart side whose doubled midpoint is ``mid2x``."""
+    d = [m - c for m, c in zip(mid2x, rep.center2x)]
+    side = _MID_SIDE.get(tuple(sum(d[k] * vec[k] for k in AXES) for vec in chart))
+    if side is None:
+        raise InternalGeometryError("edge midpoint not on the chart boundary")
+    return side
 
 
 def _build_quotient(
@@ -296,11 +326,7 @@ def _build_quotient(
     with_cocycle: bool,
 ) -> Surface:
     seed_rep, seed_g = canonical(SEED_FACE)
-    ginv = seed_g.inverse()
-    seed_chart: Chart = (
-        tuple(mat_vec(ginv.rotation, SEED_CHART[0])),
-        tuple(mat_vec(ginv.rotation, SEED_CHART[1])),
-    )
+    seed_chart = _pull_back(seed_g.inverse().rotation, SEED_CHART)
     if not chart_is_valid(seed_rep, seed_chart):
         raise SurfaceConstructionError("transported seed chart is not right-handed")
 
@@ -325,11 +351,7 @@ def _build_quotient(
             cont_chart = _transport_chart(rep, chart, w, s_exit, nbr)
 
             rep2, g2 = canonical(nbr)
-            rot_inv = mat_transpose(g2.rotation)
-            pulled: Chart = (
-                tuple(mat_vec(rot_inv, cont_chart[0])),
-                tuple(mat_vec(rot_inv, cont_chart[1])),
-            )
+            pulled = _pull_back(mat_transpose(g2.rotation), cont_chart)
             if rep2 not in idx:
                 if not chart_is_valid(rep2, pulled):
                     raise SurfaceConstructionError("transported chart not right-handed")
@@ -339,20 +361,16 @@ def _build_quotient(
                 queue.append(idx[rep2])
             sq2 = idx[rep2]
             existing = charts[sq2]
-            if pulled == existing:
-                flip = False
-            elif pulled == tuple(tuple(-c for c in vec) for vec in existing):
-                flip = True
-            else:
+            flip = _flip(pulled, existing)
+            if flip is None:
                 raise SurfaceConstructionError(
                     f"chart transition at {(sq, side)} is not +-identity"
                 )
 
             # Side of the partner square along the shared edge.
-            mid = [Fraction(rep.center2x[k], 2) for k in AXES]
-            mid[w] = Fraction(wall2x, 2)
-            mid_pulled = g2.inverse().apply_point(mid)
-            side2 = _chart_side_of_edge(rep2, existing, mid_pulled)
+            mid2x = list(rep.center2x)
+            mid2x[w] = wall2x
+            side2 = _chart_side_of_edge(rep2, existing, g2.inverse().apply_doubled(mid2x))
             expected = side if flip else OPPOSITE[side]
             if side2 != expected:
                 raise SurfaceConstructionError(
@@ -362,7 +380,7 @@ def _build_quotient(
             glue[(sq, side)] = (sq2, side2, flip)
             glue[(sq2, side2)] = (sq, side, flip)
             if with_cocycle:
-                if g2.rotation != ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+                if g2.rotation != IDENTITY_ROT:
                     raise SurfaceConstructionError("cocycle needs translation quotient")
                 t = g2.translation
                 cocycle[(sq, side)] = t
@@ -394,10 +412,15 @@ def build_x() -> Surface:
     return surf
 
 
+_CENTER = SurfacePoint(0, Fraction(1, 2), Fraction(1, 2))
+
+
 @cache
 def build_y() -> Surface:
     """The 4-square quotient of X by the order-3 rotation, with the
-    horizontal mid-height curve marked."""
+    horizontal mid-height curve marked as ``marked_curves["gamma0"]``: the
+    closed trace from square 0's center in direction (1, 0), or (-1, 0)
+    when calibration finds that one oriented against the deck directions."""
     surf = _build_quotient("Y", _y_canonical, 4, with_cocycle=False)
     if surf.genus() != 1:
         raise SurfaceConstructionError("Y must have genus 1")
@@ -406,38 +429,31 @@ def build_y() -> Surface:
             "Y must have two cone points of angle pi and two of angle 3*pi"
         )
 
-    from .flow import SurfacePoint, trace_surface
-
-    mid = trace_surface(surf, SurfacePoint(0, Fraction(1, 2), Fraction(1, 2)), (1, 0))
+    mid = trace_surface(surf, _CENTER, (1, 0))
     if not mid.closed:
         raise SurfaceConstructionError("horizontal mid-height curve does not close")
-    if len({seg[0] for seg in mid.segments}) != 4 or mid.s_total != 4:
+    if len({seg[0] for seg in mid.scaled_segments}) != 4 or mid.s_total != 4:
         raise SurfaceConstructionError("horizontal flow is not a single area-4 cylinder")
-    surf.marked_curves["gamma0"] = mid.segments
+    surf.marked_curves["gamma0"] = mid
 
     # Orient the marked curve coherently with the deck directions upstairs:
     # the signed crossing count of a projected path must equal the coordinate
     # sum of its displacement on the 12-square quotient.
-    from .homology import gamma0_intersection
-
     x_surf = build_x()
-    center = SurfacePoint(0, Fraction(1, 2), Fraction(1, 2))
     for probe_dir in ((1, 2), (2, 1), (1, 6), (2, 5), (5, 2), (6, 1)):
-        probe = trace_surface(x_surf, center, probe_dir)
+        probe = trace_surface(x_surf, _CENTER, probe_dir)
         if not probe.closed:
             continue
         abc = sum(probe.displacement)
         if abc == 0:
             continue
-        i_val = gamma0_intersection(surf, trace_surface(surf, center, probe_dir))
+        i_val = gamma0_intersection(surf, trace_surface(surf, _CENTER, probe_dir))
         if abs(i_val) != abs(abc):
             raise SurfaceConstructionError(
                 f"marked-curve calibration failed: i={i_val}, a+b+c={abc}"
             )
         if i_val != abc:
-            from .flow import reverse_chain
-
-            surf.marked_curves["gamma0"] = reverse_chain(surf.marked_curves["gamma0"])
+            surf.marked_curves["gamma0"] = trace_surface(surf, _CENTER, (-1, 0))
         break
     else:
         raise SurfaceConstructionError("no usable calibration probe")

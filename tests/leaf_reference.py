@@ -8,7 +8,7 @@ full state it starts in.  ``ref_trace_surface`` and
 its result without a walk, with the lists the result's views must give, and
 the package's word walk is tested against them field by field and view by
 view.  ``_canonical_edge`` names an edge by the smaller of its two sides, as
-the references do.
+the references do.  ``reverse_chain`` runs a chain of segments backwards.
 """
 
 from fractions import Fraction
@@ -255,3 +255,7 @@ def ref_cylinder_decomposition(surface, direction: tuple[int, int]):
             f"decomposition areas {deco.total_area} do not add up to {n}"
         )
     return deco, views
+
+
+def reverse_chain(chain):
+    return [(sq, x1, y1, x0, y0) for sq, x0, y0, x1, y1 in reversed(chain)]

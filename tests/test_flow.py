@@ -13,13 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mucube import flow
+from mucube.classify import quarter_displacement_check
 from mucube.exact import SqrtLength
 from mucube.flow import (
     DegenerateIntersection,
     FlowBudgetError,
     SurfacePoint,
     cylinder_decomposition,
-    quarter_displacement_check,
     trace_surface,
 )
 from mucube.homology import signed_crossings
@@ -601,3 +601,47 @@ def test_signed_crossing_degenerate_endpoint():
     touch = [(0, Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1))]
     with pytest.raises(DegenerateIntersection):
         signed_crossings(touch, rep)
+
+
+def _as_fractions(chain):
+    return [(sq, *map(Fraction, xy)) for sq, *xy in chain]
+
+
+def _count_or_degenerate(moving, rep):
+    try:
+        return signed_crossings(moving, rep)
+    except DegenerateIntersection:
+        return "degenerate"
+
+
+def test_signed_crossings_exact_on_large_ints():
+    # The crossing parameter is (N - 1) / N, which a float rounds to 1.
+    n = 2**60
+    moving, rep = [(0, 0, 0, n, 1)], [(0, n - 1, -1, n - 1, 2)]
+    assert signed_crossings(moving, rep) == -1
+    assert signed_crossings(_as_fractions(moving), _as_fractions(rep)) == -1
+
+
+def test_signed_crossings_agree_on_ints_and_fractions():
+    # Seeded random chains on two squares, with corners on a coarse grid of
+    # step 2^55, half of them moved by one unit, so that a float would round
+    # the crossing parameters: the same count (or the same degenerate case)
+    # as ints, as Fractions, and scaled down by a denominator.
+    rng = random.Random(24)
+
+    def coordinate():
+        return rng.randint(-4, 4) * 2**55 + rng.choice((-1, 0, 0, 1))
+
+    seen = Counter()
+    for _ in range(3000):
+        moving, rep = (
+            [(rng.randrange(2), *(coordinate() for _ in range(4))) for _ in range(3)]
+            for _ in range(2)
+        )
+        want = _count_or_degenerate(_as_fractions(moving), _as_fractions(rep))
+        seen["degenerate" if want == "degenerate" else "crossed" if want else "zero"] += 1
+        assert _count_or_degenerate(moving, rep) == want
+        den = rng.choice((2, 3, 7, 2**61 - 1))
+        scaled = ([(sq, *(Fraction(v, den) for v in xy)) for sq, *xy in c] for c in (moving, rep))
+        assert _count_or_degenerate(*scaled) == want
+    assert len(seen) == 3 and min(seen.values()) > 100, seen

@@ -12,9 +12,10 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from leaf_reference import _leaf
+from leaf_reference import _leaf, reverse_chain
 
 from mucube.flow import (
+    _FAN_SIDE,
     B,
     L,
     R,
@@ -24,7 +25,6 @@ from mucube.flow import (
     _fraction_segments,
     _pieces,
     cylinder_decomposition,
-    reverse_chain,
     trace_surface,
 )
 from mucube.homology import (
@@ -37,7 +37,6 @@ from mucube.homology import (
     homology_coordinates,
     signed_crossings,
 )
-from mucube.surfaces import _FAN_SIDE
 
 # Denominators are even multiples of primes that rarely divide trace
 # coordinates; collisions are caught and retried.  The two lists are disjoint
@@ -80,7 +79,7 @@ def sigma_rep(Y, attempt):
     """The marked curve pushed off mid-height."""
     key = ("sigma", attempt)
     if key not in _REPS:
-        sq0, x0, y0, x1, y1 = Y.marked_curves["gamma0"][0]
+        sq0, x0, y0, x1, y1 = Y.marked_curves["gamma0"].segments[0]
         eps = 1 if x1 > x0 else -1
         _REPS[key] = trace_leaf(Y, sq0, (x0 + x1) / 2, PUSHOFFS[attempt], (eps, 0))
     return _REPS[key]
@@ -233,7 +232,8 @@ def _segment_count(surface, segments, half):
     """The marked-curve count over integer segments, as gamma0_intersection
     made it on a cylinder's core segments and a trace's segments before it
     read their walks."""
-    eps = {sq: 1 if x1 > x0 else -1 for sq, x0, _, x1, _ in surface.marked_curves["gamma0"]}
+    gamma0 = surface.marked_curves["gamma0"]
+    eps = {sq: 1 if x1 > x0 else -1 for sq, x0, _, x1, _ in gamma0.scaled_segments}
     return sum(_pass(y0, y1, half) * eps[sq] for sq, _, y0, _, y1 in segments)
 
 

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module, every
 private module-level name of the package is read somewhere in it, the CLI
-reports usage errors in ``main`` alone, and no decider reads another's
-modules.
+reports usage errors in ``main`` alone, no decider reads another's
+modules, and every module imports the package's modules at its top, where
+``flow`` imports only ``exact`` and ``homology`` nothing of ``surfaces``.
 
 The package ``__init__`` is left out of the import check: importing names to
 re-export them is its purpose.
@@ -171,3 +172,44 @@ def test_deciders_read_nothing_of_each_other(function):
 
 def test_grouptheory_imports_no_sibling_module():
     assert sibling_imports((SRC / "grouptheory.py").read_text()) == {}
+
+
+def function_imports(source: str) -> list[tuple[str, int]]:
+    """(enclosing function, line) of each import of a package module made
+    inside a function of ``source``."""
+    sites = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ImportFrom):
+                package = node.level or (node.module or "").split(".")[0] == "mucube"
+            elif isinstance(node, ast.Import):
+                package = any(a.name.split(".")[0] == "mucube" for a in node.names)
+            else:
+                continue
+            if package:
+                sites.append((fn.name, node.lineno))
+    return sorted(set(sites))
+
+
+def test_detects_an_import_inside_a_function():
+    source = (
+        "from .flow import L\nimport os\n"
+        "def f():\n    from .homology import gamma0_intersection\n    import json\n"
+        "def g():\n    import mucube.flow\n    from mucube import surfaces\n"
+    )
+    assert function_imports(source) == [("f", 4), ("g", 7), ("g", 8)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_package_modules_are_imported_at_the_top(path):
+    assert function_imports(path.read_text()) == []
+
+
+def test_flow_imports_only_exact():
+    assert set(sibling_imports((SRC / "flow.py").read_text()).values()) == {"exact"}
+
+
+def test_homology_imports_nothing_of_surfaces():
+    assert "surfaces" not in sibling_imports((SRC / "homology.py").read_text()).values()

@@ -2,23 +2,26 @@
 
 import os
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from leaf_reference import reverse_chain
 
+from mucube import classify
 from mucube.flow import (
     B,
     L,
     OPPOSITE,
     R,
     SurfacePoint,
+    SurfaceTrace,
     T,
     cylinder_decomposition,
-    reverse_chain,
     trace_surface,
 )
 from mucube.homology import gamma0_intersection, homology_coordinates
 from mucube.mucube3d import Point3, SEED_CHART, SEED_FACE, trace3d
-from mucube.surfaces import Surface, minimal_translation_cover
+from mucube.surfaces import Surface, build_y, minimal_translation_cover
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -221,6 +224,27 @@ def test_basis_coordinates(Y):
     assert homology_coordinates(Y, reverse_chain(eta)) == (0, -1)
 
 
+def test_gamma0_is_a_closed_trace_read_in_integers(monkeypatch):
+    # A fresh Y, whose marked curve no other test has read.  The horizontal
+    # trace from square 0's center is read by classify_y and by the eta
+    # cochain's derivation through its integer views only.
+    Y = build_y.__wrapped__()
+    gamma0 = Y.marked_curves["gamma0"]
+    assert isinstance(gamma0, SurfaceTrace) and gamma0.closed
+    assert gamma0.direction in ((1, 0), (-1, 0))
+    half = gamma0.scale // 2
+    assert gamma0.scaled_segments[0][:3] == (0, half, half)
+    monkeypatch.setattr(classify, "build_y", lambda: Y)
+    for p in range(21):
+        for q in range(p + 1):
+            if gcd(p, q) == 1:
+                classify.classify_y((p, q))
+    t = trace_surface(Y, SurfacePoint(0, Fraction(1, 2), Fraction(1, 3)), (2, 3))
+    assert homology_coordinates(Y, t) == (1, -4)
+    assert "eta_weights" in Y._cache
+    assert "segments" not in vars(gamma0) and "crossings" not in vars(gamma0)
+
+
 def test_two_one_core_class(Y):
     deco = cylinder_decomposition(Y, (2, 1))
     coords = sorted(
@@ -245,8 +269,6 @@ def test_gamma0_parallel_curve(Y):
 
 def test_i_equals_abc(X, Y):
     center = SurfacePoint(0, Fraction(1, 2), Fraction(1, 2))
-    from math import gcd
-
     checked = 0
     for p in range(1, 12):
         for q in range(0, 12):
