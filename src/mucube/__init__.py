@@ -42,7 +42,6 @@ from .flow import (
 from .homology import gamma0_intersection, homology_coordinates
 from .classify import (
     Classification,
-    Direction,
     MethodDisagreement,
     classify_all,
     classify_group,

@@ -67,36 +67,6 @@ class ClassificationError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class Direction:
-    """A primitive direction with its symmetry-normal form.
-
-    The verdict is invariant under negating either component and swapping
-    the two; the canonical representative has p >= q >= 0.
-    """
-
-    p: int
-    q: int
-
-    def __post_init__(self):
-        if (self.p, self.q) == (0, 0) or gcd(abs(self.p), abs(self.q)) != 1:
-            raise ValueError(f"({self.p}, {self.q}) is not a primitive direction")
-
-    def canonical(self) -> tuple["Direction", tuple[str, ...]]:
-        p, q, word = self.p, self.q, []
-        if p < 0:
-            p, word = -p, word + ["flip_p"]
-        if q < 0:
-            q, word = -q, word + ["flip_q"]
-        if p < q:
-            p, q, word = q, p, word + ["swap"]
-        return Direction(p, q), tuple(word)
-
-    @property
-    def pair(self) -> tuple[int, int]:
-        return (self.p, self.q)
-
-
 @dataclass
 class Classification:
     direction: tuple[int, int]
@@ -106,10 +76,8 @@ class Classification:
 
 
 def _as_pair(d) -> tuple[int, int]:
-    if isinstance(d, Direction):
-        return d.pair
     p, q = d
-    if (p, q) == (0, 0) or gcd(abs(p), abs(q)) != 1:
+    if gcd(abs(p), abs(q)) != 1:
         raise ValueError(f"({p}, {q}) is not a primitive direction")
     return (p, q)
 

@@ -572,8 +572,8 @@ def build_parser() -> argparse.ArgumentParser:
     cy.set_defaults(func=cmd_cylinders)
 
     f = sub.add_parser("fourey", help="continued fractions over multiples of four")
-    f.add_argument("--coeffs", required=True, help="comma-separated a_i")
-    f.add_argument("--period", help="repeating block of a_i for infinite fractions")
+    f.add_argument("--coeffs", required=True, help="comma-separated a_i; a leading '-' needs --coeffs=-1,2")
+    f.add_argument("--period", help="repeating block of a_i for infinite fractions; a leading '-' needs --period=-2,2")
     f.set_defaults(func=cmd_fourey)
 
     w = sub.add_parser("witness", help="search a group word certifying periodicity")
@@ -585,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.set_defaults(func=cmd_witness)
 
     tw = sub.add_parser("twist", help="twist a periodic slope around an axis direction")
-    tw.add_argument("--slope", required=True, help="rational slope or 'inf'")
+    tw.add_argument("--slope", required=True, help="rational slope or 'inf'; a negative one needs --slope=-1/4")
     tw.add_argument("--axis", choices=("vertical", "horizontal"), required=True)
     tw.add_argument("--k", type=int, required=True)
     tw.set_defaults(func=cmd_twist)

@@ -310,7 +310,7 @@ def trace_surface(surface, start: SurfacePoint, direction: tuple[int, int]) -> S
     squares (the module lemma); one that has not raises FlowBudgetError.
     """
     p, q = direction
-    if p == 0 and q == 0 or gcd(abs(p), abs(q)) != 1:
+    if gcd(abs(p), abs(q)) != 1:
         raise ValueError("direction must be primitive")
     if not (0 < start.x < 1 and 0 < start.y < 1):
         raise ValueError("start must lie in the open square")
@@ -522,7 +522,7 @@ def cylinder_decomposition(surface, direction: tuple[int, int]) -> Decomposition
     ``_transversal_edges``).
     """
     p, q = direction
-    if (p, q) == (0, 0) or gcd(abs(p), abs(q)) != 1:
+    if gcd(abs(p), abs(q)) != 1:
         raise ValueError("direction must be primitive")
     n = surface.n
     vertical_transversal = abs(p) >= abs(q)

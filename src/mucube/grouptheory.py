@@ -697,7 +697,7 @@ def find_witness(d, max_depth: int = 14, entry_cap: Optional[int] = None) -> Opt
     words: that builds the whole witness before testing its length, and it
     has 2n + 1 letters on the path [0, (-2, n), -3, -(n + 1)], n = 3k + 2.
     """
-    p, q = (d.p, d.q) if hasattr(d, "p") else d
+    p, q = d
     if gcd(abs(p), abs(q)) != 1:
         raise ValueError("direction must be primitive")
     if p % 2 and q % 2:

@@ -279,10 +279,6 @@ class RigidMotion:
         t = mat_vec(rinv, [-v for v in self.translation])
         return RigidMotion(rinv, tuple(t))  # type: ignore[arg-type]
 
-    def apply_point(self, p: Sequence) -> tuple:
-        img = mat_vec(self.rotation, p)
-        return tuple(img[k] + 2 * self.translation[k] for k in AXES)
-
     def apply_doubled(self, p2x: Sequence[int]) -> IntTriple:
         img = mat_vec(self.rotation, p2x)
         return tuple(img[k] + 4 * self.translation[k] for k in AXES)  # type: ignore[return-value]
@@ -399,10 +395,7 @@ class Point3:
     @classmethod
     def from_ambient(cls, face: Face, chart: Chart, p: Sequence[Fraction]) -> "Point3":
         cu, cv = chart
-        corner = tuple(
-            Fraction(face.center2x[k], 2) - Fraction(cu[k], 2) - Fraction(cv[k], 2)
-            for k in AXES
-        )
+        corner = cls(face, chart, Fraction(0), Fraction(0)).corner()
         d = [Fraction(p[k]) - corner[k] for k in AXES]
         u = sum(d[k] * cu[k] for k in AXES)
         v = sum(d[k] * cv[k] for k in AXES)
@@ -611,10 +604,10 @@ def trace3d(
     is a fold of the plane, so the flow, developed into the start's chart,
     is the line of slope q/p, and in one unit of s it crosses |p| walls
     u = const and |q| walls v = const in an order fixed by (p, q) and the
-    start (``_crossing_word``, built once per trace); a tie is a corner, the
-    cone-point stop.  The state is the doubled face center and the chart
-    frame (cu, cv), folded with the closed-form turn at each letter
-    (``_fold``); positions come from the word.
+    start (``_crossing_word``, built once per trace); a tie is a corner, a
+    stop like the arc bound.  The state is the doubled face center and the
+    chart frame (cu, cv), folded in one loop with the closed-form turn at
+    each letter (``_fold``); positions come from the word.
 
     Lemma: a post-crossing state repeats, exactly or up to (2Z)^3, only after
     a whole number of units.  Proof: two such crossings are the same point
@@ -659,8 +652,8 @@ def trace3d(
     times, kinds, corner = _crossing_word(sc, u0, v0, p, q)
     n = len(times)
 
-    # The crossing the trace stops at unless it closes, drifts or meets the
-    # corner first: the first one past the arc bound, or the lemma's last.
+    # The crossing count the trace stops at unless it closes or drifts first:
+    # the first crossing past the arc bound, the corner's, or the lemma's last.
     stop, reason = 24 * n + 1, None
     if max_arc_s is not None:
         # s_scaled > max_arc_s * sc exactly when s_scaled > its floor.
@@ -669,6 +662,9 @@ def trace3d(
         first = units * n + bisect_right(times, bound - units * sc)
         if first < stop:
             stop, reason = first + 1, "arc_bound"
+    if corner is not None and n < stop:
+        # The corner lies in the first unit, before any closure.
+        stop, reason = n, "cone_point"
 
     t_c = _center_time(sc, u0, v0, p, q)
     at = None if t_c is None or corner is not None and t_c > corner else bisect_right(times, t_c)
@@ -679,53 +675,48 @@ def trace3d(
     start_frame = frame = (start.face.axis, au, cu[au], av, cv[av])
     visits: list[tuple[IntTriple, IntTriple]] = []
     drift = None
-    if corner is not None:
-        # The corner lies in the first unit, before any closure.
-        count = min(n, stop)
-        if n < stop:
-            reason = "cone_point"
-        codes = kinds[:count]
-        if at is not None and (at < count or at == count == n < stop):
-            codes.insert(at, 2)
+    count = min(1, stop)
+    frame = _fold([2] * (at == 0) + kinds[:count], c, frame, p, q, visits)
+    anchor_c, anchor_frame = c[:], frame
+    # Letters 1 .. n-1, then the next unit's letter 0, the anchor's letter; a
+    # center pass in segment ``at`` comes before block position (at - 1) mod
+    # n, and counts once crossing ``at`` is made, or at == n at the corner.
+    # A block runs even when empty, for that pass right after the anchor.
+    unit = kinds[1:] + kinds[:1]
+    mark = None if at is None or not n else (at - 1) % n
+    marked = unit if mark is None else unit[:mark] + [2] + unit[mark:]
+    at_corner = at == n and reason == "cone_point"
+    while True:
+        take = min(n, stop - count)
+        codes = marked[: take + (at_corner or mark is not None and mark < take)]
         frame = _fold(codes, c, frame, p, q, visits)
-        s_scaled = corner if reason == "cone_point" else times[count - 1]
-    else:
-        frame = _fold([2, kinds[0]] if at == 0 else kinds[:1], c, frame, p, q, visits)
-        anchor_c, anchor_frame, count = c[:], frame, 1
-        # Letters 1 .. n-1, then the next unit's letter 0, the anchor's
-        # letter; a center pass in segment ``at`` comes before block
-        # position (at - 1) mod n.
-        unit = kinds[1:] + kinds[:1]
-        mark = None if at is None else (at - 1) % n
-        marked = unit if mark is None else unit[:mark] + [2] + unit[mark:]
-        while count < stop:
-            take = min(n, stop - count)
-            codes = marked[: take + (mark is not None and mark < take)]
-            frame = _fold(codes, c, frame, p, q, visits)
-            count += take
-            if take == n and frame == anchor_frame:
-                diff = [c[k] - anchor_c[k] for k in AXES]
-                if not any(diff):
-                    reason = "closed"
-                    break
-                if all(v % 4 == 0 for v in diff):
-                    reason, drift = "drift", tuple(v // 4 for v in diff)
-                    break
-        if reason is None:
-            raise InternalGeometryError(
-                f"leaf in direction {(p, q)} did not close or drift within 24 units"
-            )
-        s_scaled = (count - 1) // n * sc if reason in ("closed", "drift") else (
-            (count - 1) // n * sc + times[(count - 1) % n]
+        count += take
+        if 0 < take == n and frame == anchor_frame:
+            diff = [c[k] - anchor_c[k] for k in AXES]
+            if not any(diff):
+                reason = "closed"
+                break
+            if all(v % 4 == 0 for v in diff):
+                reason, drift = "drift", tuple(v // 4 for v in diff)
+                break
+        if count == stop:
+            break
+    if reason is None:
+        raise InternalGeometryError(
+            f"leaf in direction {(p, q)} did not close or drift within 24 units"
         )
-
     cone = None
     if reason == "cone_point":
+        s_scaled = corner
         axis, au, su, av, sv = frame
         cone = [ck * half for ck in c]
         cone[au] += (half if p > 0 else -half) * su
         cone[av] += (half if q > 0 else -half) * sv
         cone = tuple(Fraction(x, sc) for x in cone)
+    else:
+        s_scaled = (count - 1) // n * sc
+        if reason == "arc_bound":
+            s_scaled += times[(count - 1) % n]
     # The first direction seen at each center, in the order of first passes.
     first_pass = {}
     for cc, dvec in visits:
@@ -776,10 +767,7 @@ def seed_start(p: int, q: int) -> Point3:
 def drift_vector(direction: tuple[int, int]) -> IntTriple:
     """The half-translation (in Z^3) that shifts the maximal strip of a
     drift-periodic direction onto itself.  Errors on periodic directions."""
-    p, q = direction
-    if gcd(abs(p), abs(q)) != 1:
-        raise ValueError("direction must be primitive")
-    traj = trace3d(seed_start(p, q), direction)
+    traj = trace3d(seed_start(*direction), direction)
     if traj.stop_reason == "closed":
         raise PeriodicDirectionError(f"direction {direction} is periodic")
     if traj.stop_reason != "drift":
@@ -864,8 +852,11 @@ def twist_length_prediction(
     cylinders of a transverse periodic direction.
 
     ``pair`` is (direction of the twisting cylinders V, direction of the
-    trajectory); the sine and cotangent of the angle between them are handled
-    through the integer components, so the result is an exact square root.
+    trajectory O); the sine and cotangent of the angle between them are
+    handled through the integer components, so the result is an exact square
+    root.  For k > 0 the twist is ``twist_slope``'s: O + 4kq (1, 0) turns as
+    O + cross(V, O) V does, O + 4kp (0, 1) the other way, so the cotangent
+    dot / cross changes sign for V = (0, 1).
     """
     (va, vb), (oa, ob) = pair
     cross = va * ob - vb * oa
@@ -877,7 +868,7 @@ def twist_length_prediction(
     lv = _as_sqrt(len_v).multiplier_of_sqrt(nv)
     wv = _as_sqrt(wid_v).multiplier_of_sqrt(nv)
     lo = _as_sqrt(len_o).multiplier_of_sqrt(no)
-    mu = k * lv + Fraction(dot, abs(cross)) * wv
+    mu = k * lv + Fraction(dot, cross if va else -cross) * wv
     value_sq = Fraction(cross * cross) * lo * lo / (wv * wv) * (wv * wv + mu * mu) / nv
     return SqrtLength(value_sq)
 
@@ -896,5 +887,5 @@ def twist_length_ratio_sq(
     nv = va * va + vb * vb
     lv = _as_sqrt(len_v).multiplier_of_sqrt(nv)
     wv = _as_sqrt(wid_v).multiplier_of_sqrt(nv)
-    mu = k * lv + Fraction(dot, abs(cross)) * wv
+    mu = k * lv + Fraction(dot, cross if va else -cross) * wv
     return (wv * wv + mu * mu) / (k * k * lv * lv)

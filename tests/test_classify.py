@@ -8,7 +8,6 @@ import pytest
 
 from mucube import classify
 from mucube.classify import (
-    Direction,
     classify_all,
     classify_group,
     classify_oracle,
@@ -20,17 +19,6 @@ from mucube.classify import (
 from mucube.flow import SurfacePoint, trace_surface
 from mucube.homology import gamma0_intersection
 from mucube.mucube3d import drift_vector
-
-
-def test_direction_normalization():
-    d, word = Direction(-3, 5).canonical()
-    assert (d.p, d.q) == (5, 3)
-    assert Direction(5, 3).canonical()[0] == d
-    assert Direction(1, 0).canonical() == (Direction(1, 0), ())
-    with pytest.raises(ValueError):
-        Direction(2, 4)
-    with pytest.raises(ValueError):
-        Direction(0, 0)
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import errno
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import sys
 import pytest
 
 from mucube import cli, mucube3d
+from mucube.classify import Classification, MethodDisagreement
 from mucube.cli import (
     CSV_HEADER,
     main,
@@ -359,6 +361,24 @@ def test_invariant_errors_exit_3(capsys, monkeypatch, error):
     assert err == "internal error: forced\n"
 
 
+def test_method_disagreement_exits_3_with_every_verdict(capsys, monkeypatch):
+    def disagree(direction):
+        raise MethodDisagreement(direction, [
+            Classification(direction, "periodic", "oracle", {"s_total": 4}),
+            Classification(direction, "drift", "y", {"cylinders": 2}),
+        ])
+
+    monkeypatch.setitem(cli._CLASSIFIERS, "all", disagree)
+    code, out, err = run_cli(capsys, "classify", "--p", "1", "--q", "0")
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [
+        "internal error: classifiers disagree on (1, 0): oracle=periodic, y=drift",
+        "  oracle: periodic {'s_total': 4}",
+        "  y: drift {'cylinders': 2}",
+    ]
+
+
 def test_a_leaf_that_never_closes_exits_3(capsys, monkeypatch):
     # Frames that never come back to the anchor's break trace3d's lemma: the
     # oracle and the trace raise after 24 units, and the CLI reports it.
@@ -419,6 +439,12 @@ def test_fourey_periodic_tail(capsys):
     payload = json.loads(out)
     assert payload["recurrence_class"] == "recurrent_all"
     assert "slope" not in payload
+
+
+def test_fourey_negative_values_in_the_equals_form(capsys):
+    code, out, _ = run_cli(capsys, "fourey", "--coeffs=0", "--period=-2,2")
+    assert code == 0
+    assert json.loads(out)["recurrence_class"] == "recurrent_from_cone_points"
 
 
 @pytest.mark.parametrize("coeffs", [",", ""])
@@ -509,6 +535,16 @@ def test_twist_command(capsys):
     payload = json.loads(out)
     assert payload["slope_out"] == "8"
     assert payload["verdict_out"] == "periodic"
+
+
+def test_twist_negative_slope_in_the_equals_form(capsys):
+    # A horizontal twist of slope -1/4 is the vertical direction, whose
+    # closed core has length 4.
+    code, out, _ = run_cli(capsys, "twist", "--slope=-1/4", "--axis", "horizontal", "--k", "1")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["slope_out"], payload["direction_out"]) == ("inf", [0, 1])
+    assert payload["predicted_length"] == "4"
 
 
 def test_twist_requires_periodic_slope(capsys):
@@ -602,6 +638,11 @@ def test_full_stderr_keeps_the_exit_code(tmp_path, monkeypatch, argv, code):
     assert [(f.name, f.read_bytes()) for f in lost_dir.iterdir()] == [
         (f.name, f.read_bytes()) for f in kept_dir.iterdir()
     ]
+
+
+def test_gap_without_periodic_rows_is_the_full_turn():
+    drift = [r for r in scan_records(3, jobs=1) if r[2] != "periodic"]
+    assert drift and max_angular_gap(drift) == 2 * math.pi
 
 
 def test_gap_statistic_monotone_small():

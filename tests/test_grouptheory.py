@@ -1307,6 +1307,10 @@ def test_fourey_direction_values():
     assert ContinuedFraction(4, (4,)).value() == Fraction(17, 4)
 
 
+def test_finite_fraction_quotients_stop_at_its_depth():
+    assert ContinuedFraction.fourey([1, 2]).quotients(5) == [4, 8]
+
+
 def test_fourey_words_match_convergents_and_gamma():
     rng = random.Random(31)
     for _ in range(40):

@@ -2,8 +2,10 @@
 
 import itertools
 import random
+from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,8 @@ from mucube.mucube3d import (
     SEED_FACE,
     InternalGeometryError,
     Trajectory3D,
+    _center_time,
+    _crossing_word,
     _fold,
     _next_face,
     cone_points_in_box,
@@ -144,10 +148,10 @@ def test_motion_composition_law():
     for _ in range(50):
         g1 = RigidMotion(rng.choice(group), tuple(rng.randrange(-3, 4) for _ in range(3)))
         g2 = RigidMotion(rng.choice(group), tuple(rng.randrange(-3, 4) for _ in range(3)))
-        p = tuple(Fraction(rng.randrange(-8, 8), 2) for _ in range(3))
-        assert g1.compose(g2).apply_point(p) == g1.apply_point(g2.apply_point(p))
+        p2x = tuple(rng.randrange(-8, 8) for _ in range(3))
+        assert g1.compose(g2).apply_doubled(p2x) == g1.apply_doubled(g2.apply_doubled(p2x))
         gi = g1.inverse()
-        assert gi.apply_point(g1.apply_point(p)) == p
+        assert gi.apply_doubled(g1.apply_doubled(p2x)) == p2x
 
 
 def test_motions_preserve_faces():
@@ -503,6 +507,42 @@ def test_trace3d_matches_reference_from_any_start(face_chart, u, v, d, max_arc_s
     assert got == _outcome(_ref_trace3d, start, d, max_arc_s)
 
 
+def _center_pass_ends_the_unit():
+    """Starts (u, v), directions and arc bounds whose center pass lies after
+    the unit's last crossing, where it counts only once the next unit's first
+    crossing is made, or at the corner that ends the unit.  The bounds are
+    none and the unit's last two crossing times."""
+    us = sorted({Fraction(a, b) for b in range(2, 9) for a in range(1, b)})
+    vs = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(3, 7)]
+    for u, v in itertools.product(us, vs):
+        for p, q in itertools.product(range(-7, 8), repeat=2):
+            if gcd(abs(p), abs(q)) != 1:
+                continue
+            sc = 2 * lcm(u.denominator, v.denominator) * max(abs(p), 1) * max(abs(q), 1)
+            u0, v0 = u.numerator * sc // u.denominator, v.numerator * sc // v.denominator
+            times, _, _ = _crossing_word(sc, u0, v0, p, q)
+            t_c = _center_time(sc, u0, v0, p, q)
+            if t_c is not None and bisect_right(times, t_c) == len(times):
+                for bound in [None, *(Fraction(t, sc) for t in times[-2:])]:
+                    yield u, v, (p, q), bound
+
+
+def test_trace3d_matches_reference_when_the_center_pass_ends_the_unit():
+    # Every face of the box and every chart: equal center visits, stops,
+    # vertices and face paths.  A pass there counts at the corner, and under
+    # an arc bound only when the bound lets the next crossing be made.
+    cases = list(_center_pass_ends_the_unit())
+    assert len(cases) == 298
+    stops = Counter()
+    for (face, chart), (u, v, d, bound) in itertools.product(_FACE_CHARTS, cases):
+        start = Point3(face, chart, u, v)
+        got = _outcome(_with_views, start, d, bound)
+        assert got == _outcome(_ref_trace3d, start, d, bound), (face, chart, u, v, d, bound)
+        stops[got[0].stop_reason, bool(got[0].center_visits)] += 1
+    assert len(_FACE_CHARTS) * len(cases) == sum(stops.values()) == 14304
+    assert stops["cone_point", True] and stops["arc_bound", True] and stops["arc_bound", False]
+
+
 def test_turn_closed_form_matches_next_face():
     # Every face center of a window that covers all residues mod 4, negative
     # coordinates included, each wall axis, both wall sides and both letters:
@@ -601,7 +641,8 @@ def _ref_find_quarter_symmetry(traj):
             continue
         g = RigidMotion(rot, tuple(int(v) // 2 for v in tt))
         ok = all(
-            g.apply_point(centers[m]) == centers[(m + 1) % 4]
+            tuple(x + 2 * t for x, t in zip(mat_vec(rot, centers[m]), g.translation))
+            == centers[(m + 1) % 4]
             and mat_vec(rot, dirs[m]) == dirs[(m + 1) % 4]
             for m in range(4)
         )
@@ -900,6 +941,7 @@ def test_twist_slope_values():
     assert twist_slope(Fraction(1, 2), "vertical", 0) == Fraction(1, 2)
     assert twist_slope(Fraction(1, 4), "vertical", 1) == Fraction(17, 4)
     assert twist_slope(None, "horizontal", 1) == Fraction(1, 4)
+    assert twist_slope(Fraction(-1, 4), "horizontal", 1) is None
     with pytest.raises(ValueError):
         twist_slope(None, "vertical", 1)
     with pytest.raises(ValueError):
@@ -914,6 +956,38 @@ def test_twist_length_matches_trace():
         t = trace3d(center_start(), (4 * k, 1))
         assert t.closed
         assert pred == t.arc_length
+
+
+_TWIST_SLOPES = [
+    Fraction(1, 4), Fraction(-1, 4), Fraction(4), Fraction(-4), Fraction(0),
+    Fraction(1, 8), Fraction(-1, 8), Fraction(4, 17), Fraction(-4, 17), None,
+]
+
+
+def _slope_direction(s):
+    return (0, 1) if s is None else (s.denominator, s.numerator)
+
+
+def test_twist_length_matches_trace_for_either_sign():
+    # Every twist of the grid's periodic slopes that is defined, on both
+    # axes, k in {+-1, +-2}: the prediction is the arc length of the closed
+    # trace in the twisted direction, also for a horizontal twist of a
+    # negative slope, whose cotangent term is negative.
+    cases = 0
+    for s, (axis, v), k in itertools.product(
+        _TWIST_SLOPES, (("vertical", (0, 1)), ("horizontal", (1, 0))), (1, -1, 2, -2)
+    ):
+        try:
+            out = _slope_direction(twist_slope(s, axis, k))
+        except ValueError:
+            continue
+        o = _slope_direction(s)
+        t = trace3d(seed_start(*out), out)
+        assert t.closed
+        len_o = SqrtLength.of(4, o[0] ** 2 + o[1] ** 2)
+        assert twist_length_prediction(4, 1, (v, o), k, len_o) == t.arc_length, (s, axis, k)
+        cases += 1
+    assert cases == 72
 
 
 def test_twist_length_identity_at_zero():

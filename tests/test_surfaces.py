@@ -8,6 +8,7 @@ import pytest
 from leaf_reference import reverse_chain
 
 from mucube import classify
+from mucube.exact import SqrtLength
 from mucube.flow import (
     B,
     L,
@@ -243,6 +244,10 @@ def test_gamma0_is_a_closed_trace_read_in_integers(monkeypatch):
     assert homology_coordinates(Y, t) == (1, -4)
     assert "eta_weights" in Y._cache
     assert "segments" not in vars(gamma0) and "crossings" not in vars(gamma0)
+
+
+def test_gamma0_has_arc_length_four(Y):
+    assert Y.marked_curves["gamma0"].arc_length == SqrtLength.of(4)
 
 
 def test_two_one_core_class(Y):
