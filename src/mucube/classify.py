@@ -9,9 +9,9 @@ flow is periodic or drift-periodic in that direction:
   starting data by a nonzero even translation.
 * ``classify_x`` traces the projected orbit on the 12-square quotient and
   reads off the accumulated cocycle displacement; zero means periodic.
-* ``classify_y`` decomposes the 4-square quotient in the direction and
-  checks for a single cylinder whose core has zero signed crossing count
-  with the marked horizontal curve.
+* ``classify_y`` counts the cylinders of the 4-square quotient in the
+  direction along Euclid's algorithm, and for a single cylinder checks that
+  its core has zero signed crossing count with the marked horizontal curve.
 
 ``classify_all`` runs all three and raises ``MethodDisagreement`` on any
 mismatch - by the underlying theory that would always indicate a bug here.
@@ -34,6 +34,7 @@ from .flow import (
     SurfacePoint,
     SurfaceTrace,
     _canonical_param,
+    cylinder_count,
     cylinder_decomposition,
     trace_surface,
 )
@@ -155,19 +156,25 @@ def classify_x(d) -> Classification:
 
 def classify_y(d) -> Classification:
     """Decide periodicity from the cylinder count and the marked-curve
-    intersection on the 4-square quotient."""
+    intersection on the 4-square quotient.
+
+    The count comes from Euclid's algorithm (``cylinder_count``); a
+    direction with more than one cylinder drifts, and no leaf is walked for
+    it.  Only a single cylinder's core is walked, by the decomposition,
+    which must then find that one cylinder too."""
     p, q = _as_pair(d)
     surf = build_y()
+    count = cylinder_count(surf, (p, q))
+    if count > 1:
+        return Classification((p, q), DRIFT, "y", {"cylinders": count, "core_intersection": None})
     deco = cylinder_decomposition(surf, (p, q))
-    single = len(deco.cylinders) == 1
-    inter = gamma0_intersection(surf, deco.cylinders[0]) if single else None
-    verdict = PERIODIC if single and inter == 0 else DRIFT
-    return Classification(
-        (p, q),
-        verdict,
-        "y",
-        {"cylinders": len(deco.cylinders), "core_intersection": inter},
-    )
+    if len(deco.cylinders) != 1:
+        raise ClassificationError(
+            f"{(p, q)} has {len(deco.cylinders)} cylinders on Y where its count found 1"
+        )
+    inter = gamma0_intersection(surf, deco.cylinders[0])
+    verdict = PERIODIC if inter == 0 else DRIFT
+    return Classification((p, q), verdict, "y", {"cylinders": 1, "core_intersection": inter})
 
 
 def classify_group(d) -> Classification:

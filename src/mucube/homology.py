@@ -131,24 +131,40 @@ def _mid_letters(sc: int, y0: int, dy: int, times) -> list[int]:
     ]
 
 
-def _walk_passes(eps, sc: int, word, first: int, sheets, count: int) -> int:
+def _pass_weights(surface, up: int) -> tuple[int, ...]:
+    """Per sheet, what a pass of height 1/2 in a word with ``dy`` of sign
+    ``up`` counts there: its + piece passes the way dy points, so
+    ``up * eps[sq]`` on sheet ``2 sq`` and the negation on sheet ``2 sq + 1``,
+    where ``eps[sq]`` is the marked curve's x-direction in square ``sq``,
+    read from its integer segments.  Built once per sign and kept in
+    ``surface._cache``."""
+    key = ("gamma0_passes", up)
+    weight = surface._cache.get(key)
+    if weight is None:
+        gamma0 = surface.marked_curves["gamma0"]
+        eps = {sq: 1 if x1 > x0 else -1 for sq, x0, _, x1, _ in gamma0.scaled_segments}
+        weight = surface._cache[key] = tuple(
+            (-up if st & 1 else up) * eps[st >> 1] for st in range(2 * len(eps))
+        )
+    return weight
+
+
+def _walk_passes(surface, sc: int, word, first: int, sheets, count: int) -> int:
     """Signed passes of height sc / 2 by a walk whose segment g < count runs
     along the piece of letter (first + g) mod n of ``word`` on sheet
-    ``sheets[g]`` (``_period`` of a trace or a cylinder); ``eps`` maps each
-    square to the marked curve's direction there.
+    ``sheets[g]`` (``_period`` of a trace or a cylinder).
 
     Only the letters whose piece passes (``_mid_letters``) are visited, at
-    the sheets the walk holds there, one per unit.  Their + piece passes
-    the way dy points.  A - piece is its + piece reflected through the
-    square's center, which fixes height sc / 2 and swaps the half-open ends
-    of the rule: it passes exactly when the + piece does, the other way, and
-    a piece that ends at mid-height passes on neither sheet, since its pass
-    is the next letter's.
+    the sheets the walk holds there, one per unit, and each counts its
+    sheet's ``_pass_weights``.  A - piece is its + piece reflected through
+    the square's center, which fixes height sc / 2 and swaps the half-open
+    ends of the rule: it passes exactly when the + piece does, the other
+    way, and a piece that ends at mid-height passes on neither sheet, since
+    its pass is the next letter's.
     """
     _, y0, _, dy, times, _ = word
     letters = len(times)
-    up = 1 if dy > 0 else -1
-    weight = [(-up if st & 1 else up) * eps[st >> 1] for st in range(2 * len(eps))]
+    weight = _pass_weights(surface, 1 if dy > 0 else -1)
     at = [(i - first) % letters for i in _mid_letters(sc, y0, dy, times)]
     return sum([weight[sheets[g + r]] for g in range(0, count, letters) for r in at])
 
@@ -165,15 +181,15 @@ def gamma0_intersection(surface, c: Union[Cylinder, SurfaceTrace, Sequence[Segme
     trace are counted on their walks, in units of 1/scale, with no segment
     built: the letters of the cutting word whose piece passes height
     scale / 2 are found once per call from the word (``_mid_letters``), and
-    ``eps`` is summed over the sheets the walk holds there, unit by unit,
-    with the sign each sheet's own piece passes by (``_walk_passes``).
+    the walk's sheets there are summed with the sign each sheet's own piece
+    passes by (``_walk_passes``, from weights cached per surface).
     """
-    gamma0 = surface.marked_curves["gamma0"]
-    eps = {sq: 1 if x1 > x0 else -1 for sq, x0, _, x1, _ in gamma0.scaled_segments}
     if isinstance(c, (Cylinder, SurfaceTrace)):
         if isinstance(c, SurfaceTrace):
             _closed(c)
-        return _walk_passes(eps, c.scale, *c._period())
+        return _walk_passes(surface, c.scale, *c._period())
+    # A + sheet's upward weight is eps of its square.
+    eps = _pass_weights(surface, 1)[0::2]
     total = 0
     for sq, _, y0, _, y1 in c:
         if 2 * y0 <= 1 < 2 * y1:

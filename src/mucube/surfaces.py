@@ -454,6 +454,8 @@ def build_y() -> Surface:
             )
         if i_val != abc:
             surf.marked_curves["gamma0"] = trace_surface(surf, _CENTER, (-1, 0))
+            # The count above cached weights read from the other curve.
+            surf._cache.clear()
         break
     else:
         raise SurfaceConstructionError("no usable calibration probe")

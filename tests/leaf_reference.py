@@ -9,11 +9,15 @@ its result without a walk, with the lists the result's views must give, and
 the package's word walk is tested against them field by field and view by
 view.  ``_canonical_edge`` names an edge by the smaller of its two sides, as
 the references do.  ``reverse_chain`` runs a chain of segments backwards.
+``ref_classify_y`` is the 4-square decider that walks every cylinder of the
+decomposition, the reference for ``classify.classify_y``, which counts them
+along Euclid's algorithm first.
 """
 
 from fractions import Fraction
 from math import gcd
 
+from mucube.classify import DRIFT, PERIODIC, Classification
 from mucube.exact import SqrtLength
 from mucube.flow import (
     B,
@@ -28,7 +32,10 @@ from mucube.flow import (
     SurfacePoint,
     SurfaceTrace,
     _canonical_param,
+    cylinder_decomposition,
 )
+from mucube.homology import gamma0_intersection
+from mucube.surfaces import build_y
 
 
 def _canonical_edge(surface, sq, side):
@@ -259,3 +266,21 @@ def ref_cylinder_decomposition(surface, direction: tuple[int, int]):
 
 def reverse_chain(chain):
     return [(sq, x1, y1, x0, y0) for sq, x0, y0, x1, y1 in reversed(chain)]
+
+
+def ref_classify_y(d) -> Classification:
+    """Decide periodicity on the 4-square quotient from its full cylinder
+    decomposition: one core leaf walked per cylinder, and the marked-curve
+    intersection of the core when there is a single cylinder."""
+    p, q = d
+    surf = build_y()
+    deco = cylinder_decomposition(surf, (p, q))
+    single = len(deco.cylinders) == 1
+    inter = gamma0_intersection(surf, deco.cylinders[0]) if single else None
+    verdict = PERIODIC if single and inter == 0 else DRIFT
+    return Classification(
+        (p, q),
+        verdict,
+        "y",
+        {"cylinders": len(deco.cylinders), "core_intersection": inter},
+    )

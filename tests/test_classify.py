@@ -1,9 +1,11 @@
 """The three deciders, their agreement, certificates and symmetries."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
 
+import leaf_reference
 import pytest
 
 from mucube import classify
@@ -16,7 +18,8 @@ from mucube.classify import (
     three_cylinder_check,
     verify_certificate,
 )
-from mucube.flow import SurfacePoint, trace_surface
+from mucube.flow import SurfacePoint, cylinder_count, trace_surface
+from mucube.grouptheory import fourey_direction
 from mucube.homology import gamma0_intersection
 from mucube.mucube3d import drift_vector
 
@@ -127,8 +130,9 @@ def test_certificates_without_a_replay_are_refused(d):
 
 def test_deciders_build_no_trace_view(monkeypatch):
     # The oracle and X read a trace's summary only, and Y a decomposition's
-    # summary and its single core's walk, so their lists stay unbuilt: on a
-    # one-cylinder direction and on a two-cylinder one.
+    # summary and its single core's walk, so their lists stay unbuilt.  Y
+    # counts cylinders before it walks: the one-cylinder (4, 1) builds a
+    # decomposition, and the two-cylinder (3, 1) builds none.
     traces, decompositions = [], []
     for name, out in (
         ("trace3d", traces),
@@ -142,16 +146,59 @@ def test_deciders_build_no_trace_view(monkeypatch):
     for d in ((4, 1), (5, 2)):
         verify_certificate(classify_oracle(d))
         classify_x(d)
-    for d in ((4, 1), (3, 1)):
-        classify_y(d)
+    assert classify_y((4, 1)).certificate["cylinders"] == 1
+    assert classify_y((3, 1)).certificate == {"cylinders": 2, "core_intersection": None}
     assert len(traces) == 6
     for t in traces:
         assert not {"vertices", "face_path", "scaled_segments"} & set(vars(t)), t
-    assert [len(deco.cylinders) for deco in decompositions] == [1, 2]
+    assert [len(deco.cylinders) for deco in decompositions] == [1]
     views = {"squares", "scaled_intervals", "core_segments", "intervals", "core_chain"}
     for deco in decompositions:
         for c in deco.cylinders:
             assert not views & set(vars(c)), c
+
+
+def test_classify_y_matches_the_walk_of_every_cylinder():
+    # Counting cylinders first changes no certificate: on the signed grid
+    # up to 60, and on the four-multiple fractions of depth <= 2, all periodic.
+    grid = [(p, q) for p in range(-60, 61) for q in range(-60, 61) if gcd(abs(p), abs(q)) == 1]
+    nonzero = [v for v in range(-3, 4) if v]
+    fourey = [
+        fourey_direction([a0, *tail])
+        for n in range(3)
+        for a0 in range(-3, 4)
+        for tail in itertools.product(nonzero, repeat=n)
+    ]
+    assert len(grid) == 8816 and len(fourey) == 301
+    for d in grid + fourey:
+        assert classify_y(d) == leaf_reference.ref_classify_y(d), d
+    assert {classify_y(d).verdict for d in fourey} == {"periodic"}
+
+
+def test_classify_y_refuses_a_count_the_walk_does_not_find(monkeypatch):
+    # A one-cylinder count is cross-checked by the decomposition's walk.
+    monkeypatch.setattr(classify, "cylinder_count", lambda surface, d: 1)
+    assert classify_y((4, 1)).verdict == "periodic"
+    with pytest.raises(classify.ClassificationError, match=r"\(3, 1\) has 2 cylinders"):
+        classify_y((3, 1))
+
+
+def test_classify_y_counts_a_hundred_digit_direction_without_a_walk(monkeypatch):
+    rng = random.Random(100)
+    drift = []
+    while len(drift) < 5:
+        p, q = rng.randrange(10**99, 10**100), rng.randrange(-10**100, 10**100)
+        if gcd(p, abs(q)) == 1 and cylinder_count(classify.build_y(), (p, q)) > 1:
+            drift.append((p, q))
+
+    def no_walk(*args):
+        raise AssertionError("walked a decomposition")
+
+    monkeypatch.setattr(classify, "cylinder_decomposition", no_walk)
+    for d in drift:
+        c = classify_y(d)
+        assert c.verdict == "drift" and c.certificate["core_intersection"] is None, d
+        assert c.certificate["cylinders"] > 1
 
 
 def test_periodic_certificate_contents():

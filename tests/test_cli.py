@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -22,9 +23,11 @@ from mucube.cli import (
     scan_pairs,
     scan_records,
 )
+from mucube.flow import cylinder_count
 from mucube.grouptheory import CosetTableError
 from mucube.homology import HomologyError
 from mucube.mucube3d import PeriodicDirectionError, drift_vector
+from mucube.surfaces import build_y
 
 
 def run_cli(capsys, *argv):
@@ -114,6 +117,25 @@ def test_classify_single_methods(capsys):
         )
         assert code == 0
         assert json.loads(out)["verdict"] == "periodic"
+
+
+def test_classify_method_y_on_a_hundred_digit_direction(capsys):
+    # Y counts cylinders along Euclid's algorithm, so a direction with more
+    # than one cylinder is decided with no walk, which at 100 digits could
+    # not finish.
+    rng = random.Random(100)
+    while True:
+        p, q = rng.randrange(10**99, 10**100), rng.randrange(1, 10**100)
+        if math.gcd(p, q) == 1 and cylinder_count(build_y(), (p, q)) > 1:
+            break
+    code, out, err = run_cli(capsys, "classify", "--p", str(p), "--q", str(q), "--method", "y")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["p"], payload["q"], payload["verdict"]) == (p, q, "drift")
+    assert payload["certificate"] == {
+        "cylinders": cylinder_count(build_y(), (p, q)), "core_intersection": None,
+    }
+    assert payload["certificate"]["cylinders"] > 1
 
 
 def test_classify_method_group(capsys):

@@ -19,6 +19,7 @@ from mucube.flow import (
     DegenerateIntersection,
     FlowBudgetError,
     SurfacePoint,
+    cylinder_count,
     cylinder_decomposition,
     trace_surface,
 )
@@ -534,6 +535,42 @@ def test_slot_lattice_beyond_the_gate_sizes(X, Y, cover_y, which, d):
     assert cuts == _slot_lattice(S, d, sc, transversal), (S.name, d)
     deco = cylinder_decomposition(S, d)
     assert (deco, _views(deco)) == _ref_cylinder_decomposition(S, d), (S.name, d)
+
+
+def test_cylinder_count_matches_the_decomposition(X, Y, cover_y):
+    # Euclid's algorithm on the sheet origami counts the cylinders the
+    # decomposition walks, on every signed primitive direction: X and Y's
+    # translation cover up to 30, Y up to 60.
+    for S, bound in ((X, 30), (cover_y, 30), (Y, 60)):
+        for d in _primitive(bound):
+            assert cylinder_count(S, d) == len(cylinder_decomposition(S, d).cylinders), (S.name, d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.tuples(st.integers(-10**4, 10**4), st.integers(-10**4, 10**4)).filter(
+        lambda d: gcd(abs(d[0]), abs(d[1])) == 1
+    ),
+)
+def test_cylinder_count_matches_the_decomposition_far_out(Y, d):
+    assert cylinder_count(Y, d) == len(cylinder_decomposition(Y, d).cylinders), d
+
+
+def test_cylinder_count_powers_through_cycles(X, monkeypatch):
+    # Partial quotients past the composed ones take their power from the
+    # permutation's cycles; both ways give the same count.
+    dirs = [d for d in _primitive(40) if sorted(map(abs, d)) in ([1, 21], [2, 27], [1, 39])]
+    composed = [cylinder_count(X, d) for d in dirs]
+    monkeypatch.setattr(flow, "_COMPOSED_POWERS", 0)
+    assert [cylinder_count(X, d) for d in dirs] == composed
+    monkeypatch.setattr(flow, "_COMPOSED_POWERS", 10**6)
+    assert [cylinder_count(X, d) for d in dirs] == composed
+
+
+def test_cylinder_count_refuses_a_non_primitive_direction(Y):
+    for d in ((0, 0), (2, 4), (-3, 3)):
+        with pytest.raises(ValueError, match="primitive"):
+            cylinder_count(Y, d)
 
 
 def test_closure_implies_rational_slope_contrapositive(X):

@@ -1002,11 +1002,19 @@ def test_twist_length_asymptotic_ratio():
 
 
 def test_twist_length_general_pair():
-    # For a non-axis cylinder direction the exact closed form must still be a
-    # clean square root; cross-check against a traced twisted orbit.
-    # V = (4,1) (periodic), O = (0,1): slopes: twisting the vertical orbit.
+    # Off the axes, V = (4, 1): its cylinders have core length 4 sqrt(17),
+    # so core vector c = 4 (4, 1) = (16, 4), and width 1 / sqrt(17), so area
+    # |c| w = 4.  The closed orbit O along (0, 1) of length 4 has holonomy
+    # o = (0, 4).  A straight curve crosses the cylinders once per area it
+    # sweeps transversally: N = |o x c| / 4 = |0 * 4 - 4 * 16| / 4 = 16.
+    # The k-fold twist adds k c at each crossing, on the hand of
+    # cross(V, O) = 4 > 0, so the twisted holonomy is o + 16 k c, and
+    # k = 1 gives (256, 68): length sqrt(256^2 + 68^2) = sqrt(70160).
     nv = 17
     len_v = SqrtLength.of(4, nv)
     wid_v = SqrtLength.of(Fraction(1, nv), nv)
-    pred = twist_length_prediction(len_v, wid_v, ((4, 1), (0, 1)), 1, 4)
-    assert pred.sq.denominator == 1 or pred.sq > 0
+    assert twist_length_prediction(len_v, wid_v, ((4, 1), (0, 1)), 1, 4) == SqrtLength(70160)
+    for k in (-2, -1, 1, 2, 3):
+        x, y = 0 + 16 * k * 16, 4 + 16 * k * 4
+        pred = twist_length_prediction(len_v, wid_v, ((4, 1), (0, 1)), k, 4)
+        assert pred == SqrtLength(x * x + y * y), k
