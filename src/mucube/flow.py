@@ -5,9 +5,10 @@ A surface here is anything with attributes ``n`` (number of unit squares),
 optionally ``cocycle`` (a dict mapping (square, side) to an integer triple,
 added up whenever the flow exits through that side), and ``_cache``, a dict
 in which the tracers keep the tables they read from ``glue`` and
-``cocycle``: one entry per sign quadrant of the direction (``_sheet_tables``)
-and one per transversal (``_transversal_edges``), built on first use and
-shared by every later call as tuples.
+``cocycle``: one sheet record, the origami that every sign quadrant of the
+direction is a view of (``_sheet_tables``), and one entry per transversal
+(``_transversal_edges``), built on first use and shared by every later call
+as tuples.
 
 Sides are 0=L, 1=R, 2=B, 3=T in the chart [0,1]^2 of each square.  A gluing
 without flip identifies a side with the opposite side of the partner square
@@ -118,8 +119,8 @@ class SurfaceTrace:
     scale: int
     cone_point: Optional[SurfacePoint] = None
     # What the trace walked, which the views are read from on first use: the
-    # start square and point, the cutting word (step counts and kinds), the
-    # exit sides per kind (see ``_sheet_tables``) and the sheet of each segment.
+    # start square and point, the cutting word (step counts and kinds) and
+    # the sheet of each segment.
     walk: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def _period(self):
@@ -130,7 +131,7 @@ class SurfaceTrace:
         ``sheets[g]``.  The period's first and last segments are the two
         halves of letter 0's piece, on the start's sheet, and count as that
         piece."""
-        _, x0, y0, times, kinds, _, sheets = self.walk
+        _, x0, y0, times, kinds, sheets = self.walk
         p, q = self.direction
         return (x0, y0, p, q, times, kinds), 0, sheets, len(sheets) - 2
 
@@ -143,8 +144,8 @@ class SurfaceTrace:
     def scaled_crossings(self) -> list[tuple[int, int, int]]:
         """(s, square, side exited) per crossing; a closed trace keeps
         crossings 0 .. count-2, which lie in (0, s_total)."""
-        _, _, _, times, kinds, exits, sheets = self.walk
-        n, sc = len(times), self.scale
+        _, _, _, times, kinds, sheets = self.walk
+        n, sc, exits = len(times), self.scale, _exit_sides(*self.direction)
         return [
             (g // n * sc + times[g % n], st >> 1, exits[kinds[g % n]][st & 1])
             for g, st in enumerate(sheets[: len(sheets) - 1 - self.closed])
@@ -154,7 +155,7 @@ class SurfaceTrace:
     def scaled_segments(self) -> list[tuple[int, int, int, int, int]]:
         """(square, x0, y0, x1, y1) per segment; a closed trace's run from
         the start point back to itself."""
-        square, x0, y0, times, kinds, _, sheets = self.walk
+        square, x0, y0, times, kinds, sheets = self.walk
         sc, (p, q), n = self.scale, self.direction, len(times)
         # Piece i starts where letter i - 1 entered its square.
         pieces = _pieces(sc, x0, y0, p, q, times, kinds)
@@ -238,48 +239,53 @@ def _pieces(sc: int, x0: int, y0: int, dx: int, dy: int, times, kinds) -> list:
     return out
 
 
-def _per_sheet(table, n: int, exits) -> list:
-    """Per letter kind and sheet, the value of ``table`` (keyed by square and
-    side) at the side the leaf leaves by: ``exits[kind]`` for a + and a -
-    sheet (see ``_sheet_tables``)."""
-    flat = [None] * (4 * n)
-    for (sq, side), value in table.items():
-        flat[4 * sq + side] = value
-    rows = []
-    for plus, minus in exits:
-        row = [None] * (2 * n)
-        row[0::2] = flat[plus::4]
-        row[1::2] = flat[minus::4]
-        rows.append(row)
-    return rows
+def _exit_sides(dx: int, dy: int):
+    """Per letter kind (1 for a vertical wall), the side a leaf in direction
+    ``(dx, dy)`` leaves a + sheet by and a - sheet by (see ``_sheet_tables``)."""
+    return ((T, B) if dy > 0 else (B, T)), ((R, L) if dx > 0 else (L, R))
 
 
 def _sheet_tables(surface, dx: int, dy: int):
     """The gluings as flat tables over the sheets, for the sign quadrant of
-    ``(dx, dy)``: built once per quadrant and kept in ``surface._cache``.
+    ``(dx, dy)``: picked by sign from one record per surface, built on first
+    use and kept in ``surface._cache["origami"]``.
 
     Sheet ``2 sq + neg`` is square ``sq`` with the leaf running along
     ``(dx, dy)`` in its chart, or along ``-(dx, dy)`` when ``neg`` is 1.
-    Returns ``(exits, steps, weights)``, each indexed by the letter kind (1
-    for a vertical wall): the side the leaf leaves a + sheet by and a -
-    sheet by, per sheet the sheet it enters, and per sheet the cocycle's
-    weight at the side it leaves by (None for a surface without a cocycle).
-    A flip gluing switches ``neg`` and keeps the side type, so the side of
-    the next square follows from the next letter.
+    Returns ``(steps, weights)``, each indexed by the letter kind (1 for a
+    vertical wall): per sheet the sheet it enters, and the cocycle's weight
+    at the side it leaves by, ``_exit_sides(dx, dy)[kind][neg]`` (None
+    without a cocycle).  A flip gluing switches ``neg`` and keeps the side
+    type, so the side of the next square follows from the next letter.
+
+    The record ``(steps, weights)`` is the origami (r, u): per letter kind,
+    the inverse and the step of quadrant (+, +) across a wall, and their
+    weight columns (b and a, and those of the inverse letters).  Lemma:
+    quadrant (sx, sy) steps by r^sx and u^sy on the same sheets (0 counts
+    as -), and r^-1 weighs -a(r^-1(t)) at t, u^-1 -b(u^-1(t)).  Proof, for
+    r and dx < 0: a + sheet leaves by L, a - sheet by R, the sides r enters
+    by.  A gluing is an involution: if (sq, L) is glued to (sq', s', flip),
+    then (sq', s') is glued to (sq, L) by the same flip, and s' is R without
+    a flip and L with one, so r(2 sq' + flip) = 2 sq; likewise on the -
+    sheet.  The cocycle is negated across a gluing, so the side left weighs
+    minus its partner, the side r leaves r^-1(t) by.
     """
-    key = ("sheets", dx > 0, dy > 0)
-    tables = surface._cache.get(key)
-    if tables is None:
-        n = surface.n
-        exits = ((T, B) if dy > 0 else (B, T)), ((R, L) if dx > 0 else (L, R))
-        steps = tuple(
-            tuple(2 * sq2 + (sheet & 1 ^ flip) for sheet, (sq2, _, flip) in enumerate(row))
-            for row in _per_sheet(surface.glue, n, exits)
-        )
-        cocycle = getattr(surface, "cocycle", None)
-        weights = None if cocycle is None else tuple(map(tuple, _per_sheet(cocycle, n, exits)))
-        tables = surface._cache[key] = (exits, steps, weights)
-    return tables
+    record = surface._cache.get("origami")
+    if record is None:
+        n, glue, cocycle = surface.n, surface.glue, getattr(surface, "cocycle", None)
+        steps, weights = [], []
+        for sides in _exit_sides(1, 1):
+            ends = [(sq, side) for sq in range(n) for side in sides]
+            forward = [2 * glue[e][0] + (s & 1 ^ glue[e][2]) for s, e in enumerate(ends)]
+            inverse = sorted(range(2 * n), key=forward.__getitem__)  # inverse[forward[s]] = s
+            steps.append((tuple(inverse), tuple(forward)))
+            if cocycle is not None:
+                w = [cocycle[e] for e in ends]
+                weights.append((tuple(tuple(-c for c in w[s]) for s in inverse), tuple(w)))
+        record = surface._cache["origami"] = tuple(steps), tuple(weights) or None
+    steps, weights = record
+    up, right = dy > 0, dx > 0
+    return (steps[0][up], steps[1][right]), weights and (weights[0][up], weights[1][right])
 
 
 def _walk(unit: list, sheets: list, home, units: int) -> bool:
@@ -342,8 +348,8 @@ def cylinder_count(surface, direction: tuple[int, int]) -> int:
     direction)``, found along Euclid's algorithm on (|p|, |q|) with no leaf
     walked: O(n) per partial quotient on n squares.
 
-    Let r and u be the sheet steps of ``_sheet_tables`` for a vertical and
-    for a horizontal wall, in the sign quadrant of the direction.  While
+    Let r and u be the steps across a vertical and a horizontal wall in the
+    sign quadrant of the direction, read from the sheet record.  While
     both entries are nonzero, ``k, p = divmod(p, q)`` sets u to u after r^k
     when p >= q, and ``k, q = divmod(q, p)`` sets r to r after u^k
     otherwise.  The loop ends at (1, 0) or (0, 1), and the count is half
@@ -355,11 +361,12 @@ def cylinder_count(surface, direction: tuple[int, int]) -> int:
     maximal cylinders of the surface with every square corner counted as
     singular, whether its cone angle is 2 pi or not.
     (2) The 2n sheets, each a square with one sign of the direction, form
-    the orientation double cover.  In a sheet's own frame the leaf runs
-    along (|p|, |q|): its square's chart, reflected in each axis along which
-    the direction is negative, and on a - sheet also rotated by pi.  Right
-    and up neighbours are then r and u, so the cover is a translation
-    origami (r, u) whose squares are unit squares developed into Z^2.
+    the orientation double cover, and the sheet record is an origami on it.
+    In a sheet's frame (its chart, rotated by pi on a - sheet, and reflected
+    in each axis along which the direction is negative) the leaf runs along
+    (|p|, |q|), and right and up neighbours are the record's r^+-1 and u^+-1
+    (the lemma of ``_sheet_tables``): again a translation origami (r, u),
+    whose squares are unit squares developed into Z^2.
     (3) With h = [[1, 1], [0, 1]], the image of the origami under h^-k is
     again tiled by unit squares on the same corners: h^-k lies in SL2(Z),
     so it maps Z^2, and the set of corners with it, onto itself.  The new
@@ -383,7 +390,7 @@ def cylinder_count(surface, direction: tuple[int, int]) -> int:
     p, q = direction
     if gcd(abs(p), abs(q)) != 1:
         raise ValueError("direction must be primitive")
-    _, (u, r), _ = _sheet_tables(surface, p, q)
+    (u, r), _ = _sheet_tables(surface, p, q)
     p, q = abs(p), abs(q)
     while p and q:
         if p >= q:
@@ -421,7 +428,7 @@ def trace_surface(surface, start: SurfacePoint, direction: tuple[int, int]) -> S
     x0, y0 = start.x.numerator * (sc // den_x), start.y.numerator * (sc // den_y)
     times, kinds, corner = _unit_word(sc, x0, y0, p, q)
     n_squares = surface.n
-    exits, steps, weights = _sheet_tables(surface, p, q)
+    steps, weights = _sheet_tables(surface, p, q)
     n = len(times)
     tables = [steps[k] for k in kinds]
 
@@ -464,7 +471,7 @@ def trace_surface(surface, start: SurfacePoint, direction: tuple[int, int]) -> S
         displacement=disp,
         scale=sc,
         cone_point=cone_point,
-        walk=(start.square, x0, y0, times, kinds, exits, sheets),
+        walk=(start.square, x0, y0, times, kinds, sheets),
     )
 
 
@@ -642,7 +649,7 @@ def cylinder_decomposition(surface, direction: tuple[int, int]) -> Decomposition
     times, kinds, corner = _unit_word(sc2, x0, y0, dx, dy)
     if corner is not None:
         raise FlowBudgetError("core leaf hit a cone point")
-    exits, steps, _ = _sheet_tables(surface, dx, dy)
+    steps, _ = _sheet_tables(surface, dx, dy)
     # The word's transversal letters, in order: the k-th crosses the edge
     # parameter (its coordinate moves by e per step) at (k + 1) e slots past
     # the start's midpoint, so at the midpoint of slot (k + 1) e mod m.
@@ -659,7 +666,7 @@ def cylinder_decomposition(surface, direction: tuple[int, int]) -> Decomposition
     # for a - sheet and for a side that measures the edge backwards,
     # forwards when both or neither hold.
     slot_first, slot_sign = [], []
-    for sheet, side in enumerate(exits[vertical_transversal] * n):
+    for sheet, side in enumerate(_exit_sides(dx, dy)[vertical_transversal] * n):
         index, back = edges[4 * (sheet >> 1) + side]
         forwards = back == (sheet & 1)
         slot_first.append(index * m + (0 if forwards else m - 1))

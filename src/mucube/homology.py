@@ -41,6 +41,7 @@ from .flow import (
     Segment,
     SurfaceTrace,
     T,
+    _exit_sides,
     cylinder_decomposition,
 )
 
@@ -49,18 +50,23 @@ class HomologyError(RuntimeError):
     pass
 
 
-def _closed(trace: SurfaceTrace) -> SurfaceTrace:
-    if not trace.closed:
+def _closed(c: Union[Cylinder, SurfaceTrace]) -> Union[Cylinder, SurfaceTrace]:
+    if isinstance(c, SurfaceTrace) and not c.closed:
         raise ValueError("homology needs a closed curve")
-    return trace
+    return c
 
 
-def _exits(c: Union[SurfaceTrace, Sequence[Segment]]) -> list[tuple[int, int]]:
+def _exits(c: Union[Cylinder, SurfaceTrace, Sequence[Segment]]) -> list[tuple[int, int]]:
     """The edges ``(square, side)`` a closed curve exits, one per crossing:
-    the crossings of a trace, or the segment ends of a chain that lie on a
-    wall."""
-    if isinstance(c, SurfaceTrace):
-        return [(sq, side) for _, sq, side in _closed(c).scaled_crossings]
+    per segment of a core's or a closed trace's period, the side its sheet
+    leaves by at its letter (``flow._exit_sides``), or the segment ends of
+    a chain that lie on a wall."""
+    if isinstance(c, (Cylinder, SurfaceTrace)):
+        (_, _, dx, dy, _, kinds), first, sheets, count = _closed(c)._period()
+        exits, n = _exit_sides(dx, dy), len(kinds)
+        return [
+            (st >> 1, exits[kinds[(first + g) % n]][st & 1]) for g, st in enumerate(sheets[:count])
+        ]
     exits = []
     for sq, _, _, x, y in c:
         if x in (0, 1) and y in (0, 1):
@@ -85,7 +91,7 @@ def _eta_weights(surface) -> dict[tuple[int, int], int]:
             raise HomologyError("no area-1 cylinder pairs with sigma")
         fans = [[(sq, _FAN_SIDE[c]) for sq, c in corners] for corners, _ in surface._vertex_fans()]
         sigma = _exits(surface.marked_curves["gamma0"])
-        weights = _cocycle(surface.glue, fans, sigma, _exits(cores[0].core_chain))
+        weights = _cocycle(surface.glue, fans, sigma, _exits(cores[0]))
         surface._cache["eta_weights"] = weights
     return weights
 
@@ -131,20 +137,19 @@ def _mid_letters(sc: int, y0: int, dy: int, times) -> list[int]:
     ]
 
 
-def _pass_weights(surface, up: int) -> tuple[int, ...]:
-    """Per sheet, what a pass of height 1/2 in a word with ``dy`` of sign
-    ``up`` counts there: its + piece passes the way dy points, so
-    ``up * eps[sq]`` on sheet ``2 sq`` and the negation on sheet ``2 sq + 1``,
-    where ``eps[sq]`` is the marked curve's x-direction in square ``sq``,
-    read from its integer segments.  Built once per sign and kept in
-    ``surface._cache``."""
-    key = ("gamma0_passes", up)
-    weight = surface._cache.get(key)
+def _pass_weights(surface) -> tuple[int, ...]:
+    """Per sheet, what a pass of height 1/2 in a word with dy > 0 counts
+    there: its + piece passes upward, so ``eps[sq]`` on sheet ``2 sq`` and
+    the negation on sheet ``2 sq + 1``, where ``eps[sq]`` is the marked
+    curve's x-direction in square ``sq``, read from its integer segments.
+    A word with dy < 0 passes every sheet the other way and counts the
+    negation.  Built once and kept in ``surface._cache``."""
+    weight = surface._cache.get("gamma0_passes")
     if weight is None:
         gamma0 = surface.marked_curves["gamma0"]
         eps = {sq: 1 if x1 > x0 else -1 for sq, x0, _, x1, _ in gamma0.scaled_segments}
-        weight = surface._cache[key] = tuple(
-            (-up if st & 1 else up) * eps[st >> 1] for st in range(2 * len(eps))
+        weight = surface._cache["gamma0_passes"] = tuple(
+            (-1 if st & 1 else 1) * eps[st >> 1] for st in range(2 * len(eps))
         )
     return weight
 
@@ -156,17 +161,18 @@ def _walk_passes(surface, sc: int, word, first: int, sheets, count: int) -> int:
 
     Only the letters whose piece passes (``_mid_letters``) are visited, at
     the sheets the walk holds there, one per unit, and each counts its
-    sheet's ``_pass_weights``.  A - piece is its + piece reflected through
-    the square's center, which fixes height sc / 2 and swaps the half-open
-    ends of the rule: it passes exactly when the + piece does, the other
-    way, and a piece that ends at mid-height passes on neither sheet, since
-    its pass is the next letter's.
+    sheet's ``_pass_weights``, negated when dy < 0.  A - piece is its +
+    piece reflected through the square's center, which fixes height sc / 2
+    and swaps the half-open ends of the rule: it passes exactly when the +
+    piece does, the other way, and a piece that ends at mid-height passes
+    on neither sheet, since its pass is the next letter's.
     """
     _, y0, _, dy, times, _ = word
     letters = len(times)
-    weight = _pass_weights(surface, 1 if dy > 0 else -1)
+    weight = _pass_weights(surface)
     at = [(i - first) % letters for i in _mid_letters(sc, y0, dy, times)]
-    return sum([weight[sheets[g + r]] for g in range(0, count, letters) for r in at])
+    total = sum([weight[sheets[g + r]] for g in range(0, count, letters) for r in at])
+    return total if dy > 0 else -total
 
 
 def gamma0_intersection(surface, c: Union[Cylinder, SurfaceTrace, Sequence[Segment]]) -> int:
@@ -185,11 +191,9 @@ def gamma0_intersection(surface, c: Union[Cylinder, SurfaceTrace, Sequence[Segme
     passes by (``_walk_passes``, from weights cached per surface).
     """
     if isinstance(c, (Cylinder, SurfaceTrace)):
-        if isinstance(c, SurfaceTrace):
-            _closed(c)
-        return _walk_passes(surface, c.scale, *c._period())
+        return _walk_passes(surface, c.scale, *_closed(c)._period())
     # A + sheet's upward weight is eps of its square.
-    eps = _pass_weights(surface, 1)[0::2]
+    eps = _pass_weights(surface)[0::2]
     total = 0
     for sq, _, y0, _, y1 in c:
         if 2 * y0 <= 1 < 2 * y1:

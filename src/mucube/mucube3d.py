@@ -393,18 +393,6 @@ class Point3:
         return tuple(c[k] + self.u * cu[k] + self.v * cv[k] for k in AXES)  # type: ignore[return-value]
 
     @classmethod
-    def from_ambient(cls, face: Face, chart: Chart, p: Sequence[Fraction]) -> "Point3":
-        cu, cv = chart
-        corner = cls(face, chart, Fraction(0), Fraction(0)).corner()
-        d = [Fraction(p[k]) - corner[k] for k in AXES]
-        u = sum(d[k] * cu[k] for k in AXES)
-        v = sum(d[k] * cv[k] for k in AXES)
-        pt = cls(face, chart, u, v)
-        if pt.ambient() != tuple(Fraction(c) for c in p):
-            raise ValueError("point does not lie on the face")
-        return pt
-
-    @classmethod
     def face_center(cls, face: Face, chart: Optional[Chart] = None) -> "Point3":
         return cls(face, chart or default_chart(face), Fraction(1, 2), Fraction(1, 2))
 

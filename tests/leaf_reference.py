@@ -11,7 +11,11 @@ view.  ``_canonical_edge`` names an edge by the smaller of its two sides, as
 the references do.  ``reverse_chain`` runs a chain of segments backwards.
 ``ref_classify_y`` is the 4-square decider that walks every cylinder of the
 decomposition, the reference for ``classify.classify_y``, which counts them
-along Euclid's algorithm first.
+along Euclid's algorithm first.  ``ref_sheet_tables`` reads the gluing
+tables of one sign quadrant from ``glue`` and ``cocycle`` on their own, the
+reference for ``flow._sheet_tables``, which picks them by sign from one
+sheet record.  ``point_from_ambient`` places an ambient point on a face of
+the surface in 3D, in a given chart.
 """
 
 from fractions import Fraction
@@ -35,6 +39,7 @@ from mucube.flow import (
     cylinder_decomposition,
 )
 from mucube.homology import gamma0_intersection
+from mucube.mucube3d import AXES, Point3
 from mucube.surfaces import build_y
 
 
@@ -284,3 +289,50 @@ def ref_classify_y(d) -> Classification:
         "y",
         {"cylinders": len(deco.cylinders), "core_intersection": inter},
     )
+
+
+def _per_sheet(table, n: int, exits) -> list:
+    """Per letter kind and sheet, the value of ``table`` (keyed by square and
+    side) at the side the leaf leaves by: ``exits[kind]`` for a + and a -
+    sheet."""
+    flat = [None] * (4 * n)
+    for (sq, side), value in table.items():
+        flat[4 * sq + side] = value
+    rows = []
+    for plus, minus in exits:
+        row = [None] * (2 * n)
+        row[0::2] = flat[plus::4]
+        row[1::2] = flat[minus::4]
+        rows.append(row)
+    return rows
+
+
+def ref_sheet_tables(surface, dx: int, dy: int):
+    """The sheet tables of the sign quadrant of ``(dx, dy)``, read for that
+    quadrant alone: ``(exits, steps, weights)``, each indexed by the letter
+    kind (1 for a vertical wall), with the side a + and a - sheet leave by,
+    per sheet the sheet entered, and per sheet the cocycle's weight at the
+    side left by (None without a cocycle).  A zero component counts as
+    negative."""
+    n = surface.n
+    exits = ((T, B) if dy > 0 else (B, T)), ((R, L) if dx > 0 else (L, R))
+    steps = tuple(
+        tuple(2 * sq2 + (sheet & 1 ^ flip) for sheet, (sq2, _, flip) in enumerate(row))
+        for row in _per_sheet(surface.glue, n, exits)
+    )
+    cocycle = getattr(surface, "cocycle", None)
+    weights = None if cocycle is None else tuple(map(tuple, _per_sheet(cocycle, n, exits)))
+    return exits, steps, weights
+
+
+def point_from_ambient(face, chart, p) -> Point3:
+    """The point of ``face`` at the ambient point ``p``, in ``chart``."""
+    cu, cv = chart
+    corner = Point3(face, chart, Fraction(0), Fraction(0)).corner()
+    d = [Fraction(p[k]) - corner[k] for k in AXES]
+    u = sum(d[k] * cu[k] for k in AXES)
+    v = sum(d[k] * cv[k] for k in AXES)
+    pt = Point3(face, chart, u, v)
+    if pt.ambient() != tuple(Fraction(c) for c in p):
+        raise ValueError("point does not lie on the face")
+    return pt

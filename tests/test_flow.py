@@ -25,7 +25,7 @@ from mucube.flow import (
 )
 from mucube.homology import signed_crossings
 from mucube.mucube3d import Point3, SEED_CHART, SEED_FACE, seed_start, trace3d
-from mucube.surfaces import minimal_translation_cover
+from mucube.surfaces import Surface, minimal_translation_cover
 
 
 CENTER = SurfacePoint(0, Fraction(1, 2), Fraction(1, 2))
@@ -423,12 +423,12 @@ def test_trace_surface_matches_the_stepper(X, Y, cover_y):
 
 
 def test_cached_tables_change_no_result(X, Y, cover_y):
-    # A surface keeps its gluing tables per sign quadrant of the direction
-    # and per transversal.  Traces and decompositions read from a warm cache
-    # equal those from an empty one, view by view, and a sweep over all four
-    # quadrants leaves 4 + 2 entries, none per direction, all immutable.
-    tables = {("sheets", sx, sy) for sx in (False, True) for sy in (False, True)}
-    tables |= {("transversal", False), ("transversal", True)}
+    # A surface keeps one sheet record, which every sign quadrant of the
+    # direction reads, and its tables per transversal.  Traces and
+    # decompositions read from a warm cache equal those from an empty one,
+    # view by view, and a sweep over all four quadrants leaves 1 + 2
+    # entries, none per direction, all immutable.
+    tables = {"origami", ("transversal", False), ("transversal", True)}
 
     def trace_run(surface, d, start):
         t = trace_surface(surface, start, d)
@@ -453,6 +453,20 @@ def test_cached_tables_change_no_result(X, Y, cover_y):
                 cold = dataclasses.replace(S, _cache={})
                 assert trace_run(cold, d, start) == trace_run(warm, d, start), (S.name, d)
         assert set(warm._cache) == tables, S.name
+
+
+_QUADRANTS = ((1, 1), (-1, 1), (1, -1), (-1, -1), (0, 1), (0, -1), (1, 0), (-1, 0))
+
+
+def test_sheet_tables_are_views_of_one_record(X, Y, cover_y):
+    # Every sign quadrant's steps and weights, picked from the one record of
+    # r, u and their weights, equal those read from the gluings for that
+    # quadrant alone, with the quadrant's exit sides; a zero component takes
+    # the inverse.  The clone from text builds its record afresh.
+    for S in (X, Y, cover_y, Surface.from_text(X.to_text())):
+        for dx, dy in _QUADRANTS:
+            got = (flow._exit_sides(dx, dy), *flow._sheet_tables(S, dx, dy))
+            assert got == leaf_reference.ref_sheet_tables(S, dx, dy), (S.name, dx, dy)
 
 
 def test_a_leaf_that_does_not_close_is_an_invariant_violation(X, monkeypatch, capsys):

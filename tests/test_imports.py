@@ -1,8 +1,9 @@
 """Every name a module of the package imports is used in that module, every
 private module-level name of the package is read somewhere in it, the CLI
 reports usage errors in ``main`` alone, no decider reads another's
-modules, and every module imports the package's modules at its top, where
-``flow`` imports only ``exact`` and ``homology`` nothing of ``surfaces``.
+modules, every module imports the package's modules at its top, where
+``flow`` imports only ``exact`` and ``homology`` nothing of ``surfaces``,
+and the quotient kernels read no ``Fraction``.
 
 The package ``__init__`` is left out of the import check: importing names to
 re-export them is its purpose.
@@ -213,3 +214,44 @@ def test_flow_imports_only_exact():
 
 def test_homology_imports_nothing_of_surfaces():
     assert "surfaces" not in sibling_imports((SRC / "homology.py").read_text()).values()
+
+
+def name_reads(source: str, name: str) -> dict[str, bool]:
+    """Per module-level function of ``source``, whether its body reads
+    ``name``, as a bare name or as an attribute."""
+    return {
+        fn.name: any(
+            (isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load))
+            or (isinstance(n, ast.Attribute) and n.attr == name)
+            for n in ast.walk(fn)
+        )
+        for fn in ast.parse(source).body
+        if isinstance(fn, ast.FunctionDef)
+    }
+
+
+def test_detects_a_read_of_a_name():
+    source = (
+        "from fractions import Fraction\nimport fractions\n"
+        "def f(x):\n    return Fraction(x)\n"
+        "def g(x):\n    def inner():\n        return fractions.Fraction(x)\n    return inner\n"
+        "def h(x):\n    Fraction = int\n    return x\n"
+    )
+    assert name_reads(source, "Fraction") == {"f": True, "g": True, "h": False}
+
+
+# The quotient kernels step in integers only (ROADMAP aim 2).
+_INTEGER_KERNELS = {
+    "flow": (
+        "_unit_word", "_pieces", "_exit_sides", "_sheet_tables", "_walk", "_cycles",
+        "_after_power", "cylinder_count",
+    ),
+    "homology": ("_mid_letters", "_pass_weights", "_walk_passes"),
+}
+
+
+@pytest.mark.parametrize("module", sorted(_INTEGER_KERNELS))
+def test_quotient_kernels_read_no_fraction(module):
+    reads = name_reads((SRC / f"{module}.py").read_text(), "Fraction")
+    kernels = _INTEGER_KERNELS[module]
+    assert {fn: reads.get(fn) for fn in kernels} == dict.fromkeys(kernels, False)

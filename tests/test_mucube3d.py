@@ -10,6 +10,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from leaf_reference import point_from_ambient
 
 from mucube.exact import SqrtLength
 from mucube.mucube3d import (
@@ -596,7 +597,7 @@ def test_retrace_reproduces_cycle():
         a, b = t41.vertices[k], t41.vertices[k + 1]
         mid = tuple((x + y) / 2 for x, y in zip(a, b))
         face = t41.face_path[k]
-        restart = Point3.from_ambient(face, default_chart(face), mid)
+        restart = point_from_ambient(face, default_chart(face), mid)
         t2 = trace3d(restart, _chart_direction(face, t41, k))
         assert t2.closed
         got = t2.vertices[1:-1]
